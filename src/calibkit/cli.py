@@ -2,8 +2,10 @@
 toy training, and win-rate scoring.
 
 Exit codes: 0 success, 1 I/O failure, 2 input validation failure,
-3 numerical failure. File writes are atomic (temp file + rename), and every
-subcommand is deterministic given its inputs, flags, and seed.
+3 numerical failure. A ``CalibrationError`` reaching ``main`` is reported as
+one ``error:`` line naming its class, never as a traceback. File writes are
+atomic (temp file + rename), and every subcommand is deterministic given its
+inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import os
 import sys
 import tempfile
 
-from .core import BinningConfig, DatasetValidationError, validate_dataset
+from .core import BinningConfig, CalibrationError, DatasetValidationError, validate_dataset
 from .diagram import reliability_svg
-from .emcal import EmConfig, NonFiniteLoss, run_em
+from .emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, run_em
 from .genmodel import (
     BadParams,
     FiniteGenerativeModel,
@@ -79,7 +81,7 @@ def cmd_eval(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    rows, line_of_row = [], []
+    rows, line_of_row, bad_json = [], [], False
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -89,7 +91,9 @@ def cmd_eval(args) -> int:
             line_of_row.append(ln)
         except json.JSONDecodeError as exc:
             print(f"error: line {ln}: invalid JSON: {exc.msg}", file=sys.stderr)
-            return EXIT_INPUT
+            bad_json = True
+    if bad_json:
+        return EXIT_INPUT
     try:
         ds = validate_dataset(rows)
     except DatasetValidationError as exc:
@@ -113,11 +117,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
-    except BadParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_INPUT
@@ -208,11 +208,7 @@ def cmd_train_toy(args) -> int:
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )
-    try:
-        before_report, policy, history, after_report = _run_toy_mode(args, task, bins)
-    except NonFiniteLoss as exc:
-        print(f"error: non-finite loss at epoch {exc.epoch}", file=sys.stderr)
-        return EXIT_NUMERIC
+    before_report, policy, history, after_report = _run_toy_mode(args, task, bins)
 
     print(f"mode={args.mode}")
     print(f"before: acc={before_report.accuracy!r} conf_ece={before_report.conf_ece!r}")
@@ -373,9 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BadParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except CalibrationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        numeric = isinstance(exc, (NonFiniteLoss, NonFiniteGradient))
+        return EXIT_NUMERIC if numeric else EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

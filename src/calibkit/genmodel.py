@@ -368,20 +368,51 @@ def lower_bound_constant(
     return c, holds
 
 
+def _group_means(
+    keys: np.ndarray, weights: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group support points whose keys are equal as floats and return each
+    group's key, mass and weighted mean of ``values``, in sorted key order.
+
+    ``keys`` is (s,) for a scalar key or (s, k) for a vector key; ``values``
+    is (s, c). Float equality makes -0.0 and 0.0 one group. Groups of zero
+    mass have no mean and are dropped. The work is one sort of the s keys
+    (lexicographic for vectors) and c + 1 bincounts.
+    """
+    if keys.ndim == 1:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+    else:
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    g = uniq.shape[0]
+    mass = np.bincount(inverse, weights=weights, minlength=g)
+    hits = np.column_stack(
+        [np.bincount(inverse, weights=weights * values[:, c], minlength=g)
+         for c in range(values.shape[1])]
+    )
+    kept = mass > 0.0
+    mass = mass[kept]
+    return uniq[kept], mass, hits[kept] / mass[:, None]
+
+
 def population_cw_ece(model: FiniteGenerativeModel, predictor: Predictor) -> float:
-    """Classwise calibration gap conditioning on exact per-class confidences."""
+    """Classwise calibration gap conditioning on exact per-class confidences.
+
+    For each class j, support points whose class-j confidences are equal as
+    floats form one group (so -0.0 and 0.0 share a group); a group of zero
+    mass contributes nothing. Each group adds its mass times the absolute
+    difference between its class-j label frequency and the shared confidence;
+    the sum over groups and classes is divided by k. One sort per class:
+    O(k * s log s) for s support points.
+    """
     pred = predictor.matrix_for(model.support)
     total = 0.0
     for j in range(model.k):
-        vals = pred[:, j]
-        for v in np.unique(vals):
-            mask = vals == v
-            w = float(model.weights[mask].sum())
-            if w == 0.0:
-                continue
-            freq = float(model.weights[mask] @ model.label_probs[mask, j]) / w
-            total += w * abs(freq - float(v))
-    return float(total) / model.k
+        vals, mass, freq = _group_means(
+            pred[:, j], model.weights, model.label_probs[:, j:j + 1]
+        )
+        total += float(mass @ np.abs(freq[:, 0] - vals))
+    return total / model.k
 
 
 def verify_ece_le_tce(

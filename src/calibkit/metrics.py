@@ -23,7 +23,7 @@ from .core import (
     EmptyDataset,
     bin_index_array,
 )
-from .genmodel import FiniteGenerativeModel, Predictor
+from .genmodel import FiniteGenerativeModel, Predictor, _group_means
 
 
 class EmptyInput(CalibrationError):
@@ -272,25 +272,17 @@ def build_report(
 def mc_ece_population(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Calibration gap conditioning on the full predicted vector.
 
-    Support points sharing an identical predicted vector form one group; the
-    gap is the mean absolute difference between the group's label frequencies
-    and that vector, averaged over classes and weighted by group mass. This is
-    the strongest of the three calibration notions and is only computable in
-    population form on a finite support.
+    Support points whose predicted vectors are equal as floats, entry by
+    entry, form one group (so -0.0 and 0.0 match); a group of zero mass
+    contributes nothing. The gap is the mean absolute difference between the
+    group's label frequencies and that vector, averaged over classes and
+    weighted by group mass. One lexicographic sort of the s vectors:
+    O(k * s log s). This is the strongest of the three calibration notions
+    and is only computable in population form on a finite support.
     """
     pred = predictor.matrix_for(model.support)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(model.n_support):
-        groups.setdefault(pred[i].tobytes(), []).append(i)
-    total = 0.0
-    for rows in groups.values():
-        idx = np.asarray(rows)
-        w = float(model.weights[idx].sum())
-        if w == 0.0:
-            continue
-        freqs = model.weights[idx] @ model.label_probs[idx] / w
-        total += w * float(np.abs(freqs - pred[idx[0]]).mean())
-    return total
+    vecs, mass, freqs = _group_means(pred, model.weights, model.label_probs)
+    return float(mass @ np.abs(freqs - vecs).mean(axis=1))
 
 
 def win_rate(pairs: Sequence[PairwisePreferenceRecord]) -> float:

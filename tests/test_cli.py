@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from calibkit import toylab
 from calibkit.cli import main
-from calibkit.genmodel import make_model
+from calibkit.emcal import NonFiniteGradient
+from calibkit.genmodel import construct_bound_predictor, labels_matching_accuracy, make_model
 from calibkit.metrics import CalibrationReport
+from test_genmodel import _reference_population_cw_ece
 
 
 def _write_jsonl(path, rows):
@@ -51,6 +54,44 @@ def test_eval_malformed_line_names_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_eval_reports_every_bad_json_line(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    good = '{"id": "a", "confidences": [0.5, 0.5], "label": 0}'
+    path.write_text(f"{good}\nnot-json\n\n{{broken\n", encoding="utf-8")
+    code = main(["eval", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [ln.split(": invalid JSON: ")[0] for ln in err] == [
+        "error: line 2", "error: line 4"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["train-toy", "--k", "1"], "BadParams"),
+        (["train-toy", "--lr", "0", "--n", "40", "--dim", "4", "--epochs", "2"],
+         "CalibrationError"),
+        (["eval", "PRED", "--bins", "0"], "OutOfRange"),
+    ],
+    ids=["train-toy-k-1", "train-toy-lr-0", "eval-bins-0"],
+)
+def test_calibration_errors_exit_2_with_one_error_line(argv, kind, pred_file, capsys):
+    code = main([str(pred_file) if a == "PRED" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+
+
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    def diverge(**kwargs):
+        raise NonFiniteGradient("linear policy gradient is not finite")
+
+    monkeypatch.setattr(toylab, "gen_toy_task", diverge)
+    assert main(["train-toy"]) == 3
+    assert capsys.readouterr().err.startswith("error: NonFiniteGradient: ")
 
 
 def test_eval_validation_error_reports_kind(tmp_path, capsys):
@@ -159,6 +200,22 @@ def test_bounds_deterministic(tmp_path):
         main(["bounds", "--model", str(model_path), "--out", str(tmp_path / name)])
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_bounds_cwece_matches_reference_loop(tmp_path):
+    model = make_model("dirichlet", 3, 300, alpha=0.7, seed=11)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+    csv_path = tmp_path / "bounds.csv"
+    assert main(["bounds", "--model", str(model_path), "--out", str(csv_path)]) == 0
+    rows = [ln.split(",") for ln in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    labels = labels_matching_accuracy(model, 0.6)
+    for row in rows:
+        built = construct_bound_predictor(model, labels, float(row[0]))
+        reference = _reference_population_cw_ece(model, built.predictor)
+        assert abs(float(row[5]) - reference) <= 1e-12
+        assert row[6] == "true"
 
 
 def test_winrate(tmp_path, capsys):

@@ -214,6 +214,30 @@ def test_population_cw_ece_groups_by_exact_value():
     assert population_cw_ece(model, half) == pytest.approx(0.0, abs=1e-15)
 
 
+def _reference_population_cw_ece(model, predictor):
+    """The per-value loop population_cw_ece replaced: one O(s) mask per
+    distinct class-j confidence."""
+    pred = predictor.matrix_for(model.support)
+    total = 0.0
+    for j in range(model.k):
+        vals = pred[:, j]
+        for v in np.unique(vals):
+            mask = vals == v
+            w = float(model.weights[mask].sum())
+            if w == 0.0:
+                continue
+            freq = float(model.weights[mask] @ model.label_probs[mask, j]) / w
+            total += w * abs(freq - float(v))
+    return float(total) / model.k
+
+
+def test_population_cw_ece_matches_per_value_loop(finite_cases):
+    for model, predictor in finite_cases:
+        got = population_cw_ece(model, predictor)
+        assert abs(got - _reference_population_cw_ece(model, predictor)) <= 1e-12
+        assert got <= tce(model, predictor) + 1e-12
+
+
 def test_population_accuracy_matches_definition():
     m = make_model("dirichlet", 4, 30, alpha=2.0, seed=12)
     p = Predictor.from_model(m)

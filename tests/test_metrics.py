@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from calibkit.core import BinningConfig, Dataset
-from calibkit.genmodel import FiniteGenerativeModel, Predictor, make_model, sample_dataset
+from calibkit.genmodel import (
+    FiniteGenerativeModel,
+    Predictor,
+    make_model,
+    population_cw_ece,
+    sample_dataset,
+    tce,
+)
 from calibkit.core import ConfidenceVector
 from calibkit.metrics import (
     CalibrationReport,
@@ -118,6 +125,40 @@ def test_mc_ece_population_grouping():
     assert mc_ece_population(model, half) == pytest.approx(0.0, abs=1e-15)
     off = Predictor.constant(model, ConfidenceVector((0.9, 0.1)))
     assert mc_ece_population(model, off) == pytest.approx(0.4, abs=1e-12)
+
+
+def _reference_mc_ece_population(model, predictor):
+    """The bytes-key grouping mc_ece_population replaced; it agrees with the
+    float-equality rule on supports without signed zeros."""
+    pred = predictor.matrix_for(model.support)
+    groups = {}
+    for i in range(model.n_support):
+        groups.setdefault(pred[i].tobytes(), []).append(i)
+    total = 0.0
+    for rows in groups.values():
+        idx = np.asarray(rows)
+        w = float(model.weights[idx].sum())
+        if w == 0.0:
+            continue
+        freqs = model.weights[idx] @ model.label_probs[idx] / w
+        total += w * float(np.abs(freqs - pred[idx[0]]).mean())
+    return total
+
+
+def test_mc_ece_population_matches_bytes_key_loop(finite_cases):
+    for model, predictor in finite_cases:
+        got = mc_ece_population(model, predictor)
+        assert abs(got - _reference_mc_ece_population(model, predictor)) <= 1e-12
+        assert got <= tce(model, predictor) + 1e-12
+
+
+def test_population_gaps_group_signed_zeros_together():
+    # Predictor accepts both rows; as floats they are one predicted vector,
+    # whose group frequencies (0, 0.5, 0.5) match it exactly.
+    model = FiniteGenerativeModel(3, ["a", "b"], [0.5, 0.5], [[0, 1, 0], [0, 0, 1]])
+    pred = Predictor(["a", "b"], [[-0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    assert mc_ece_population(model, pred) == 0.0
+    assert population_cw_ece(model, pred) == 0.0
 
 
 def test_reliability_modes():
