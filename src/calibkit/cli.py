@@ -16,11 +16,16 @@ import os
 import sys
 import tempfile
 
-from .core import BinningConfig, CalibrationError, DatasetValidationError, validate_dataset
+from .core import (
+    BadParams,
+    BinningConfig,
+    CalibrationError,
+    DatasetValidationError,
+    validate_dataset,
+)
 from .diagram import reliability_svg
 from .emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, run_em
 from .genmodel import (
-    BadParams,
     FiniteGenerativeModel,
     NoDisagreement,
     Predictor,
@@ -246,23 +251,26 @@ def _run_toy_mode(args, task, bins):
         before_ds, before_report = _toy_report(task, policy, bins)
         cfg = EmConfig(
             epochs=args.em_epochs, bins=args.bins, lam=1.0, sft_weight=0.0,
-            divergence=args.divergence, learning_rate=args.lr, seed=args.seed,
+            divergence=args.divergence, learning_rate=args.lr,
         )
         policy, history = run_em(policy, task.labels, cfg, features=None)
-    elif args.mode in ("cft", "rcft", "ts"):
+    elif args.mode == "ts":
         base, _ = _sft_baseline(args, task)
         before_ds, before_report = _toy_report(task, base, bins)
-        if args.mode == "ts":
-            t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, bins)
-            transformed = toylab.apply_temperature(before_ds, t_star)
-            after_report = build_report(transformed, bins)
-            history = [{"temperature": t_star, "ece_before": ece_b, "ece_after": ece_a}]
-            return before_report, base, history, after_report
+        t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, bins)
+        transformed = toylab.apply_temperature(before_ds, t_star)
+        after_report = build_report(transformed, bins)
+        history = [{"temperature": t_star, "ece_before": ece_b, "ece_after": ece_a}]
+        return before_report, base, history, after_report
+    elif args.mode in ("cft", "rcft"):
+        # Checked before the baseline runs, so a bad EM setting fails fast.
         cfg = EmConfig(
             epochs=args.em_epochs, bins=args.bins,
             lam=args.lam if args.mode == "cft" else 1.0,
-            divergence=args.divergence, learning_rate=args.lr, seed=args.seed,
+            divergence=args.divergence, learning_rate=args.lr,
         )
+        base, _ = _sft_baseline(args, task)
+        before_ds, before_report = _toy_report(task, base, bins)
         mode = "cft" if args.mode == "cft" else "rcft-analog"
         policy, history = toylab.train(base, task, mode=mode, em=cfg)
     else:

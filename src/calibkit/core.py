@@ -57,6 +57,10 @@ class EmptyDataset(CalibrationError):
     pass
 
 
+class BadParams(CalibrationError):
+    pass
+
+
 @dataclass(frozen=True)
 class ConfidenceVector:
     """A probability vector over k >= 2 classes.

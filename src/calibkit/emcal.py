@@ -13,12 +13,13 @@ against those frozen targets. Policies supply ``probs``/``combined_grad``/
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CalibrationError, ConfidenceVector, bin_index_array
-from .metrics import accuracy_arrays, conf_ece_arrays, cw_ece_arrays
+from .core import CalibrationError, bin_index_array
+from .metrics import metric_row
 from .targetmap import TargetDistribution, build_target_matrix
 
 DIVERGENCES = ("mse", "cross-entropy")
@@ -49,12 +50,15 @@ class EmConfig:
     min_bin_count: int = 5
     inner_steps: int = 50
     sft_weight: float = 1.0
-    seed: int = 42
 
     def __post_init__(self):
         if self.epochs < 0 or self.bins < 1 or self.min_bin_count < 1:
             raise CalibrationError("bad EM configuration")
-        if self.lam < 0.0 or self.learning_rate <= 0.0 or self.inner_steps < 1:
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise CalibrationError(f"lam {self.lam!r} must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise CalibrationError(f"learning rate {self.learning_rate!r} must be finite and > 0")
+        if self.inner_steps < 1:
             raise CalibrationError("bad EM configuration")
         if self.divergence not in DIVERGENCES:
             raise CalibrationError(f"unknown divergence {self.divergence!r}")
@@ -114,22 +118,10 @@ def _clamped_record_q(qs: BinAccuracy, z: LatentAssignment) -> np.ndarray:
 
 def build_all_targets(
     probs: np.ndarray, qs: BinAccuracy, z: LatentAssignment
-) -> list[TargetDistribution]:
-    """One calibration target per record, top pinned to its bin's (clamped) q."""
-    q_rec = _clamped_record_q(qs, z)
-    out, top, rank_ok = build_target_matrix(probs, q_rec)
-    return [
-        TargetDistribution(
-            probs=ConfidenceVector(tuple(out[i])),
-            top_index=int(top[i]),
-            q_m=float(q_rec[i]),
-            rank_preserved=bool(rank_ok[i]),
-        )
-        for i in range(out.shape[0])
-    ]
-
-
-def _target_matrix(probs: np.ndarray, qs: BinAccuracy, z: LatentAssignment) -> np.ndarray:
+) -> np.ndarray:
+    """The (n, k) target matrix: row i is record i's calibration target, its
+    top class pinned to the record's bin accuracy clamped into
+    [Q_CLAMP, 1 - Q_CLAMP]."""
     return build_target_matrix(probs, _clamped_record_q(qs, z))[0]
 
 
@@ -142,32 +134,28 @@ def _as_row(x) -> np.ndarray:
 
 
 def ece_loss(target, conf, divergence: str = "mse") -> float:
-    """Divergence from a target distribution to a confidence vector.
-
-    mse averages squared per-class gaps; cross-entropy is the negative
-    target-weighted log-confidence (confidences floored at 1e-12).
-    """
-    t = _as_row(target)
-    c = _as_row(conf)
-    if divergence == "mse":
-        return float(np.mean((t - c) ** 2))
-    if divergence == "cross-entropy":
-        return float(-(t * np.log(np.maximum(c, LOG_FLOOR))).sum())
-    raise CalibrationError(f"unknown divergence {divergence!r}")
+    """Divergence from a target distribution to a confidence vector: the
+    one-row ``mean_ece_loss``."""
+    return mean_ece_loss(_as_row(conf)[None, :], _as_row(target)[None, :], divergence)
 
 
 def sft_loss(conf, label: int) -> float:
-    """Negative log-confidence of the true class (floored at 1e-12)."""
-    c = _as_row(conf)
-    return float(-np.log(max(float(c[label]), LOG_FLOOR)))
+    """Negative log-confidence of the true class: the one-row ``mean_sft``."""
+    return mean_sft(_as_row(conf)[None, :], np.asarray([label]))
 
 
 def mean_sft(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-confidence of the true class (floored at 1e-12)."""
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
 def mean_ece_loss(probs: np.ndarray, targets: np.ndarray, divergence: str) -> float:
+    """Mean divergence from each target row to its confidence row.
+
+    mse averages squared per-class gaps; cross-entropy is the negative
+    target-weighted log-confidence (confidences floored at 1e-12).
+    """
     if divergence == "mse":
         return float(((targets - probs) ** 2).mean())
     if divergence == "cross-entropy":
@@ -206,8 +194,10 @@ def run_em(
             raise NonFiniteLoss(epoch, "policy produced non-finite confidences")
         z = e_step(probs, cfg.bins)
         qs = m_step(probs, labels, z, cfg.min_bin_count)
-        targets = _target_matrix(probs, qs, z)
-        row = _history_row(epoch, probs, labels, targets, cfg)
+        targets = build_all_targets(probs, qs, z)
+        row = _history_row(
+            epoch, probs, labels, cfg.bins, mean_ece_loss(probs, targets, cfg.divergence)
+        )
         if not all(np.isfinite(v) for v in row.values()):
             raise NonFiniteLoss(epoch, f"history row {row}")
         history.append(row)
@@ -230,19 +220,12 @@ def run_em(
 
 
 def _history_row(
-    epoch: int,
-    probs: np.ndarray,
-    labels: np.ndarray,
-    targets: np.ndarray,
-    cfg: EmConfig,
+    epoch: int, probs: np.ndarray, labels: np.ndarray, M: int, mean_ece: float | None
 ) -> dict:
-    conf, _ = conf_ece_arrays(probs, labels, cfg.bins)
-    cw, _ = cw_ece_arrays(probs, labels, cfg.bins)
+    """One per-epoch history row; plain-descent rows pass ``mean_ece=None``."""
     return {
         "epoch": epoch,
-        "acc": accuracy_arrays(probs, labels),
-        "conf_ece": conf,
-        "cw_ece": cw,
+        **metric_row(probs, labels, M),
         "mean_sft": mean_sft(probs, labels),
-        "mean_ece": mean_ece_loss(probs, targets, cfg.divergence),
+        "mean_ece": mean_ece,
     }

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    BadParams,
     CalibrationError,
     ConfidenceVector,
     Dataset,
@@ -25,10 +26,6 @@ from .core import (
 )
 
 MODEL_KINDS = ("pure-random", "deterministic", "dirichlet")
-
-
-class BadParams(CalibrationError):
-    pass
 
 
 class UnknownSupportPoint(CalibrationError):

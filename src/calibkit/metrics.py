@@ -194,6 +194,22 @@ def cw_ece_arrays(
     return total / k, tables
 
 
+def metric_row(probs: np.ndarray, labels: np.ndarray, M: int) -> dict:
+    """Accuracy, conf-ECE and cw-ECE at M bins, without reliability tables.
+
+    The values equal those of ``accuracy_arrays``, ``conf_ece_arrays`` and
+    ``cw_ece_arrays`` bit for bit: cw-ECE sums the per-class gaps in class
+    order and divides by k.
+    """
+    k = probs.shape[1]
+    correct = np.argmax(probs, axis=1) == labels
+    return {
+        "acc": float(np.mean(correct)),
+        "conf_ece": binned_ece(probs.max(axis=1), correct, M),
+        "cw_ece": sum(binned_ece(probs[:, j], labels == j, M) for j in range(k)) / k,
+    }
+
+
 def accuracy(ds: Dataset) -> float:
     """Fraction of records whose top-confidence class is the label."""
     if ds.n < 1:

@@ -7,15 +7,19 @@ and the whole vector stays on the simplex. The tail map is
 
     c' = alpha * tanh(gamma * c) + beta
 
-with gamma chosen so the largest tail entry lands near tanh saturation and
-(alpha, beta) solved from the mass constraint sum(tail') = 1 - q.
+with gamma = ln(3) / (max tail * (1 - q)), so the largest tail entry lands
+at tanh(ln(3) / (1 - q)), and (alpha, beta) solving the mass constraint
+alpha * sum(tanh(gamma * tail)) + (k - 1) * beta = 1 - q. The default takes
+alpha = beta; where that would lift the largest tail entry to the pinned
+top, alpha is rescued at the midpoint of the interval that keeps the tail
+strictly below it. ``build_target_matrix`` is the one implementation;
+``build_target`` is a one-row call into it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,18 +27,8 @@ from .core import CalibrationError, ConfidenceVector
 
 LN3 = math.log(3.0)
 
-VARIANTS = ("simplified", "general")
-
-
-class DegenerateTail(CalibrationError):
-    pass
-
 
 class BadQ(CalibrationError):
-    pass
-
-
-class NegativeBeta(CalibrationError):
     pass
 
 
@@ -46,86 +40,6 @@ class TargetDistribution:
     top_index: int
     q_m: float
     rank_preserved: bool
-
-
-@dataclass(frozen=True)
-class MappingParams:
-    """Solved tail-map coefficients; tanh_sum is sum(tanh(gamma * c_tail))."""
-
-    gamma: float
-    alpha: float
-    beta: float
-    tanh_sum: float
-    variant: str
-
-
-def _check_q(q_m: float) -> None:
-    if not (0.0 < q_m < 1.0):
-        raise BadQ(f"top probability {q_m!r} must lie strictly inside (0, 1)")
-
-
-def compute_gamma(tail_confidences: Sequence[float], q_m: float) -> float:
-    """Saturation rate for the tail map: ln(3) / (max tail * (1 - q))."""
-    _check_q(q_m)
-    tail = [float(c) for c in tail_confidences]
-    top = max(tail, default=0.0)
-    if top <= 0.0:
-        raise DegenerateTail("all tail confidences are zero")
-    return LN3 / (top * (1.0 - q_m))
-
-
-def solve_alpha_beta(
-    tanh_sum: float,
-    q_m: float,
-    k: int,
-    variant: str = "simplified",
-    alpha: float | None = None,
-) -> tuple[float, float]:
-    """Solve alpha * tanh_sum + (k - 1) * beta = 1 - q_m.
-
-    The simplified variant sets beta = alpha; the general variant takes alpha
-    as given and solves for beta, failing with NegativeBeta when alpha is too
-    large (callers fall back to the simplified solution).
-    """
-    _check_q(q_m)
-    if tanh_sum < 0.0:
-        raise BadQ("tanh_sum cannot be negative")
-    if variant not in VARIANTS:
-        raise BadQ(f"unknown variant {variant!r}")
-    if variant == "simplified":
-        a = (1.0 - q_m) / (tanh_sum + (k - 1))
-        return a, a
-    if alpha is None or alpha <= 0.0:
-        raise BadQ("the general variant needs a positive alpha")
-    beta = (1.0 - q_m - alpha * tanh_sum) / (k - 1)
-    if beta < 0.0:
-        raise NegativeBeta(f"alpha={alpha} leaves beta={beta} < 0")
-    return alpha, beta
-
-
-def solve_mapping_params(
-    tail_confidences: Sequence[float],
-    q_m: float,
-    k: int,
-    variant: str = "simplified",
-    alpha: float | None = None,
-) -> MappingParams:
-    """Full coefficient solve for one record's tail.
-
-    Composes the saturation rate, the tanh sum, and the (alpha, beta) solve;
-    the result satisfies alpha * tanh_sum + (k - 1) * beta = 1 - q_m.
-    """
-    gamma = compute_gamma(tail_confidences, q_m)
-    tanh_sum = float(sum(math.tanh(gamma * float(c)) for c in tail_confidences))
-    a, b = solve_alpha_beta(tanh_sum, q_m, k, variant=variant, alpha=alpha)
-    return MappingParams(gamma=gamma, alpha=a, beta=b, tanh_sum=tanh_sum, variant=variant)
-
-
-def rank_condition(q_m: float, tanh_sum: float, k: int = 4) -> bool:
-    """Sufficient condition for the tail to stay strictly below the pinned top."""
-    if tanh_sum < 0.0:
-        raise BadQ("tanh_sum cannot be negative")
-    return q_m > 2.0 / (tanh_sum + k + 1)
 
 
 def build_target_matrix(
@@ -142,7 +56,7 @@ def build_target_matrix(
         raise BadQ("conf must be an (n, k>=2) matrix")
     if q.shape != (conf.shape[0],):
         raise BadQ("q must align with the rows of conf")
-    if q.size and (q.min() <= 0.0 or q.max() >= 1.0):
+    if not ((q > 0.0) & (q < 1.0)).all():
         raise BadQ("top probabilities must lie strictly inside (0, 1)")
 
     n, k = conf.shape
@@ -214,11 +128,11 @@ def _order_isotonic(conf: np.ndarray, out: np.ndarray, top, rows) -> np.ndarray:
 def build_target(conf: ConfidenceVector, q_m: float) -> TargetDistribution:
     """Construct the calibration target for one confidence vector.
 
-    The top class (lowest index on ties) is pinned to q_m; the tail goes
-    through the tanh map with the simplified coefficient solution. A one-hot
-    source has no tail signal, so its remaining mass is spread uniformly.
+    A one-row call into ``build_target_matrix``: the top class (lowest index
+    on ties) is pinned to q_m and the tail goes through the tanh map. A
+    one-hot source has no tail signal, so its remaining mass is spread
+    uniformly.
     """
-    _check_q(q_m)
     row = conf.as_array()[None, :]
     out, top, rank_ok = build_target_matrix(row, np.asarray([q_m]))
     return TargetDistribution(

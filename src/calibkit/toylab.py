@@ -10,32 +10,25 @@ the role of the critical accuracy separating the two calibration regimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    BinningConfig,
-    CalibrationError,
-    ConfidenceVector,
-    Dataset,
-    EmptyDataset,
-)
+from .core import BadParams, BinningConfig, CalibrationError, Dataset, EmptyDataset
 from .emcal import (
     EmConfig,
     LOG_FLOOR,
     NonFiniteGradient,
     NonFiniteLoss,
+    _history_row,
+    _one_hot,
     mean_ece_loss,
     mean_sft,
     run_em,
 )
-from .metrics import accuracy_arrays, binned_ece, conf_ece_arrays, cw_ece_arrays
-
-
-class BadParams(CalibrationError):
-    pass
+from .metrics import binned_ece, metric_row
 
 
 class DimensionMismatch(CalibrationError):
@@ -239,24 +232,6 @@ def policy_from_json_dict(obj: dict):
     raise BadParams(f"unknown policy type {obj.get('type')!r}")
 
 
-def forward(policy, features: np.ndarray | None = None) -> np.ndarray:
-    """Confidence matrix of a policy on the given features."""
-    return policy.probs(features)
-
-
-def grad_combined(
-    policy,
-    features: np.ndarray | None,
-    soft_labels: np.ndarray,
-    targets: np.ndarray | None,
-    lam: float,
-    divergence: str = "mse",
-    sft_weight: float = 1.0,
-) -> np.ndarray:
-    """Analytic gradient of the mean combined loss w.r.t. the policy params."""
-    return policy.combined_grad(features, soft_labels, targets, lam, divergence, sft_weight)
-
-
 def combined_loss(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -271,20 +246,14 @@ def combined_loss(
     return float(loss)
 
 
-def label_smooth_targets(label: int, k: int, epsilon: float) -> ConfidenceVector:
-    """1 - epsilon on the true class, epsilon spread over the others."""
+def label_smooth_targets(labels: np.ndarray, k: int, epsilon: float) -> np.ndarray:
+    """The (n, k) smoothed label matrix: 1 - epsilon on each row's true
+    class, epsilon spread evenly over the others."""
     if not (0.0 <= epsilon < 1.0):
         raise BadEpsilon(f"epsilon {epsilon!r} outside [0, 1)")
-    if not (0 <= label < k):
-        raise BadParams(f"label {label} outside [0, {k})")
-    row = np.full(k, epsilon / (k - 1))
-    row[label] = 1.0 - epsilon
-    return ConfidenceVector(tuple(row))
-
-
-def _smooth_matrix(labels: np.ndarray, k: int, epsilon: float) -> np.ndarray:
-    if not (0.0 <= epsilon < 1.0):
-        raise BadEpsilon(f"epsilon {epsilon!r} outside [0, 1)")
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise BadParams(f"labels outside [0, {k})")
     out = np.full((labels.shape[0], k), epsilon / (k - 1))
     out[np.arange(labels.shape[0]), labels] = 1.0 - epsilon
     return out
@@ -429,29 +398,24 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
-def _gd_history_row(epoch, probs, labels, M):
-    conf, _ = conf_ece_arrays(probs, labels, M)
-    cw, _ = cw_ece_arrays(probs, labels, M)
-    return {
-        "epoch": epoch,
-        "acc": accuracy_arrays(probs, labels),
-        "conf_ece": conf,
-        "cw_ece": cw,
-        "mean_sft": mean_sft(probs, labels),
-        "mean_ece": None,
-    }
-
-
 def _gd_train(policy, features, labels, soft_labels, epochs, lr, M=10):
-    """Plain full-batch gradient descent on cross-entropy to soft targets."""
-    history = [_gd_history_row(0, policy.probs(features), labels, M)]
+    """Plain full-batch gradient descent on cross-entropy to soft targets.
+
+    A step count below 0, or a learning rate that is not finite and > 0,
+    raises BadParams: a negative rate would ascend, and a zero rate or step
+    count would silently train nothing.
+    """
+    if epochs < 0 or not (math.isfinite(lr) and lr > 0.0):
+        raise BadParams(f"plain descent needs epochs >= 0 and a finite lr > 0, "
+                        f"got epochs={epochs!r}, lr={lr!r}")
+    history = [_history_row(0, policy.probs(features), labels, M, None)]
     for epoch in range(1, epochs + 1):
         grad = policy.combined_grad(features, soft_labels, None, 0.0, "mse")
         policy.descend(grad, lr)
         probs = policy.probs(features)
         if not np.isfinite(probs).all():
             raise NonFiniteLoss(epoch, "policy produced non-finite confidences")
-        history.append(_gd_history_row(epoch, probs, labels, M))
+        history.append(_history_row(epoch, probs, labels, M, None))
     return policy, history
 
 
@@ -479,7 +443,7 @@ def train(
     if mode == "sft-only":
         return _gd_train(policy, task.features, task.labels, y1, epochs, lr)
     if mode == "label-smooth":
-        smooth = _smooth_matrix(task.labels, task.k, epsilon)
+        smooth = label_smooth_targets(task.labels, task.k, epsilon)
         return _gd_train(policy, task.features, task.labels, smooth, epochs, lr)
     if mode == "cft":
         cfg = em if em is not None else EmConfig(epochs=max(1, epochs // 50), learning_rate=lr)
@@ -495,12 +459,6 @@ def train(
             row["epoch"] = hist1[-1]["epoch"] + i
         return tab, hist1 + hist2[1:]
     raise BadParams(f"unknown training mode {mode!r}")
-
-
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def task_dataset(task: ToyTask, policy) -> Dataset:
@@ -527,13 +485,6 @@ STUDY = {
 }
 
 
-def _endpoint(task: ToyTask, policy) -> dict:
-    probs = policy.probs(task.features)
-    conf, _ = conf_ece_arrays(probs, task.labels, STUDY["bins"])
-    cw, _ = cw_ece_arrays(probs, task.labels, STUDY["bins"])
-    return {"acc": accuracy_arrays(probs, task.labels), "conf_ece": conf, "cw_ece": cw}
-
-
 def tradeoff_study(seed: int = 42) -> dict:
     """Run the pinned four-stage study on one seeded task.
 
@@ -549,40 +500,43 @@ def tradeoff_study(seed: int = 42) -> dict:
     )
     out = {"bayes_accuracy": task.bayes_accuracy, "task": task}
 
+    def endpoint(policy) -> dict:
+        return metric_row(policy.probs(task.features), task.labels, STUDY["bins"])
+
     sft = LinearPolicy(task.d, task.k)
     sft, sft_hist = train(
         sft, task, mode="sft-only", epochs=STUDY["sft_epochs"], lr=STUDY["sft_lr"]
     )
-    out["sft"] = _endpoint(task, sft)
+    out["sft"] = endpoint(sft)
     out["sft_policy"] = sft
     out["sft_history"] = sft_hist
 
     cft_cfg = EmConfig(
         epochs=STUDY["em_epochs"], bins=STUDY["bins"], lam=1.0,
-        learning_rate=STUDY["em_lr"], seed=seed,
+        learning_rate=STUDY["em_lr"],
     )
     cft_pol, cft_hist = train(sft.clone(), task, mode="cft", em=cft_cfg)
-    out["cft"] = _endpoint(task, cft_pol)
+    out["cft"] = endpoint(cft_pol)
     out["cft_history"] = cft_hist
 
     rcft_cfg = EmConfig(
         epochs=STUDY["em_epochs"], bins=STUDY["bins"], lam=1.0,
-        learning_rate=STUDY["rcft_em_lr"], seed=seed,
+        learning_rate=STUDY["rcft_em_lr"],
     )
     rcft_pol, rcft_hist = train(
         sft.clone(), task, mode="rcft-analog", em=rcft_cfg,
         overfit_epochs=STUDY["rcft_overfit_epochs"], overfit_lr=STUDY["rcft_overfit_lr"],
     )
-    out["rcft"] = _endpoint(task, rcft_pol)
+    out["rcft"] = endpoint(rcft_pol)
     out["rcft_history"] = rcft_hist
 
     eo_cfg = EmConfig(
         epochs=STUDY["ece_only_epochs"], bins=STUDY["bins"], lam=1.0,
-        sft_weight=0.0, learning_rate=STUDY["em_lr"], seed=seed,
+        sft_weight=0.0, learning_rate=STUDY["em_lr"],
     )
     eo_pol, eo_hist = run_em(
         TabularPolicy.zeros(task.n, task.k), task.labels, eo_cfg, features=None
     )
-    out["ece_only"] = _endpoint(task, eo_pol)
+    out["ece_only"] = endpoint(eo_pol)
     out["ece_only_history"] = eo_hist
     return out

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from calibkit.core import CalibrationError
+from calibkit.core import CalibrationError, ConfidenceVector
 from calibkit.emcal import (
     BinAccuracy,
     EmConfig,
+    LOG_FLOOR,
     LatentAssignment,
     NonFiniteLoss,
+    _history_row,
     build_all_targets,
     e_step,
     ece_loss,
@@ -18,8 +21,75 @@ from calibkit.emcal import (
     run_em,
     sft_loss,
 )
-from calibkit.metrics import conf_ece_arrays
+from calibkit.metrics import accuracy_arrays, conf_ece_arrays, cw_ece_arrays, metric_row
+from calibkit.targetmap import build_target, build_target_matrix
 from calibkit.toylab import LinearPolicy, TabularPolicy, gen_toy_task, train
+
+
+def _cases():
+    """(probs, labels) for k in {2, 4, 9}: n = 1, a one-hot batch, and a
+    mixed batch with one-hot rows, zero entries and a tie."""
+    rng = np.random.default_rng(31)
+    for k in (2, 4, 9):
+        eye = np.eye(k)
+        yield rng.dirichlet(np.ones(k), 1), rng.integers(0, k, 1)
+        yield eye[rng.integers(0, k, 12)], rng.integers(0, k, 12)
+        probs = rng.dirichlet(np.full(k, 0.3), 400)
+        probs[::7] = eye[rng.integers(0, k, probs[::7].shape[0])]
+        probs[3, :] = 0.0
+        probs[3, :2] = 0.5
+        yield probs, rng.integers(0, k, 400)
+
+
+# The per-epoch and endpoint row builders this package used before the one
+# ``metric_row``, kept as references: each built full reliability tables.
+
+
+def _reference_history_row(epoch, probs, labels, targets, bins, divergence):
+    conf, _ = conf_ece_arrays(probs, labels, bins)
+    cw, _ = cw_ece_arrays(probs, labels, bins)
+    return {
+        "epoch": epoch,
+        "acc": accuracy_arrays(probs, labels),
+        "conf_ece": conf,
+        "cw_ece": cw,
+        "mean_sft": mean_sft(probs, labels),
+        "mean_ece": mean_ece_loss(probs, targets, divergence),
+    }
+
+
+def _reference_gd_history_row(epoch, probs, labels, M):
+    conf, _ = conf_ece_arrays(probs, labels, M)
+    cw, _ = cw_ece_arrays(probs, labels, M)
+    return {
+        "epoch": epoch,
+        "acc": accuracy_arrays(probs, labels),
+        "conf_ece": conf,
+        "cw_ece": cw,
+        "mean_sft": mean_sft(probs, labels),
+        "mean_ece": None,
+    }
+
+
+def _reference_endpoint(probs, labels, M):
+    conf, _ = conf_ece_arrays(probs, labels, M)
+    cw, _ = cw_ece_arrays(probs, labels, M)
+    return {"acc": accuracy_arrays(probs, labels), "conf_ece": conf, "cw_ece": cw}
+
+
+# The single-row loss bodies from before ``ece_loss`` and ``sft_loss`` became
+# one-row calls into ``mean_ece_loss`` and ``mean_sft``.
+
+
+def _reference_ece_loss(t, c, divergence):
+    t, c = np.asarray(t, dtype=float), np.asarray(c, dtype=float)
+    if divergence == "mse":
+        return float(np.mean((t - c) ** 2))
+    return float(-(t * np.log(np.maximum(c, LOG_FLOOR))).sum())
+
+
+def _reference_sft_loss(c, label):
+    return float(-np.log(max(float(np.asarray(c, dtype=float)[label]), LOG_FLOOR)))
 
 
 def test_e_step_examples():
@@ -53,10 +123,12 @@ def test_build_all_targets_composition():
     z = e_step(probs, 10)
     qs = m_step(probs, labels, z, min_bin_count=1)
     targets = build_all_targets(probs, qs, z)
-    assert len(targets) == 5
-    assert targets[0].q_m == pytest.approx(0.6, abs=1e-15)
-    assert targets[0].probs.probs[0] == pytest.approx(0.6, abs=1e-15)
-    assert targets[0].rank_preserved
+    assert targets.shape == (5, 4)
+    assert targets[0, 0] == pytest.approx(0.6, abs=1e-15)
+    q = qs.q[z.z[0] - 1]
+    single = build_target(ConfidenceVector((0.7, 0.2, 0.06, 0.04)), float(q))
+    assert single.rank_preserved
+    assert np.array_equal(targets, np.tile(single.probs.as_array(), (5, 1)))
 
 
 def test_build_all_targets_clamps_extreme_bins():
@@ -64,11 +136,11 @@ def test_build_all_targets_clamps_extreme_bins():
     z = e_step(probs, 10)
     perfect = m_step(probs, np.zeros(3, dtype=np.int64), z, min_bin_count=1)
     targets = build_all_targets(probs, perfect, z)
-    assert targets[0].probs.probs[0] == pytest.approx(0.999, abs=1e-12)
+    assert targets[0, 0] == pytest.approx(0.999, abs=1e-12)
 
     hopeless = m_step(probs, np.ones(3, dtype=np.int64), z, min_bin_count=1)
     targets = build_all_targets(probs, hopeless, z)
-    assert targets[0].probs.probs[0] == pytest.approx(0.001, abs=1e-12)
+    assert targets[0, 0] == pytest.approx(0.001, abs=1e-12)
 
 
 def test_ece_loss_fixtures():
@@ -81,6 +153,35 @@ def test_sft_loss_fixtures():
     assert sft_loss([0.0, 1.0, 0.0, 0.0], 1) == 0.0
     assert abs(sft_loss([0.25] * 4, 2) - math.log(4)) < 1e-12
     assert abs(sft_loss([0.5, 0.5], 0) - math.log(2)) < 1e-12
+
+
+def test_row_losses_match_their_reference_bodies():
+    for probs, labels in _cases():
+        targets = np.roll(probs, 1, axis=0)
+        for t, c, y in zip(targets, probs, labels):
+            for div in ("mse", "cross-entropy"):
+                assert ece_loss(t, c, div) == _reference_ece_loss(t, c, div)
+            assert sft_loss(c, int(y)) == _reference_sft_loss(c, int(y))
+    assert ece_loss([1, 0, 0, 0], [0.25] * 4, "cross-entropy") == _reference_ece_loss(
+        [1, 0, 0, 0], [0.25] * 4, "cross-entropy"
+    )
+    with pytest.raises(CalibrationError):
+        ece_loss([0.5, 0.5], [0.5, 0.5], "kl")
+
+
+def test_history_and_endpoint_rows_match_their_references():
+    for probs, labels in _cases():
+        targets = build_target_matrix(probs, np.full(probs.shape[0], 0.5))[0]
+        for M in (1, 10, 15):
+            for div in ("mse", "cross-entropy"):
+                mean_ece = mean_ece_loss(probs, targets, div)
+                assert _history_row(3, probs, labels, M, mean_ece) == (
+                    _reference_history_row(3, probs, labels, targets, M, div)
+                )
+            assert _history_row(3, probs, labels, M, None) == (
+                _reference_gd_history_row(3, probs, labels, M)
+            )
+            assert metric_row(probs, labels, M) == _reference_endpoint(probs, labels, M)
 
 
 def test_loss_nonnegativity():
@@ -185,3 +286,10 @@ def test_em_config_validation():
         EmConfig(bins=0)
     with pytest.raises(CalibrationError):
         EmConfig(learning_rate=0.0)
+    # NaN compares false with everything, so each bound is checked as finite.
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(CalibrationError):
+            EmConfig(lam=bad)
+        with pytest.raises(CalibrationError):
+            EmConfig(learning_rate=bad)
+    assert len(dataclasses.fields(EmConfig)) == 8

@@ -17,9 +17,7 @@ from calibkit.toylab import (
     apply_temperature,
     combined_loss,
     fit_temperature,
-    forward,
     gen_toy_task,
-    grad_combined,
     label_smooth_targets,
     policy_from_json_dict,
     softmax,
@@ -57,13 +55,13 @@ def test_gen_toy_task_bad_params():
 def test_forward_zero_weights_uniform():
     task = gen_toy_task(d=8, k=4, n=20, seed=2)
     policy = LinearPolicy(task.d, task.k)
-    probs = forward(policy, task.features)
+    probs = policy.probs(task.features)
     assert np.allclose(probs, 0.25)
 
 
 def test_forward_tabular_hand_softmax():
     policy = TabularPolicy(np.array([[math.log(2.0), 0.0, 0.0, 0.0]]))
-    probs = forward(policy)
+    probs = policy.probs()
     assert probs[0] == pytest.approx([0.4, 0.2, 0.2, 0.2], abs=1e-12)
 
 
@@ -83,7 +81,7 @@ def test_grad_single_record_softmax_nll():
     policy = TabularPolicy(np.array([[0.3, -0.1, 0.2, 0.0]]))
     probs = policy.probs()
     y1 = _one_hot(np.array([2]), 4)
-    grad = grad_combined(policy, None, y1, None, 0.0)
+    grad = policy.combined_grad(None, y1, None, 0.0, "mse")
     assert grad == pytest.approx(probs - y1, abs=1e-15)
 
 
@@ -93,7 +91,7 @@ def test_grad_stationary_at_target():
     policy = TabularPolicy(np.log(probs))
     targets = policy.probs()
     y1 = _one_hot(rng.integers(0, 4, 6), 4)
-    grad = grad_combined(policy, None, y1, targets, 1.0, "mse", sft_weight=0.0)
+    grad = policy.combined_grad(None, y1, targets, 1.0, "mse", sft_weight=0.0)
     assert np.abs(grad).max() < 1e-8
 
 
@@ -172,13 +170,65 @@ def test_apply_temperature_preserves_accuracy():
             assert accuracy(apply_temperature(ds, T)) == accuracy(ds)
 
 
+def _reference_smooth_matrix(labels, k, epsilon):
+    """The smoothing body ``train`` used before it called
+    ``label_smooth_targets``."""
+    out = np.full((labels.shape[0], k), epsilon / (k - 1))
+    out[np.arange(labels.shape[0]), labels] = 1.0 - epsilon
+    return out
+
+
 def test_label_smooth_targets():
-    cv = label_smooth_targets(2, 4, 0.1)
-    assert cv.probs == pytest.approx((0.1 / 3, 0.1 / 3, 0.9, 0.1 / 3), abs=1e-15)
-    assert label_smooth_targets(0, 4, 0.0).probs == (1.0, 0.0, 0.0, 0.0)
-    assert label_smooth_targets(0, 2, 0.3).probs == pytest.approx((0.7, 0.3), abs=1e-15)
+    rows = label_smooth_targets(np.array([2, 0]), 4, 0.1)
+    assert rows[0] == pytest.approx((0.1 / 3, 0.1 / 3, 0.9, 0.1 / 3), abs=1e-15)
+    assert rows[1] == pytest.approx((0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3), abs=1e-15)
+    assert label_smooth_targets(np.array([0]), 4, 0.0).tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert label_smooth_targets(np.array([0]), 2, 0.3)[0] == pytest.approx((0.7, 0.3), abs=1e-15)
+    assert label_smooth_targets(np.array([], dtype=np.int64), 3, 0.1).shape == (0, 3)
     with pytest.raises(BadEpsilon):
-        label_smooth_targets(0, 4, 1.0)
+        label_smooth_targets(np.array([0]), 4, 1.0)
+    with pytest.raises(BadEpsilon):
+        label_smooth_targets(np.array([0]), 4, math.nan)
+    for bad in ([4], [-1], [0, 7]):
+        with pytest.raises(BadParams):
+            label_smooth_targets(np.array(bad), 4, 0.1)
+
+
+def test_label_smooth_targets_matches_reference_body():
+    rng = np.random.default_rng(12)
+    for k in (2, 4, 9):
+        for n in (1, 13, 500):
+            labels = rng.integers(0, k, n)
+            for eps in (0.0, 0.1, 0.37, 0.999):
+                assert np.array_equal(
+                    label_smooth_targets(labels, k, eps), _reference_smooth_matrix(labels, k, eps)
+                )
+
+
+@pytest.mark.parametrize("mode", ["sft-only", "label-smooth"])
+def test_train_plain_descent_rejects_bad_lr_and_epochs(mode):
+    task = gen_toy_task(d=4, k=3, n=30, seed=13)
+    for kwargs in ({"lr": -1.0}, {"lr": 0.0}, {"lr": math.nan}, {"lr": math.inf},
+                   {"epochs": -3}):
+        with pytest.raises(BadParams):
+            train(LinearPolicy(task.d, task.k), task, mode=mode, **kwargs)
+    _, history = train(LinearPolicy(task.d, task.k), task, mode=mode, epochs=0, lr=0.5)
+    assert [row["epoch"] for row in history] == [0]
+
+
+def test_train_rcft_rejects_bad_overfit_lr_and_epochs():
+    task = gen_toy_task(d=4, k=3, n=30, seed=14)
+    em = EmConfig(epochs=1, learning_rate=0.1)
+    for kwargs in ({"overfit_lr": -0.5}, {"overfit_lr": 0.0}, {"overfit_lr": math.nan},
+                   {"overfit_epochs": -1}):
+        with pytest.raises(BadParams):
+            train(LinearPolicy(task.d, task.k), task, mode="rcft-analog", em=em, **kwargs)
+
+
+def test_bad_params_is_one_class():
+    from calibkit import core, genmodel
+
+    assert BadParams is core.BadParams is genmodel.BadParams
 
 
 def test_train_sft_equals_label_smooth_zero_bitwise():
