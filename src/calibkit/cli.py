@@ -94,8 +94,10 @@ def cmd_eval(args) -> int:
         try:
             rows.append(json.loads(line))
             line_of_row.append(ln)
-        except json.JSONDecodeError as exc:
-            print(f"error: line {ln}: invalid JSON: {exc.msg}", file=sys.stderr)
+        except ValueError as exc:
+            # JSONDecodeError, or the int parser's digit limit.
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            print(f"error: line {ln}: invalid JSON: {msg}", file=sys.stderr)
             bad_json = True
     if bad_json:
         return EXIT_INPUT
@@ -133,18 +135,12 @@ def cmd_simulate(args) -> int:
     print(f"conf_ece={report.conf_ece!r}")
     print(f"cw_ece={report.cw_ece!r}")
     if args.out:
-        lines = []
-        for r in ds.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "confidences": list(r.confidences.probs),
-                        "label": r.label,
-                    },
-                    sort_keys=True,
-                )
+        lines = [
+            json.dumps({"id": rid, "confidences": conf, "label": label}, sort_keys=True)
+            for rid, conf, label in zip(
+                ds.ids, ds.probs_matrix.tolist(), ds.labels_array.tolist()
             )
+        ]
         _atomic_write(args.out + ".jsonl", "\n".join(lines) + "\n")
         _atomic_write(args.out + ".model.json", _dump_json(model.to_json_dict()))
     return EXIT_OK
@@ -244,7 +240,7 @@ def _run_toy_mode(args, task, bins):
         before_ds, before_report = _toy_report(task, policy, bins)
         policy, history = toylab.train(
             policy, task, mode=args.mode, epochs=args.epochs, lr=args.lr,
-            epsilon=args.epsilon,
+            epsilon=args.epsilon, bins=args.bins,
         )
     elif args.mode == "ece-only":
         policy = toylab.TabularPolicy.zeros(task.n, task.k)

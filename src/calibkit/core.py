@@ -179,11 +179,12 @@ class PredictionRecord:
 class Dataset:
     """An ordered collection of records sharing one class count.
 
-    Record ids are unique; ``probs_matrix`` and ``labels_array`` expose the
-    data in array form for the metric estimators, and ``records`` is the
-    per-row view. A dataset built from records derives the arrays when they
-    are first read, and one built from arrays (``from_arrays``,
-    ``with_probs``) builds its records only when they are first read.
+    The data are four columns: ``probs_matrix`` (n, k), ``labels_array``,
+    ``ids`` (unique) and ``splits``; ``records`` is the per-row view. A
+    dataset built from records derives the columns when they are first read.
+    One built from columns (``validate_dataset``, ``from_arrays``,
+    ``with_probs``) is validated as arrays and builds its records only when
+    they are first read.
     """
 
     def __init__(self, records: Sequence[PredictionRecord]):
@@ -209,7 +210,7 @@ class Dataset:
         return [
             PredictionRecord(rid, ConfidenceVector(tuple(row)), int(label), split)
             for rid, row, label, split in zip(
-                self._ids, self.probs_matrix, self.labels_array, self._splits
+                self.ids, self.probs_matrix, self.labels_array, self.splits
             )
         ]
 
@@ -222,11 +223,11 @@ class Dataset:
         return np.asarray([r.label for r in self.records], dtype=np.int64)
 
     @cached_property
-    def _ids(self) -> list[str]:
+    def ids(self) -> list[str]:
         return [r.id for r in self.records]
 
     @cached_property
-    def _splits(self) -> list[str | None]:
+    def splits(self) -> list[str | None]:
         return [r.split for r in self.records]
 
     @classmethod
@@ -238,7 +239,7 @@ class Dataset:
         splits: list[str | None],
     ) -> "Dataset":
         ds = cls.__new__(cls)
-        ds.probs_matrix, ds.labels_array, ds._ids, ds._splits = probs, labels, ids, splits
+        ds.probs_matrix, ds.labels_array, ds.ids, ds.splits = probs, labels, ids, splits
         ds.n, ds.k = probs.shape
         return ds
 
@@ -306,7 +307,7 @@ class Dataset:
         bad = _bad_simplex_rows(probs)
         if bad.any():
             _raise_simplex_violation(probs[int(np.argmax(bad))])
-        return self._from_columns(probs, self.labels_array, self._ids, self._splits)
+        return self._from_columns(probs, self.labels_array, self.ids, self.splits)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -359,85 +360,226 @@ class DatasetValidationError(CalibrationError):
 def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     """Build a Dataset from raw dict rows, collecting all violations.
 
-    Confidence vectors whose sum is within ``INGEST_SIMPLEX_ATOL`` of 1 are
-    renormalized; anything worse is rejected. Raises
-    ``DatasetValidationError`` carrying every per-record violation.
-    """
-    violations: list[Violation] = []
-    records: list[PredictionRecord] = []
-    seen_ids: set[str] = set()
-    k: int | None = None
+    Rows are validated as columns: one pass gathers the ids, confidences,
+    labels and splits, and array masks decide every check. The result holds
+    only the arrays; its records are built when first read.
 
-    for i, row in enumerate(raw_records):
-        if not isinstance(row, dict):
+    Confidence entries are whatever ``float()`` accepts; an integer too large
+    for a float is an entry outside [0, 1]. Confidence vectors whose sum is
+    within ``INGEST_SIMPLEX_ATOL`` of 1 are renormalized; anything worse is
+    rejected. The first row whose confidences pass fixes k. A ``DuplicateId``
+    is reported only against the id of a row accepted earlier. Raises
+    ``DatasetValidationError`` carrying every per-record violation, in row
+    order.
+    """
+    rows = list(raw_records)
+    n = len(rows)
+    is_obj = np.fromiter((isinstance(r, dict) for r in rows), dtype=bool, count=n)
+    if not is_obj.all():
+        rows = [r if ok else {} for r, ok in zip(rows, is_obj)]
+    ids = [r.get("id") for r in rows]
+    confs = [r.get("confidences") for r in rows]
+    labels = [r.get("label") for r in rows]
+    splits = [r.get("split") for r in rows]
+
+    conf = _ConfidenceColumns(confs)
+    built = (conf.code == _CONF_OK) | (conf.code == _CONF_K)
+    label_col, label_int = _label_column(labels)
+    bad_label_type = ~label_int
+    bad_label_range = label_int & built & ((label_col < 0) | (label_col >= conf.lengths))
+    bad_split = np.fromiter((s not in VALID_SPLITS for s in splits), dtype=bool, count=n)
+    bad_id = np.fromiter(
+        (not (isinstance(rid, str) and rid) for rid in ids), dtype=bool, count=n
+    )
+    # Every check but the duplicate one; among rows with one id, the first
+    # that passes them all is accepted and every later one is a duplicate.
+    clean = is_obj & (conf.code == _CONF_OK) & ~bad_label_type & ~bad_label_range & ~bad_split
+    duplicate = np.zeros(n, dtype=bool)
+    if bad_id.any() or len(set(ids)) != n:
+        first: dict[str, int] = {}
+        for i in np.flatnonzero(clean & ~bad_id).tolist():
+            first.setdefault(ids[i], i)
+        for i in np.flatnonzero(~bad_id).tolist():
+            duplicate[i] = first.get(ids[i], i) < i
+
+    bad = ~is_obj | bad_id | duplicate | (conf.code != _CONF_OK)
+    bad |= bad_label_type | bad_label_range | bad_split
+    violations: list[Violation] = []
+    for i in np.flatnonzero(bad).tolist():
+        if not is_obj[i]:
             violations.append(Violation(i, "SchemaError", "record is not an object"))
             continue
-        problems_before = len(violations)
-
-        rid = row.get("id")
-        if not isinstance(rid, str) or not rid:
+        if bad_id[i]:
             violations.append(Violation(i, "SchemaError", "missing or empty 'id'"))
-        elif rid in seen_ids:
-            violations.append(Violation(i, "DuplicateId", f"id {rid!r} already used"))
-
-        conf = row.get("confidences")
-        cv: ConfidenceVector | None = None
-        if not isinstance(conf, (list, tuple)) or len(conf) < 2:
-            violations.append(
-                Violation(i, "SchemaError", "'confidences' must be a list of >= 2 numbers")
-            )
-        else:
-            try:
-                vals = [float(c) for c in conf]
-            except (TypeError, ValueError):
-                vals = None
-                violations.append(Violation(i, "SchemaError", "non-numeric confidence entry"))
-            if vals is not None:
-                if any(not math.isfinite(v) for v in vals):
-                    violations.append(Violation(i, "SimplexViolation", "non-finite confidence"))
-                elif any(v < 0.0 or v > 1.0 + INGEST_SIMPLEX_ATOL for v in vals):
-                    violations.append(
-                        Violation(i, "SimplexViolation", "confidence entry outside [0, 1]")
-                    )
-                else:
-                    total = math.fsum(vals)
-                    if abs(total - 1.0) > INGEST_SIMPLEX_ATOL:
-                        violations.append(
-                            Violation(
-                                i,
-                                "SimplexViolation",
-                                f"confidences sum to {total!r}, beyond tolerance",
-                            )
-                        )
-                    else:
-                        if abs(total - 1.0) > SIMPLEX_ATOL:
-                            vals = [min(v / total, 1.0) for v in vals]
-                        cv = ConfidenceVector(tuple(vals))
-                        if k is None:
-                            k = cv.k
-                        elif cv.k != k:
-                            violations.append(
-                                Violation(i, "SchemaError", f"k={cv.k} differs from {k}")
-                            )
-
-        label = row.get("label")
-        if not isinstance(label, int) or isinstance(label, bool):
+        elif duplicate[i]:
+            violations.append(Violation(i, "DuplicateId", f"id {ids[i]!r} already used"))
+        if conf.code[i] != _CONF_OK:
+            violations.append(Violation(i, *conf.violation(i)))
+        if bad_label_type[i]:
             violations.append(Violation(i, "SchemaError", "'label' must be an integer"))
-        elif cv is not None and not (0 <= label < cv.k):
+        elif bad_label_range[i]:
             violations.append(
-                Violation(i, "LabelOutOfRange", f"label {label} outside [0, {cv.k})")
+                Violation(
+                    i, "LabelOutOfRange", f"label {labels[i]} outside [0, {conf.lengths[i]})"
+                )
             )
-
-        split = row.get("split")
-        if split not in VALID_SPLITS:
-            violations.append(Violation(i, "SchemaError", f"unknown split {split!r}"))
-
-        if len(violations) == problems_before and cv is not None:
-            records.append(PredictionRecord(rid, cv, label, split))
-            seen_ids.add(rid)
+        if bad_split[i]:
+            violations.append(Violation(i, "SchemaError", f"unknown split {splits[i]!r}"))
 
     if violations:
         raise DatasetValidationError(violations)
-    if not records:
+    if not n:
         raise DatasetValidationError([Violation(0, "SchemaError", "no records supplied")])
-    return Dataset(records)
+    return Dataset._from_columns(conf.probs[conf.k], label_col, ids, splits)
+
+
+# Outcome of the confidence checks for one row; the first that fails is reported.
+_CONF_OK, _CONF_SHAPE, _CONF_NON_NUMERIC, _CONF_NON_FINITE, _CONF_RANGE, _CONF_SUM, _CONF_K = (
+    range(7)
+)
+_CONF_MESSAGES = {
+    _CONF_SHAPE: ("SchemaError", "'confidences' must be a list of >= 2 numbers"),
+    _CONF_NON_NUMERIC: ("SchemaError", "non-numeric confidence entry"),
+    _CONF_NON_FINITE: ("SimplexViolation", "non-finite confidence"),
+    _CONF_RANGE: ("SimplexViolation", "confidence entry outside [0, 1]"),
+}
+# Stands in for an integer entry too large for a float: any finite value
+# outside [0, 1] gets the same verdict.
+_HUGE_ENTRY = 2.0
+
+
+class _ConfidenceColumns:
+    """The confidence checks of ``validate_dataset`` over whole columns.
+
+    Rows are grouped by length and each group becomes one (m, L) float
+    matrix. ``code`` holds each row's outcome, ``lengths`` its entry count,
+    ``probs[L]`` the (renormalized) matrix of the length-L rows and ``k`` the
+    length of the first row that passes.
+    """
+
+    def __init__(self, confs: list):
+        n = len(confs)
+        self.lengths = np.fromiter(
+            (len(c) if isinstance(c, (list, tuple)) else 0 for c in confs),
+            dtype=np.int64,
+            count=n,
+        )
+        self.code = np.full(n, _CONF_SHAPE, dtype=np.int8)
+        self.totals: dict[int, float] = {}
+        self.probs: dict[int, np.ndarray] = {}
+        self.k: int | None = None
+        first_pass = first_above = n
+        sizes = np.bincount(self.lengths, minlength=2)
+        for L in (np.flatnonzero(sizes[2:]) + 2).tolist():
+            rows = np.flatnonzero(self.lengths == L)
+            group = confs if sizes[L] == n else [confs[i] for i in rows.tolist()]
+            probs, code, totals, above = _check_confidences(group, L)
+            self.code[rows] = code
+            self.totals.update(zip(rows[list(totals)].tolist(), totals.values()))
+            self.probs[L] = probs
+            if above.size and rows[above[0]] < first_above:
+                first_above, above_row = int(rows[above[0]]), probs[above[0]]
+            passed = rows[code == _CONF_OK]
+            if passed.size and passed[0] < first_pass:
+                first_pass, self.k = int(passed[0]), L
+        if first_above < n:
+            # A row kept as it is may hold an entry in (1, 1 + SIMPLEX_ATOL];
+            # ConfidenceVector rejects it, and ingestion raises that error as is.
+            _raise_simplex_violation(above_row)
+        if first_pass < n:
+            self.code[(self.code == _CONF_OK) & (self.lengths != self.k)] = _CONF_K
+
+    def violation(self, i: int) -> tuple[str, str]:
+        code = self.code[i]
+        if code == _CONF_SUM:
+            return "SimplexViolation", f"confidences sum to {self.totals[i]!r}, beyond tolerance"
+        if code == _CONF_K:
+            return "SchemaError", f"k={self.lengths[i]} differs from {self.k}"
+        return _CONF_MESSAGES[code]
+
+
+def _check_confidences(group: list, L: int):
+    """Check m confidence lists of length L.
+
+    Returns the (m, L) matrix with renormalized rows divided by their sum,
+    each row's outcome code, the exact sum of each row rejected for it, and
+    the passing rows kept as they are that hold an entry above 1.
+    A vectorized sum decides every row whose distance from 1 is below
+    ``SIMPLEX_ATOL`` by more than its rounding error; every other row gets
+    the exact ``math.fsum`` rule, which also gives the divisor.
+    """
+    m = len(group)
+    code = np.zeros(m, dtype=np.int8)
+    try:
+        probs = np.array(group)
+        numeric = probs.dtype.kind in "fiub" and probs.shape == (m, L)
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if numeric:
+        probs = probs.astype(float, copy=False)
+    else:
+        probs = np.empty((m, L))
+        for j, conf in enumerate(group):
+            vals = _float_entries(conf)
+            if vals is None:
+                probs[j] = np.nan
+                code[j] = _CONF_NON_NUMERIC
+            else:
+                probs[j] = vals
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(probs).all(axis=1)
+        outside = ((probs < 0.0) | (probs > 1.0 + INGEST_SIMPLEX_ATOL)).any(axis=1)
+        off = np.abs(probs.sum(axis=1) - 1.0)
+    code[(code == _CONF_OK) & ~finite] = _CONF_NON_FINITE
+    code[(code == _CONF_OK) & outside] = _CONF_RANGE
+    exact = np.flatnonzero((code == _CONF_OK) & (off >= SIMPLEX_ATOL - 2.0 * L * _EPS))
+    totals = np.array([math.fsum(row) for row in probs[exact].tolist()])
+    gap = np.abs(totals - 1.0)
+    rejected = gap > INGEST_SIMPLEX_ATOL
+    code[exact[rejected]] = _CONF_SUM
+    scaled = ~rejected & (gap > SIMPLEX_ATOL)
+    renorm = exact[scaled]
+    # Entries are >= 0, so none exceeds the exact sum: no quotient exceeds 1.
+    probs[renorm] /= totals[scaled, None]
+    kept = code == _CONF_OK
+    kept[renorm] = False
+    above = np.flatnonzero(kept & (probs > 1.0).any(axis=1))
+    return probs, code, dict(zip(exact[rejected].tolist(), totals[rejected].tolist())), above
+
+
+def _float_entries(conf) -> list[float] | None:
+    """``float()`` of each entry, or None if one is not numeric."""
+    vals = []
+    for c in conf:
+        try:
+            vals.append(float(c))
+        except OverflowError:
+            vals.append(_HUGE_ENTRY)
+        except (TypeError, ValueError):
+            return None
+    return vals
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _label_column(labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """int64 labels and a mask of the entries that are integers (not bools).
+    An integer beyond int64 is clamped to -1 or the int64 maximum, which is
+    out of range either way."""
+    n = len(labels)
+    if set(map(type, labels)) <= {int}:
+        try:
+            return np.array(labels, dtype=np.int64), np.ones(n, dtype=bool)
+        except OverflowError:
+            pass
+    is_int = np.fromiter(
+        (isinstance(v, int) and not isinstance(v, bool) for v in labels), dtype=bool, count=n
+    )
+    col = np.fromiter(
+        (min(max(v, -1), _INT64_MAX) if ok else 0 for v, ok in zip(labels, is_int)),
+        dtype=np.int64,
+        count=n,
+    )
+    return col, is_int
+

@@ -20,7 +20,6 @@ from .core import (
     CalibrationError,
     ConfidenceVector,
     Dataset,
-    PredictionRecord,
     SIMPLEX_ATOL,
     SimplexViolation,
 )
@@ -201,7 +200,10 @@ def sample_dataset(
     n: int,
     seed: int = 0,
 ) -> Dataset:
-    """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences."""
+    """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences.
+
+    Rows are ids ``r0 .. r{n-1}``; the dataset holds arrays and builds its
+    records only when they are read."""
     if n < 1:
         raise BadParams("n must be >= 1")
     pred = predictor.matrix_for(model.support)
@@ -210,11 +212,7 @@ def sample_dataset(
     u = rng.random(n)
     cdf = np.cumsum(model.label_probs[idx], axis=1)
     labels = np.minimum((cdf < u[:, None]).sum(axis=1), model.k - 1)
-    records = [
-        PredictionRecord(f"r{i}", ConfidenceVector(tuple(pred[idx[i]])), int(labels[i]))
-        for i in range(n)
-    ]
-    return Dataset(records)
+    return Dataset.from_arrays(pred[idx], labels)
 
 
 def population_accuracy(model: FiniteGenerativeModel, predictor: Predictor) -> float:

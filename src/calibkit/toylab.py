@@ -398,8 +398,9 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
-def _gd_train(policy, features, labels, soft_labels, epochs, lr, M=10):
-    """Plain full-batch gradient descent on cross-entropy to soft targets.
+def _gd_train(policy, features, labels, soft_labels, epochs, lr, M):
+    """Plain full-batch gradient descent on cross-entropy to soft targets,
+    logging one history row per step with metrics binned into M bins.
 
     A step count below 0, or a learning rate that is not finite and > 0,
     raises BadParams: a negative rate would ascend, and a zero rate or step
@@ -429,6 +430,7 @@ def train(
     em: EmConfig | None = None,
     overfit_epochs: int = 400,
     overfit_lr: float = 0.5,
+    bins: int = 10,
 ):
     """Train a policy on the toy task under one of the study modes.
 
@@ -438,21 +440,26 @@ def train(
     from the current confidences and overfits it with plain descent, then runs
     the EM loop at lam = 1; the capacity jump stands in for a heavier fit
     objective and pushes accuracy past the task's critical threshold.
+
+    Plain-descent history rows bin their metrics into ``bins`` bins; EM rows,
+    and the rcft-analog overfit rows before them, use the EM config's bins.
     """
     y1 = _one_hot(task.labels, task.k)
     if mode == "sft-only":
-        return _gd_train(policy, task.features, task.labels, y1, epochs, lr)
+        return _gd_train(policy, task.features, task.labels, y1, epochs, lr, bins)
     if mode == "label-smooth":
         smooth = label_smooth_targets(task.labels, task.k, epsilon)
-        return _gd_train(policy, task.features, task.labels, smooth, epochs, lr)
+        return _gd_train(policy, task.features, task.labels, smooth, epochs, lr, bins)
     if mode == "cft":
         cfg = em if em is not None else EmConfig(epochs=max(1, epochs // 50), learning_rate=lr)
         return run_em(policy, task.labels, cfg, features=task.features)
     if mode == "rcft-analog":
-        tab = TabularPolicy.from_probs(policy.probs(task.features))
-        tab, hist1 = _gd_train(tab, None, task.labels, y1, overfit_epochs, overfit_lr)
         cfg = em if em is not None else EmConfig(
             epochs=max(1, epochs // 50), lam=1.0, learning_rate=lr
+        )
+        tab = TabularPolicy.from_probs(policy.probs(task.features))
+        tab, hist1 = _gd_train(
+            tab, None, task.labels, y1, overfit_epochs, overfit_lr, cfg.bins
         )
         tab, hist2 = run_em(tab, task.labels, cfg, features=None)
         for i, row in enumerate(hist2):

@@ -6,7 +6,13 @@ import pytest
 from calibkit import toylab
 from calibkit.cli import main
 from calibkit.emcal import NonFiniteGradient
-from calibkit.genmodel import construct_bound_predictor, labels_matching_accuracy, make_model
+from calibkit.genmodel import (
+    Predictor,
+    construct_bound_predictor,
+    labels_matching_accuracy,
+    make_model,
+    sample_dataset,
+)
 from calibkit.metrics import CalibrationReport
 from test_genmodel import _reference_population_cw_ece
 
@@ -106,6 +112,32 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: NonFiniteGradient: ")
 
 
+def test_eval_integer_too_long_for_json_is_a_bad_line(tmp_path, capsys):
+    """An integer literal over the int parser's 4300-digit limit is reported
+    like any other bad JSON line."""
+    path = tmp_path / "long.jsonl"
+    good = '{"id": "a", "confidences": [0.5, 0.5], "label": 0}'
+    long_label = '{"id": "b", "confidences": [0.5, 0.5], "label": 1' + "0" * 4300 + "}"
+    path.write_text(f"{good}\n{long_label}\nnot-json\n", encoding="utf-8")
+    code = main(["eval", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [ln.split(": invalid JSON: ")[0] for ln in err] == ["error: line 2", "error: line 3"]
+    assert "4300" in err[0]
+
+
+def test_eval_integer_entry_too_large_for_a_float_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "huge.jsonl"
+    good = '{"id": "a", "confidences": [0.5, 0.5], "label": 0}'
+    huge = '{"id": "b", "confidences": [1' + "0" * 400 + ', 0], "label": 0}'
+    path.write_text(f"{good}\n{huge}\n", encoding="utf-8")
+    code = main(["eval", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: SimplexViolation: confidence entry outside [0, 1]\n"
+    )
+
+
 def test_eval_validation_error_reports_kind(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     _write_jsonl(path, [{"id": "a", "confidences": [0.25, 0.25, 0.25, 0.25], "label": 9}])
@@ -173,6 +205,42 @@ def test_simulate_output_is_evaluable(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out
+
+
+def _per_record_jsonl(ds):
+    """The simulate data file written one record at a time."""
+    lines = [
+        json.dumps(
+            {"id": r.id, "confidences": list(r.confidences.probs), "label": r.label},
+            sort_keys=True,
+        )
+        for r in ds.records
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
+def test_simulate_out_matches_a_per_record_writer(model, tmp_path, capsys):
+    prefix = tmp_path / "sim"
+    code = main([
+        "simulate", "--model", model, "--k", "3", "--n", "300", "--support", "12",
+        "--alpha", "0.5", "--seed", "9", "--out", str(prefix),
+    ])
+    assert code == 0
+    fm = make_model(model, 3, 12, alpha=0.5, seed=9)
+    ds = sample_dataset(fm, Predictor.from_model(fm), 300, seed=9)
+    assert (tmp_path / "sim.jsonl").read_bytes() == _per_record_jsonl(ds).encode("utf-8")
+
+
+@pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
+def test_sample_dataset_records_round_trip_the_arrays(model):
+    fm = make_model(model, 4, 20, alpha=0.7, seed=2)
+    ds = sample_dataset(fm, Predictor.from_model(fm), 500, seed=4)
+    assert "records" not in vars(ds)
+    records = ds.records
+    assert [r.id for r in records] == [f"r{i}" for i in range(500)] == ds.ids
+    assert np.array([r.confidences.probs for r in records]).tobytes() == ds.probs_matrix.tobytes()
+    assert np.array([r.label for r in records]).tobytes() == ds.labels_array.tobytes()
 
 
 def test_simulate_bad_params(capsys):
@@ -275,3 +343,20 @@ def test_train_toy_writes_artifacts_and_is_deterministic(tmp_path):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     for suffix in (".history.json", ".report.json", ".before.svg", ".after.svg"):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_train_toy_plain_descent_history_uses_bins(tmp_path):
+    """sft-only history rows are binned like the report: the last row's
+    conf-ECE is the report's at 7 bins, and differs from the 10-bin value."""
+    args = ["train-toy", "--mode", "sft-only", "--epochs", "20", "--dim", "8",
+            "--k", "4", "--n", "300", "--seed", "1"]
+    final = {}
+    for bins in ("7", "10"):
+        prefix = tmp_path / f"b{bins}"
+        assert main(args + ["--bins", bins, "--out", str(prefix)]) == 0
+        history = json.loads((tmp_path / f"b{bins}.history.json").read_text())
+        report = json.loads((tmp_path / f"b{bins}.report.json").read_text())
+        assert report["M"] == int(bins)
+        assert history[-1]["conf_ece"] == report["conf_ece"]
+        final[bins] = history[-1]["conf_ece"]
+    assert final["7"] != final["10"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from calibkit.core import (
+    INGEST_SIMPLEX_ATOL,
     SIMPLEX_ATOL,
+    VALID_SPLITS,
     AllZeroScores,
     BinningConfig,
     CalibrationError,
@@ -19,6 +21,7 @@ from calibkit.core import (
     PredictionRecord,
     SchemaError,
     SimplexViolation,
+    Violation,
     argmax_option,
     bin_index,
     bin_index_array,
@@ -307,6 +310,278 @@ def test_validate_dataset_collects_multiple_violations():
         validate_dataset(rows)
     kinds = {v.kind for v in err.value.violations}
     assert "DuplicateId" in kinds and "SchemaError" in kinds
+
+
+def _reference_validate_dataset(raw_records):
+    """The per-row ingestion rules, one record at a time: the reference that
+    ``validate_dataset``'s column checks must match bit for bit. Kept as the
+    rules were before ingestion became columnar; it raises OverflowError on
+    an integer entry too large for a float, which ``validate_dataset`` now
+    reports as a violation."""
+    violations: list[Violation] = []
+    records: list[PredictionRecord] = []
+    seen_ids: set[str] = set()
+    k: int | None = None
+
+    for i, row in enumerate(raw_records):
+        if not isinstance(row, dict):
+            violations.append(Violation(i, "SchemaError", "record is not an object"))
+            continue
+        problems_before = len(violations)
+
+        rid = row.get("id")
+        if not isinstance(rid, str) or not rid:
+            violations.append(Violation(i, "SchemaError", "missing or empty 'id'"))
+        elif rid in seen_ids:
+            violations.append(Violation(i, "DuplicateId", f"id {rid!r} already used"))
+
+        conf = row.get("confidences")
+        cv: ConfidenceVector | None = None
+        if not isinstance(conf, (list, tuple)) or len(conf) < 2:
+            violations.append(
+                Violation(i, "SchemaError", "'confidences' must be a list of >= 2 numbers")
+            )
+        else:
+            try:
+                vals = [float(c) for c in conf]
+            except (TypeError, ValueError):
+                vals = None
+                violations.append(Violation(i, "SchemaError", "non-numeric confidence entry"))
+            if vals is not None:
+                if any(not math.isfinite(v) for v in vals):
+                    violations.append(Violation(i, "SimplexViolation", "non-finite confidence"))
+                elif any(v < 0.0 or v > 1.0 + INGEST_SIMPLEX_ATOL for v in vals):
+                    violations.append(
+                        Violation(i, "SimplexViolation", "confidence entry outside [0, 1]")
+                    )
+                else:
+                    total = math.fsum(vals)
+                    if abs(total - 1.0) > INGEST_SIMPLEX_ATOL:
+                        violations.append(
+                            Violation(
+                                i,
+                                "SimplexViolation",
+                                f"confidences sum to {total!r}, beyond tolerance",
+                            )
+                        )
+                    else:
+                        if abs(total - 1.0) > SIMPLEX_ATOL:
+                            vals = [min(v / total, 1.0) for v in vals]
+                        cv = ConfidenceVector(tuple(vals))
+                        if k is None:
+                            k = cv.k
+                        elif cv.k != k:
+                            violations.append(
+                                Violation(i, "SchemaError", f"k={cv.k} differs from {k}")
+                            )
+
+        label = row.get("label")
+        if not isinstance(label, int) or isinstance(label, bool):
+            violations.append(Violation(i, "SchemaError", "'label' must be an integer"))
+        elif cv is not None and not (0 <= label < cv.k):
+            violations.append(
+                Violation(i, "LabelOutOfRange", f"label {label} outside [0, {cv.k})")
+            )
+
+        split = row.get("split")
+        if split not in VALID_SPLITS:
+            violations.append(Violation(i, "SchemaError", f"unknown split {split!r}"))
+
+        if len(violations) == problems_before and cv is not None:
+            records.append(PredictionRecord(rid, cv, label, split))
+            seen_ids.add(rid)
+
+    if violations:
+        raise DatasetValidationError(violations)
+    if not records:
+        raise DatasetValidationError([Violation(0, "SchemaError", "no records supplied")])
+    return Dataset(records)
+
+
+def _ingest(validate, rows):
+    """What ingestion makes of rows: the dataset's columns as bytes, the
+    violation list, or the class and message of another CalibrationError."""
+    try:
+        ds = validate(rows)
+    except DatasetValidationError as exc:
+        return "violations", exc.violations
+    except CalibrationError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        "dataset",
+        ds.probs_matrix.shape,
+        ds.probs_matrix.tobytes(),
+        ds.labels_array.dtype,
+        ds.labels_array.tobytes(),
+        ds.ids,
+        ds.splits,
+    )
+
+
+def _assert_ingests_like_reference(rows):
+    got = _ingest(validate_dataset, rows)
+    assert got == _ingest(_reference_validate_dataset, rows)
+    return got
+
+
+def _row(i, conf=(0.25, 0.75), label=0, **extra):
+    return {"id": f"r{i}", "confidences": list(conf), "label": label, **extra}
+
+
+_ABOVE_INGEST = math.nextafter(1.0 + INGEST_SIMPLEX_ATOL, 2.0)
+
+_INGEST_CASES = {
+    "non-dict-rows": [_row(0), 5, None, "row", [0.5, 0.5], _row(1)],
+    "missing-and-empty-ids": [
+        {"confidences": [0.5, 0.5], "label": 0},
+        {"id": "", "confidences": [0.5, 0.5], "label": 0},
+        {"id": 7, "confidences": [0.5, 0.5], "label": 0},
+        {"id": None, "confidences": [0.5, 0.5], "label": 0},
+        _row(4),
+    ],
+    "duplicate-after-invalid-first-then-third": [
+        {"id": "a", "confidences": [0.5, 0.6], "label": 0},
+        {"id": "a", "confidences": [0.5, 0.5], "label": 0},
+        {"id": "a", "confidences": [0.5, 0.5], "label": 1},
+        {"id": "a", "confidences": [0.5, 0.5], "label": 9, "split": "dev"},
+    ],
+    "duplicate-after-valid-first": [
+        {"id": "a", "confidences": [0.5, 0.5], "label": 0},
+        {"id": "b", "confidences": [0.5, 0.5], "label": 0},
+        {"id": "a", "confidences": [0.5, 0.5], "label": 0},
+        {"id": "b", "confidences": "no", "label": 0},
+    ],
+    "only-duplicates": [_row(0), _row(0)],
+    "ragged-k": [
+        _row(0, (0.2, 0.3, 0.6)),
+        {"id": "r1", "confidences": [0.2, 0.3, 0.5], "label": 0, "split": "dev"},
+        _row(2, (0.5, 0.5), label=2),
+        _row(3, (0.1, 0.2, 0.3, 0.4), label=3),
+        _row(4, (0.2, 0.8)),
+        _row(5, (0.2, 0.3, 0.5), label=5),
+        _row(6, (0.5,)),
+        _row(7, ()),
+        {"id": "r8", "confidences": 0.5, "label": 0},
+        {"id": "r9", "label": 0},
+    ],
+    "bad-entries": [
+        _row(0, (float("nan"), 0.5)),
+        _row(1, (float("inf"), 0.0)),
+        _row(2, (-0.25, 1.25)),
+        _row(3, (-1e-300, 1.0)),
+        _row(4, (_ABOVE_INGEST, 0.0)),
+        _row(5, (0.5, float("-inf"), -1.0)),
+        _row(6, (0.0, 0.0)),
+        _row(7, (0.7, 0.7)),
+    ],
+    "string-bool-and-null-entries-rejected": [
+        _row(0, ("0.5", "0.5")),
+        _row(1, (True, False)),
+        _row(2, (None, 1.0)),
+        _row(3, ("abc", 0.5)),
+        _row(4, ("nan", 0.5)),
+        _row(5, ("1_0", 0.0)),
+        _row(6, ([0.5], 0.5)),
+        _row(7, ({"p": 0.5}, 0.5)),
+    ],
+    "string-and-bool-entries-accepted": [
+        _row(0, ("0.5", "0.5")),
+        _row(1, (True, False)),
+        _row(2, (" 0.25 ", 0.75)),
+        _row(3, (1, 0)),
+        _row(4, (0, 1.0)),
+    ],
+    "labels": [
+        _row(0, label=True),
+        _row(1, label=1.0),
+        _row(2, label=2**64),
+        _row(3, label=-(2**70)),
+        _row(4, label=10**30),
+        _row(5, label=None),
+        _row(6, label="1"),
+        _row(7, label=-1),
+        _row(8, label=2),
+    ],
+    "splits": [
+        _row(0, split="dev"),
+        _row(1, split=3),
+        _row(2, split=["train"]),
+        _row(3, split=""),
+        _row(4, split=False),
+        _row(5, split="test"),
+        _row(6, split=None),
+    ],
+    "valid-splits-accepted": [_row(0, split="train"), _row(1, split="val"), _row(2)],
+    "entry-above-one-within-simplex-tolerance": [
+        _row(0, (0.5, 0.6)),
+        _row(1, (1.0 + 2e-10, 0.0)),
+    ],
+    "first-entry-above-one-is-raised-across-lengths": [
+        _row(0, (1.0 + 2e-10, 0.0, 0.0)),
+        _row(1, (1.0 + 3e-10, 0.0)),
+    ],
+    "renormalized": [
+        _row(0, (0.4000003, 0.3, 0.2, 0.1)),
+        _row(1, (0.5 * (1 - 5e-7), 0.5 * (1 - 5e-7), 0.0, 0.0)),
+        _row(2, (1.0 + 5e-7, 0.0, 0.0, 0.0)),
+        _row(3, (-0.0, 0.25, 0.25, 0.5 + 2e-9)),
+    ],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INGEST_CASES))
+def test_validate_dataset_matches_per_row_reference(name):
+    _assert_ingests_like_reference(_INGEST_CASES[name])
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_validate_dataset_sum_edges_match_per_row_reference(k):
+    """Sums within a few ulp of 1 +- SIMPLEX_ATOL and 1 +- INGEST_SIMPLEX_ATOL:
+    each row alone, and all of them together, ingest as the reference does."""
+    rng = np.random.default_rng(k)
+    rows, outcomes = [], set()
+    for _ in range(6):
+        base = rng.dirichlet(np.ones(k))
+        for edge in (SIMPLEX_ATOL, -SIMPLEX_ATOL, INGEST_SIMPLEX_ATOL, -INGEST_SIMPLEX_ATOL):
+            base[-1] += 1.0 + edge - math.fsum(base.tolist())
+            for ulps in range(-4, 5):
+                probe = base.copy()
+                probe[-1] += ulps * 2.0**-53
+                row = _row(len(rows), probe.tolist())
+                rows.append(row)
+                outcomes.add(_assert_ingests_like_reference([row])[0])
+    assert outcomes == {"dataset", "violations"}
+    _assert_ingests_like_reference(rows)
+    accepted = [r for r in rows if _ingest(validate_dataset, [r])[0] == "dataset"]
+    assert _assert_ingests_like_reference(accepted)[0] == "dataset"
+
+
+def test_validate_dataset_builds_records_only_when_read():
+    rows = _INGEST_CASES["renormalized"] + [_row(9, (0.5, 0.25, 0.25, 0.0), 2, split="val")]
+    ds = validate_dataset(rows)
+    assert "records" not in vars(ds)
+    assert ds.records == _reference_validate_dataset(rows).records
+
+
+def test_validate_dataset_reports_huge_integer_entries_as_out_of_range():
+    """An integer too large for a float is a finite number outside [0, 1];
+    a non-numeric or non-finite entry in the same row is reported first."""
+    rows = [
+        _row(0, (10**400, 0)),
+        _row(1, (-(10**400), 1)),
+        _row(2, (10**400, "abc")),
+        _row(3, (float("nan"), 10**400)),
+        _row(4),
+    ]
+    with pytest.raises(DatasetValidationError) as err:
+        validate_dataset(rows)
+    assert [(v.index, v.kind, v.message) for v in err.value.violations] == [
+        (0, "SimplexViolation", "confidence entry outside [0, 1]"),
+        (1, "SimplexViolation", "confidence entry outside [0, 1]"),
+        (2, "SchemaError", "non-numeric confidence entry"),
+        (3, "SimplexViolation", "non-finite confidence"),
+    ]
 
 
 def test_binning_config():

@@ -6,7 +6,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from calibkit.core import validate_dataset
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
+from test_core import _ingest, _reference_validate_dataset
 
 
 def _rows(draw, s, k):
@@ -29,3 +31,50 @@ def test_population_cw_ece_bounded_by_tce(data):
     model = FiniteGenerativeModel(k, ids, w / w.sum(), _rows(data.draw, s, k))
     predictor = Predictor(ids, _rows(data.draw, s, k))
     assert population_cw_ece(model, predictor) <= tce(model, predictor) + 1e-12
+
+
+# Entries that stand in for one confidence: strings and bools that float()
+# accepts, non-numeric and non-finite values, and values just past 0 and 1.
+_EDGE_ENTRIES = [
+    "0.5", "1", True, False, None, "abc", [0.5], float("nan"), float("inf"),
+    -0.0, -1e-9, 1.0 + 2e-10, 1.0 + 5e-7, 1.0 + 2e-6, 0, 1, 2,
+]
+# Factors that move a row's sum inside or past SIMPLEX_ATOL and INGEST_SIMPLEX_ATOL.
+_SUM_SCALES = [1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 5e-7, 1.0 - 5e-7, 1.0 + 2e-6]
+
+
+def _raw_row(draw, i, k):
+    """One raw ingestion row of k classes. Three rows in four are well formed
+    (their sums may still need renormalizing); the rest break one or more
+    fields, take another length, or reuse an earlier id."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    if draw(st.integers(0, 3)):
+        scale = draw(st.sampled_from(_SUM_SCALES[:5]))
+        conf = [c / sum(counts) * scale for c in counts]
+        return {"id": f"r{i}", "confidences": conf, "label": draw(st.integers(0, k - 1)),
+                "split": draw(st.sampled_from([None, "train", "val", "test"]))}
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, 3, "row", []]))
+    k = draw(st.sampled_from([k, k, 1, 2, 3]))
+    counts = (counts * k)[:k]
+    scale = draw(st.sampled_from(_SUM_SCALES))
+    conf = [c / (sum(counts) or 1) * scale for c in counts]
+    if draw(st.booleans()):
+        conf[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_EDGE_ENTRIES))
+    row = {
+        "id": draw(st.sampled_from([f"r{i}", f"r{i}", "r0", "r1", "", None])),
+        "confidences": draw(st.sampled_from([conf] * 6 + [None, 0.5])),
+        "label": draw(st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.0, None, 2**64]))),
+        "split": draw(st.sampled_from([None, "train", "dev"])),
+    }
+    row.pop(draw(st.sampled_from([None] * 8 + ["id", "confidences", "label", "split"])), None)
+    return row
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_validate_dataset_matches_per_row_reference(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    k = data.draw(st.integers(2, 4), label="k")
+    rows = [_raw_row(data.draw, i, k) for i in range(n)]
+    assert _ingest(validate_dataset, rows) == _ingest(_reference_validate_dataset, rows)

@@ -276,6 +276,22 @@ def test_train_rcft_analog_shapes():
     assert epochs == sorted(epochs)
 
 
+def test_train_rcft_analog_overfit_rows_use_the_em_bins():
+    """The plain-descent rows before the EM stage bin like the EM rows."""
+    task = gen_toy_task(d=8, k=4, n=300, seed=11)
+    policy = LinearPolicy(task.d, task.k)
+    policy, _ = train(policy, task, mode="sft-only", epochs=30, lr=0.5)
+    start = TabularPolicy.from_probs(policy.probs(task.features)).probs(None)
+    _, history = train(
+        policy, task, mode="rcft-analog",
+        em=EmConfig(epochs=1, bins=7, lam=1.0, learning_rate=0.1),
+        overfit_epochs=2, overfit_lr=0.5,
+    )
+    correct = start.argmax(axis=1) == task.labels
+    assert history[0]["conf_ece"] == binned_ece(start.max(axis=1), correct, 7)
+    assert history[0]["conf_ece"] != binned_ece(start.max(axis=1), correct, 10)
+
+
 def test_policy_json_round_trip():
     lp = LinearPolicy(3, 4, np.arange(12.0).reshape(3, 4), temperature=2.0)
     back = policy_from_json_dict(json.loads(json.dumps(lp.to_json_dict())))
