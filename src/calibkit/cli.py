@@ -3,9 +3,9 @@ toy training, and win-rate scoring.
 
 Exit codes: 0 success, 1 I/O failure, 2 input validation failure,
 3 numerical failure. A ``CalibrationError`` reaching ``main`` is reported as
-one ``error:`` line naming its class, never as a traceback. File writes are
-atomic (temp file + rename), and every subcommand is deterministic given its
-inputs, flags, and seed.
+one ``error:`` line naming its class, never as a traceback; so is an input
+file that is not UTF-8. File writes are atomic (temp file + rename), and
+every subcommand is deterministic given its inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -153,7 +153,9 @@ def cmd_bounds(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, BadParams) as exc:
+    except (ValueError, BadParams) as exc:
+        # ValueError: invalid JSON, the int parser's digit limit, or bytes
+        # that are not UTF-8.
         print(f"error: bad model file: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -293,7 +295,7 @@ def cmd_winrate(args) -> int:
                             logp_reject=float(obj["logp_reject"]),
                         )
                     )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     print(f"error: line {ln}: {exc}", file=sys.stderr)
                     return EXIT_INPUT
     except OSError as exc:
@@ -377,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         numeric = isinstance(exc, (NonFiniteLoss, NonFiniteGradient))
         return EXIT_NUMERIC if numeric else EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -110,26 +110,11 @@ def normalize_options(raw_scores: Sequence[float]) -> ConfidenceVector:
     return ConfidenceVector(tuple(s / total for s in scores))
 
 
-def argmax_option(cv: ConfidenceVector) -> int:
-    """Index of the most probable option; ties resolve to the lowest index."""
-    return int(np.argmax(cv.as_array()))
-
-
-def bin_index(value: float, M: int) -> int:
-    """Equal-width bin of ``value`` in [0, 1]: bin m covers ((m-1)/M, m/M].
-
-    The left edge 0 is folded into bin 1. Returns m in [1, M].
-    """
-    if not (0.0 <= value <= 1.0):
-        raise OutOfRange(f"value {value!r} outside [0, 1]")
-    if M < 1:
-        raise OutOfRange(f"bin count {M} must be >= 1")
-    m = int(math.ceil(value * M))
-    return min(max(m, 1), M)
-
-
 def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
-    """Vectorized ``bin_index`` over an array of values in [0, 1]."""
+    """Equal-width bin of each value in [0, 1]: bin m covers ((m-1)/M, m/M].
+
+    The left edge 0 is folded into bin 1. Returns each m in [1, M].
+    """
     values = np.asarray(values, dtype=float)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise OutOfRange("values outside [0, 1]")
@@ -181,8 +166,8 @@ class Dataset:
 
     The data are four columns: ``probs_matrix`` (n, k), ``labels_array``,
     ``ids`` (unique) and ``splits``; ``records`` is the per-row view. A
-    dataset built from records derives the columns when they are first read.
-    One built from columns (``validate_dataset``, ``from_arrays``,
+    dataset built from records validates them and builds its columns at
+    once. One built from columns (``validate_dataset``, ``from_arrays``,
     ``with_probs``) is validated as arrays and builds its records only when
     they are first read.
     """
@@ -202,8 +187,11 @@ class Dataset:
                 raise DuplicateId(f"duplicate record id {r.id!r}")
             seen.add(r.id)
         self.records = records
-        self.k = k
-        self.n = len(records)
+        self.probs_matrix = np.asarray([r.confidences.probs for r in records], dtype=float)
+        self.labels_array = np.asarray([r.label for r in records], dtype=np.int64)
+        self.ids = [r.id for r in records]
+        self.splits = [r.split for r in records]
+        self.n, self.k = self.probs_matrix.shape
 
     @cached_property
     def records(self) -> list[PredictionRecord]:
@@ -213,22 +201,6 @@ class Dataset:
                 self.ids, self.probs_matrix, self.labels_array, self.splits
             )
         ]
-
-    @cached_property
-    def probs_matrix(self) -> np.ndarray:
-        return np.asarray([r.confidences.probs for r in self.records], dtype=float)
-
-    @cached_property
-    def labels_array(self) -> np.ndarray:
-        return np.asarray([r.label for r in self.records], dtype=np.int64)
-
-    @cached_property
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-    @cached_property
-    def splits(self) -> list[str | None]:
-        return [r.split for r in self.records]
 
     @classmethod
     def _from_columns(
@@ -468,24 +440,18 @@ class _ConfidenceColumns:
         self.totals: dict[int, float] = {}
         self.probs: dict[int, np.ndarray] = {}
         self.k: int | None = None
-        first_pass = first_above = n
+        first_pass = n
         sizes = np.bincount(self.lengths, minlength=2)
         for L in (np.flatnonzero(sizes[2:]) + 2).tolist():
             rows = np.flatnonzero(self.lengths == L)
             group = confs if sizes[L] == n else [confs[i] for i in rows.tolist()]
-            probs, code, totals, above = _check_confidences(group, L)
+            probs, code, totals = _check_confidences(group, L)
             self.code[rows] = code
             self.totals.update(zip(rows[list(totals)].tolist(), totals.values()))
             self.probs[L] = probs
-            if above.size and rows[above[0]] < first_above:
-                first_above, above_row = int(rows[above[0]]), probs[above[0]]
             passed = rows[code == _CONF_OK]
             if passed.size and passed[0] < first_pass:
                 first_pass, self.k = int(passed[0]), L
-        if first_above < n:
-            # A row kept as it is may hold an entry in (1, 1 + SIMPLEX_ATOL];
-            # ConfidenceVector rejects it, and ingestion raises that error as is.
-            _raise_simplex_violation(above_row)
         if first_pass < n:
             self.code[(self.code == _CONF_OK) & (self.lengths != self.k)] = _CONF_K
 
@@ -502,11 +468,12 @@ def _check_confidences(group: list, L: int):
     """Check m confidence lists of length L.
 
     Returns the (m, L) matrix with renormalized rows divided by their sum,
-    each row's outcome code, the exact sum of each row rejected for it, and
-    the passing rows kept as they are that hold an entry above 1.
+    each row's outcome code and the exact sum of each row rejected for it.
     A vectorized sum decides every row whose distance from 1 is below
     ``SIMPLEX_ATOL`` by more than its rounding error; every other row gets
-    the exact ``math.fsum`` rule, which also gives the divisor.
+    the exact ``math.fsum`` rule, which also gives the divisor. A row kept
+    as it is may still hold an entry in (1, 1 + SIMPLEX_ATOL]; that is an
+    entry outside [0, 1].
     """
     m = len(group)
     code = np.zeros(m, dtype=np.int8)
@@ -543,8 +510,8 @@ def _check_confidences(group: list, L: int):
     probs[renorm] /= totals[scaled, None]
     kept = code == _CONF_OK
     kept[renorm] = False
-    above = np.flatnonzero(kept & (probs > 1.0).any(axis=1))
-    return probs, code, dict(zip(exact[rejected].tolist(), totals[rejected].tolist())), above
+    code[kept & (probs > 1.0).any(axis=1)] = _CONF_RANGE
+    return probs, code, dict(zip(exact[rejected].tolist(), totals[rejected].tolist()))
 
 
 def _float_entries(conf) -> list[float] | None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import CalibrationError, bin_index_array
 from .metrics import metric_row
-from .targetmap import TargetDistribution, build_target_matrix
+from .targetmap import build_target_matrix
 
 DIVERGENCES = ("mse", "cross-entropy")
 
@@ -126,8 +126,6 @@ def build_all_targets(
 
 
 def _as_row(x) -> np.ndarray:
-    if isinstance(x, TargetDistribution):
-        return x.probs.as_array()
     if hasattr(x, "as_array"):
         return x.as_array()
     return np.asarray(x, dtype=float)

@@ -10,15 +10,16 @@ checked exactly instead of estimated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     BadParams,
     CalibrationError,
-    ConfidenceVector,
     Dataset,
     SIMPLEX_ATOL,
     SimplexViolation,
@@ -80,9 +81,6 @@ class FiniteGenerativeModel:
     def n_support(self) -> int:
         return len(self.support)
 
-    def label_dist(self, i: int) -> ConfidenceVector:
-        return ConfidenceVector(tuple(self.label_probs[i]))
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
@@ -98,13 +96,16 @@ class FiniteGenerativeModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteGenerativeModel":
+        """Parse ``to_json_dict`` output. ``k`` must be an integer; a missing
+        key, a non-numeric weight or entry, or ragged label rows raise
+        ``BadParams``."""
         try:
-            k = int(obj["k"])
+            k = operator.index(obj["k"])
             points = obj["support"]
             ids = [p["id"] for p in points]
-            weights = [p["weight"] for p in points]
-            rows = [p["label_dist"] for p in points]
-        except (KeyError, TypeError) as exc:
+            weights = np.asarray([p["weight"] for p in points], dtype=float)
+            rows = np.asarray([p["label_dist"] for p in points], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadParams(f"malformed model object: {exc}") from exc
         return cls(k, ids, weights, rows)
 
@@ -122,19 +123,25 @@ class Predictor:
             raise BadParams("predictor ids must be unique")
         self.ids = ids
         self.probs = probs
-        self._row = {pid: i for i, pid in enumerate(ids)}
 
     @property
     def k(self) -> int:
         return self.probs.shape[1]
 
-    def vector_for(self, point_id: str) -> ConfidenceVector:
-        if point_id not in self._row:
-            raise UnknownSupportPoint(f"predictor undefined at {point_id!r}")
-        return ConfidenceVector(tuple(self.probs[self._row[point_id]]))
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.ids)}
 
     def matrix_for(self, support: Sequence[str]) -> np.ndarray:
-        """Rows aligned with ``support`` order; fails on any missing point."""
+        """Rows aligned with ``support`` order; fails on any missing point.
+
+        When ``support`` is the id list this predictor was built on, the
+        result is ``self.probs`` itself, not a copy: callers only read it.
+        Any other order, or a superset of the ids, goes through an id lookup.
+        """
+        support = list(support)
+        if support == self.ids:
+            return self.probs
         try:
             rows = [self._row[s] for s in support]
         except KeyError as exc:
@@ -145,17 +152,6 @@ class Predictor:
     def from_model(cls, model: FiniteGenerativeModel) -> "Predictor":
         """The model's own label distribution used as a predictor."""
         return cls(list(model.support), model.label_probs.copy())
-
-    @classmethod
-    def constant(cls, model: FiniteGenerativeModel, cv: ConfidenceVector) -> "Predictor":
-        rows = np.tile(cv.as_array(), (model.n_support, 1))
-        return cls(list(model.support), rows)
-
-    @classmethod
-    def from_table(cls, table: Mapping[str, ConfidenceVector]) -> "Predictor":
-        ids = list(table)
-        rows = [table[i].as_array() for i in ids]
-        return cls(ids, np.asarray(rows))
 
 
 def make_model(
@@ -254,15 +250,24 @@ def labels_matching_accuracy(
         raise BadParams("target accuracy must lie in [0, 1]")
     modal = np.argmax(model.label_probs, axis=1)
     labels = np.where(modal == 0, 1, 0)
-    acc = 0.0
-    for i in range(model.n_support):
-        w = model.weights[i]
-        if abs(acc + w - target_acc) <= abs(acc - target_acc):
-            labels[i] = modal[i]
-            acc += w
-        else:
-            break
+    count, _ = _greedy_prefix(model.weights, target_acc)
+    labels[:count] = modal[:count]
     return labels
+
+
+def _greedy_prefix(weights: np.ndarray, target: float) -> tuple[int, float]:
+    """Length and total mass of the prefix of ``weights`` taken greedily:
+    each next weight is taken while adding it moves the running total no
+    further from ``target``.
+
+    ``np.cumsum`` adds in sequence, so each prefix total equals a running
+    ``+=`` over the same weights bit for bit.
+    """
+    totals = np.concatenate(([0.0], np.cumsum(weights)))
+    further = np.abs(totals[1:] - target) > np.abs(totals[:-1] - target)
+    stops = np.flatnonzero(further)
+    count = int(stops[0]) if stops.size else len(weights)
+    return count, float(totals[count])
 
 
 def tce(model: FiniteGenerativeModel, predictor: Predictor) -> float:
@@ -286,13 +291,11 @@ def construct_bound_predictor(
     model: FiniteGenerativeModel,
     labels: np.ndarray,
     target_acc: float,
-    pi_star: Predictor | None = None,
 ) -> BoundConstruction:
     """Modify the reference predictor to hit ~target_acc while keeping the
     distribution distance within twice the accuracy gap.
 
-    The reference predictor is the model's own label distribution (passing a
-    different one would void the guarantee, so it is checked). Points are
+    The reference predictor is the model's own label distribution. Points are
     flipped greedily in support order: to a one-hot on their realized label
     (raising accuracy) or on the lowest-index wrong class (lowering it),
     stopping at the nearest achievable mass. The result satisfies
@@ -306,13 +309,6 @@ def construct_bound_predictor(
     if labels.min() < 0 or labels.max() >= model.k:
         raise BadParams("labels outside [0, k)")
     base = model.label_probs
-    if pi_star is not None:
-        given = pi_star.matrix_for(model.support)
-        if np.abs(given - base).max() > SIMPLEX_ATOL:
-            raise BadParams(
-                "reference predictor must equal the model's label distribution"
-            )
-
     top = np.argmax(base, axis=1)
     correct = top == labels
     a_star = float(model.weights @ correct)
@@ -326,19 +322,12 @@ def construct_bound_predictor(
             f"only {model.weights[pool].sum()} mass available"
         )
 
+    count, moved = _greedy_prefix(model.weights[pool], needed)
+    flip = pool[:count]
     out = base.copy()
-    moved = 0.0
-    for i in pool:
-        w = float(model.weights[i])
-        if abs(moved + w - needed) > abs(moved - needed):
-            break
-        out[i] = 0.0
-        if raise_acc:
-            out[i, labels[i]] = 1.0
-        else:
-            wrong = 0 if labels[i] != 0 else 1
-            out[i, wrong] = 1.0
-        moved += w
+    out[flip] = 0.0
+    # One-hot on the realized label, or on the lowest-index wrong class.
+    out[flip, labels[flip] if raise_acc else np.where(labels[flip] != 0, 0, 1)] = 1.0
 
     achieved = a_star + moved if raise_acc else a_star - moved
     return BoundConstruction(Predictor(list(model.support), out), achieved, a_star)

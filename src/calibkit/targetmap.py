@@ -12,34 +12,22 @@ at tanh(ln(3) / (1 - q)), and (alpha, beta) solving the mass constraint
 alpha * sum(tanh(gamma * tail)) + (k - 1) * beta = 1 - q. The default takes
 alpha = beta; where that would lift the largest tail entry to the pinned
 top, alpha is rescued at the midpoint of the interval that keeps the tail
-strictly below it. ``build_target_matrix`` is the one implementation;
-``build_target`` is a one-row call into it.
+strictly below it. ``build_target_matrix`` is the one implementation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CalibrationError, ConfidenceVector
+from .core import CalibrationError
 
 LN3 = math.log(3.0)
 
 
 class BadQ(CalibrationError):
     pass
-
-
-@dataclass(frozen=True)
-class TargetDistribution:
-    """A constructed calibration target: top class pinned to q."""
-
-    probs: ConfidenceVector
-    top_index: int
-    q_m: float
-    rank_preserved: bool
 
 
 def build_target_matrix(
@@ -123,21 +111,3 @@ def _order_isotonic(conf: np.ndarray, out: np.ndarray, top, rows) -> np.ndarray:
     masked_out[rows, top] = -np.inf
     strict_top_out = out[rows, top] > masked_out.max(axis=1)
     return no_inversion & (~strict_top_in | strict_top_out)
-
-
-def build_target(conf: ConfidenceVector, q_m: float) -> TargetDistribution:
-    """Construct the calibration target for one confidence vector.
-
-    A one-row call into ``build_target_matrix``: the top class (lowest index
-    on ties) is pinned to q_m and the tail goes through the tanh map. A
-    one-hot source has no tail signal, so its remaining mass is spread
-    uniformly.
-    """
-    row = conf.as_array()[None, :]
-    out, top, rank_ok = build_target_matrix(row, np.asarray([q_m]))
-    return TargetDistribution(
-        probs=ConfidenceVector(tuple(out[0])),
-        top_index=int(top[0]),
-        q_m=float(q_m),
-        rank_preserved=bool(rank_ok[0]),
-    )

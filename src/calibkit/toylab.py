@@ -161,15 +161,6 @@ class LinearPolicy:
     def clone(self) -> "LinearPolicy":
         return LinearPolicy(self.W.shape[0], self.W.shape[1], self.W.copy(), self.temperature)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "linear",
-            "d": self.W.shape[0],
-            "k": self.W.shape[1],
-            "weights": self.W.tolist(),
-            "temperature": self.temperature,
-        }
-
 
 class TabularPolicy:
     """One free logit row per record; ignores features."""
@@ -209,27 +200,6 @@ class TabularPolicy:
 
     def clone(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "tabular",
-            "n": self.logits.shape[0],
-            "k": self.logits.shape[1],
-            "logits": self.logits.tolist(),
-        }
-
-
-def policy_from_json_dict(obj: dict):
-    if obj.get("type") == "linear":
-        return LinearPolicy(
-            int(obj["d"]),
-            int(obj["k"]),
-            np.asarray(obj["weights"], dtype=float),
-            float(obj["temperature"]),
-        )
-    if obj.get("type") == "tabular":
-        return TabularPolicy(np.asarray(obj["logits"], dtype=float))
-    raise BadParams(f"unknown policy type {obj.get('type')!r}")
 
 
 def combined_loss(

@@ -138,6 +138,61 @@ def test_eval_integer_entry_too_large_for_a_float_is_out_of_range(tmp_path, caps
     )
 
 
+def test_eval_entry_just_above_one_is_a_per_line_violation(tmp_path, capsys):
+    """A row kept without renormalizing may hold an entry in (1, 1 + 1e-9];
+    it is reported on its own line, and other lines' violations still are."""
+    path = tmp_path / "above.jsonl"
+    path.write_text(
+        '{"id": "a", "confidences": [0.5, 0.6], "label": 0}\n'
+        '{"id": "b", "confidences": [1.0000000002, 0.0], "label": 0}\n',
+        encoding="utf-8",
+    )
+    code = main(["eval", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: SimplexViolation: confidences sum to 1.1, beyond tolerance\n"
+        "error: line 2: SimplexViolation: confidence entry outside [0, 1]\n"
+    )
+
+
+def _model_json(k=2, weight=0.5, second_dist=(0.5, 0.5)) -> bytes:
+    return json.dumps({"k": k, "support": [
+        {"id": "a", "weight": weight, "label_dist": [0.5, 0.5]},
+        {"id": "b", "weight": 0.5, "label_dist": list(second_dist)},
+    ]}).encode()
+
+
+_NOT_UTF8 = b'{"id": "a", "confidences": [0.5, 0.5], "label": 0}\n\xff\xfe\n'
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["eval"], _NOT_UTF8),
+        (["bounds", "--model"], _NOT_UTF8),
+        (["winrate", "--pairs"], _NOT_UTF8),
+        (["bounds", "--model"], _model_json(k="x")),
+        (["bounds", "--model"], _model_json(k=2.7)),
+        (["bounds", "--model"], _model_json(weight="abc")),
+        (["bounds", "--model"], _model_json(second_dist=(1.0,))),
+        (["bounds", "--model"], b'{"k": 2' + b"0" * 4300 + b', "support": []}'),
+        (["winrate", "--pairs"],
+         b'{"id": "p", "logp_chosen": 1' + b"0" * 400 + b', "logp_reject": 0.0}\n'),
+    ],
+    ids=["eval-not-utf8", "bounds-not-utf8", "winrate-not-utf8", "model-k-string",
+         "model-k-float", "model-weight-string", "model-ragged-label-dist",
+         "model-int-over-4300-digits", "winrate-int-too-large-for-float"],
+)
+def test_malformed_input_files_exit_2_without_traceback(command, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_validation_error_reports_kind(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     _write_jsonl(path, [{"id": "a", "confidences": [0.25, 0.25, 0.25, 0.25], "label": 9}])

@@ -22,8 +22,6 @@ from calibkit.core import (
     SchemaError,
     SimplexViolation,
     Violation,
-    argmax_option,
-    bin_index,
     bin_index_array,
     normalize_options,
     validate_dataset,
@@ -67,9 +65,10 @@ def test_normalize_scale_invariant_and_idempotent():
 
 
 def test_argmax_option_examples():
-    assert argmax_option(ConfidenceVector((0.1, 0.6, 0.2, 0.1))) == 1
-    assert argmax_option(ConfidenceVector((0.25, 0.25, 0.25, 0.25))) == 0
-    assert argmax_option(ConfidenceVector((0.4, 0.4, 0.1, 0.1))) == 0
+    # Ties resolve to the lowest index.
+    assert np.argmax(ConfidenceVector((0.1, 0.6, 0.2, 0.1)).as_array()) == 1
+    assert np.argmax(ConfidenceVector((0.25, 0.25, 0.25, 0.25)).as_array()) == 0
+    assert np.argmax(ConfidenceVector((0.4, 0.4, 0.1, 0.1)).as_array()) == 0
 
 
 def test_argmax_invariant_under_monotone_rescale():
@@ -77,21 +76,19 @@ def test_argmax_invariant_under_monotone_rescale():
     for _ in range(100):
         cv = normalize_options(rng.random(5) + 1e-9)
         squared = normalize_options([p ** 2 for p in cv.probs])
-        assert argmax_option(squared) == argmax_option(cv)
+        assert np.argmax(squared.as_array()) == np.argmax(cv.as_array())
 
 
 def test_bin_index_examples():
-    assert bin_index(0.8, 10) == 8
-    assert bin_index(0.8000001, 10) == 9
-    assert bin_index(0.0, 10) == 1
-    assert bin_index(1.0, 10) == 10
+    values = np.array([0.8, 0.8000001, 0.0, 1.0])
+    assert bin_index_array(values, 10).tolist() == [8, 9, 1, 10]
 
 
 def test_bin_index_errors():
     with pytest.raises(OutOfRange):
-        bin_index(-0.1, 10)
+        bin_index_array(np.array([0.5, -0.1]), 10)
     with pytest.raises(OutOfRange):
-        bin_index(1.1, 10)
+        bin_index_array(np.array([1.1]), 10)
 
 
 def test_bin_index_monotone_and_surjective():
@@ -315,9 +312,9 @@ def test_validate_dataset_collects_multiple_violations():
 def _reference_validate_dataset(raw_records):
     """The per-row ingestion rules, one record at a time: the reference that
     ``validate_dataset``'s column checks must match bit for bit. Kept as the
-    rules were before ingestion became columnar; it raises OverflowError on
-    an integer entry too large for a float, which ``validate_dataset`` now
-    reports as a violation."""
+    rules were before ingestion became columnar, with one deliberate
+    difference marked below. It raises OverflowError on an integer entry too
+    large for a float, which ``validate_dataset`` reports as a violation."""
     violations: list[Violation] = []
     records: list[PredictionRecord] = []
     seen_ids: set[str] = set()
@@ -367,13 +364,22 @@ def _reference_validate_dataset(raw_records):
                     else:
                         if abs(total - 1.0) > SIMPLEX_ATOL:
                             vals = [min(v / total, 1.0) for v in vals]
-                        cv = ConfidenceVector(tuple(vals))
-                        if k is None:
-                            k = cv.k
-                        elif cv.k != k:
+                        if any(v > 1.0 for v in vals):
+                            # Deliberate difference from the old rules: a row
+                            # kept as it is with an entry in (1, 1 + SIMPLEX_ATOL]
+                            # is one more per-row violation, not a bare
+                            # SimplexViolation from ConfidenceVector.
                             violations.append(
-                                Violation(i, "SchemaError", f"k={cv.k} differs from {k}")
+                                Violation(i, "SimplexViolation", "confidence entry outside [0, 1]")
                             )
+                        else:
+                            cv = ConfidenceVector(tuple(vals))
+                            if k is None:
+                                k = cv.k
+                            elif cv.k != k:
+                                violations.append(
+                                    Violation(i, "SchemaError", f"k={cv.k} differs from {k}")
+                                )
 
         label = row.get("label")
         if not isinstance(label, int) or isinstance(label, bool):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibkit.core import CalibrationError, ConfidenceVector
+from calibkit.core import CalibrationError
 from calibkit.emcal import (
     BinAccuracy,
     EmConfig,
@@ -22,7 +22,7 @@ from calibkit.emcal import (
     sft_loss,
 )
 from calibkit.metrics import accuracy_arrays, conf_ece_arrays, cw_ece_arrays, metric_row
-from calibkit.targetmap import build_target, build_target_matrix
+from calibkit.targetmap import build_target_matrix
 from calibkit.toylab import LinearPolicy, TabularPolicy, gen_toy_task, train
 
 
@@ -126,9 +126,9 @@ def test_build_all_targets_composition():
     assert targets.shape == (5, 4)
     assert targets[0, 0] == pytest.approx(0.6, abs=1e-15)
     q = qs.q[z.z[0] - 1]
-    single = build_target(ConfidenceVector((0.7, 0.2, 0.06, 0.04)), float(q))
-    assert single.rank_preserved
-    assert np.array_equal(targets, np.tile(single.probs.as_array(), (5, 1)))
+    single, _, rank = build_target_matrix(np.array([[0.7, 0.2, 0.06, 0.04]]), np.array([q]))
+    assert rank[0]
+    assert np.array_equal(targets, np.tile(single[0], (5, 1)))
 
 
 def test_build_all_targets_clamps_extreme_bins():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from calibkit.core import ConfidenceVector
 from calibkit.genmodel import (
     BadParams,
     FiniteGenerativeModel,
     NoDisagreement,
     Predictor,
     UnknownSupportPoint,
+    UnreachableAccuracy,
     classify_regime,
     construct_bound_predictor,
     labeled_accuracy,
@@ -95,8 +95,28 @@ def test_predictor_unknown_point():
     p = Predictor(["z"], [[0.25, 0.25, 0.25, 0.25]])
     with pytest.raises(UnknownSupportPoint):
         p.matrix_for(m.support)
+    m2 = make_model("dirichlet", 4, 5, alpha=1.0, seed=6)
+    subset = Predictor(m2.support[:4], m2.label_probs[:4])
     with pytest.raises(UnknownSupportPoint):
-        p.vector_for("a")
+        subset.matrix_for(m2.support)
+
+
+def test_matrix_for_aligned_support_is_the_probs_themselves(finite_cases):
+    """On the support it was built on a predictor returns its own matrix;
+    a permuted and a superset predictor of the same rows realign to the same
+    bytes through the id lookup."""
+    rng = np.random.default_rng(5)
+    for model, predictor in finite_cases:
+        aligned = predictor.matrix_for(model.support)
+        assert aligned is predictor.probs
+        perm = rng.permutation(model.n_support)
+        permuted = Predictor([model.support[i] for i in perm], predictor.probs[perm])
+        assert permuted.matrix_for(model.support).tobytes() == aligned.tobytes()
+        extra = np.full((1, model.k), 1.0 / model.k)
+        superset = Predictor(
+            ["extra"] + model.support, np.vstack([extra, predictor.probs])
+        )
+        assert superset.matrix_for(model.support).tobytes() == aligned.tobytes()
 
 
 def test_tce_examples():
@@ -161,14 +181,6 @@ def test_construct_bound_lowers_accuracy():
     assert labeled_accuracy(m, built.predictor, labels) == pytest.approx(0.3, abs=1e-12)
 
 
-def test_construct_bound_rejects_foreign_reference():
-    m = make_model("dirichlet", 4, 6, alpha=1.0, seed=1)
-    labels = realize_labels(m, seed=1)
-    other = Predictor(list(m.support), np.full((6, 4), 0.25))
-    with pytest.raises(BadParams):
-        construct_bound_predictor(m, labels, 0.5, pi_star=other)
-
-
 def test_lower_bound_no_disagreement():
     m = _one_point()
     p = Predictor.from_model(m)
@@ -210,7 +222,7 @@ def test_verify_ece_le_tce_examples():
 
 def test_population_cw_ece_groups_by_exact_value():
     model = FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[1, 0], [0, 1]])
-    half = Predictor.constant(model, ConfidenceVector((0.5, 0.5)))
+    half = Predictor(model.support, np.tile([0.5, 0.5], (2, 1)))
     assert population_cw_ece(model, half) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -266,3 +278,81 @@ def test_labels_matching_accuracy_hits_grid():
         labels = labels_matching_accuracy(m, target)
         got = labeled_accuracy(m, Predictor.from_model(m), labels)
         assert abs(got - target) <= 0.5 / 25 + 1e-12
+
+
+def _reference_labels_matching_accuracy(model, target_acc):
+    """The per-point loop ``labels_matching_accuracy`` replaced."""
+    modal = np.argmax(model.label_probs, axis=1)
+    labels = np.where(modal == 0, 1, 0)
+    acc = 0.0
+    for i in range(model.n_support):
+        w = model.weights[i]
+        if abs(acc + w - target_acc) <= abs(acc - target_acc):
+            labels[i] = modal[i]
+            acc += w
+        else:
+            break
+    return labels
+
+
+def _reference_construct_bound_predictor(model, labels, target_acc):
+    """The per-point loop ``construct_bound_predictor`` replaced: the flipped
+    matrix, the achieved accuracy and the reference accuracy."""
+    base = model.label_probs
+    correct = np.argmax(base, axis=1) == labels
+    a_star = float(model.weights @ correct)
+    raise_acc = target_acc >= a_star
+    pool = np.flatnonzero(~correct) if raise_acc else np.flatnonzero(correct)
+    needed = abs(target_acc - a_star)
+    if needed > float(model.weights[pool].sum()) + 1e-9:
+        return None
+    out = base.copy()
+    moved = 0.0
+    for i in pool:
+        w = float(model.weights[i])
+        if abs(moved + w - needed) > abs(moved - needed):
+            break
+        out[i] = 0.0
+        if raise_acc:
+            out[i, labels[i]] = 1.0
+        else:
+            out[i, 0 if labels[i] != 0 else 1] = 1.0
+        moved += w
+    achieved = a_star + moved if raise_acc else a_star - moved
+    return out, achieved, a_star
+
+
+def _greedy_targets(rng, weights, start=0.0):
+    """Targets on the greedy rule's edges: 0, 1, ``start`` plus or minus
+    exact prefix sums of the weights (at most 12, drawn at random) and the
+    midpoints after them, and a few uniform draws; all clipped into [0, 1]."""
+    prefix = np.cumsum(weights)
+    pick = rng.choice(len(weights), size=min(len(weights), 12), replace=False)
+    half = 0.5 * np.append(weights[1:], 0.0)
+    steps = np.concatenate([prefix[pick], prefix[pick] + half[pick]])
+    targets = np.concatenate(
+        [[0.0, 1.0, start], start + steps, start - steps, rng.random(4)]
+    )
+    return np.clip(targets, 0.0, 1.0).tolist()
+
+
+def test_greedy_prefix_matches_the_per_point_loops(finite_cases):
+    """Labels, flipped bytes and both accuracies equal the old loops exactly,
+    on zero weights, tied weights and targets at exact prefix sums."""
+    rng = np.random.default_rng(17)
+    tied = make_model("dirichlet", 3, 12, alpha=1.0, seed=4)
+    for model in [m for m, _ in finite_cases] + [tied]:
+        for target in _greedy_targets(rng, model.weights):
+            got = labels_matching_accuracy(model, target)
+            assert got.tolist() == _reference_labels_matching_accuracy(model, target).tolist()
+        for labels in (realize_labels(model, seed=3), labels_matching_accuracy(model, 0.5)):
+            a_star = float(model.weights @ (np.argmax(model.label_probs, axis=1) == labels))
+            for target in _greedy_targets(rng, model.weights, a_star):
+                expected = _reference_construct_bound_predictor(model, labels, target)
+                if expected is None:
+                    with pytest.raises(UnreachableAccuracy):
+                        construct_bound_predictor(model, labels, target)
+                    continue
+                built = construct_bound_predictor(model, labels, target)
+                assert built.predictor.probs.tobytes() == expected[0].tobytes()
+                assert (built.achieved_acc, built.reference_acc) == expected[1:]

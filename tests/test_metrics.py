@@ -13,7 +13,6 @@ from calibkit.genmodel import (
     sample_dataset,
     tce,
 )
-from calibkit.core import ConfidenceVector
 from calibkit.metrics import (
     CalibrationReport,
     EmptyInput,
@@ -121,9 +120,9 @@ def test_mc_ece_population_self_is_zero():
 
 def test_mc_ece_population_grouping():
     model = FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[1, 0], [0, 1]])
-    half = Predictor.constant(model, ConfidenceVector((0.5, 0.5)))
+    half = Predictor(model.support, np.tile([0.5, 0.5], (2, 1)))
     assert mc_ece_population(model, half) == pytest.approx(0.0, abs=1e-15)
-    off = Predictor.constant(model, ConfidenceVector((0.9, 0.1)))
+    off = Predictor(model.support, np.tile([0.9, 0.1], (2, 1)))
     assert mc_ece_population(model, off) == pytest.approx(0.4, abs=1e-12)
 
 

@@ -22,15 +22,11 @@ PUBLIC = [
     "Predictor",
     "RegimeClassification",
     "TabularPolicy",
-    "TargetDistribution",
     "ToyTask",
     "accuracy",
     "apply_temperature",
-    "argmax_option",
-    "bin_index",
     "build_all_targets",
     "build_report",
-    "build_target",
     "classify_regime",
     "conf_ece",
     "construct_bound_predictor",

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from calibkit.core import ConfidenceVector
-from calibkit.targetmap import BadQ, build_target, build_target_matrix
+from calibkit.targetmap import BadQ, build_target_matrix
 
 LN3 = math.log(3.0)
+
+
+def _one_row(conf, q: float) -> tuple[np.ndarray, int, bool]:
+    """``build_target_matrix`` on one row: (target, top index, rank preserved)."""
+    out, top, rank = build_target_matrix(np.array([conf], dtype=float), np.array([q]))
+    return out[0], int(top[0]), bool(rank[0])
 
 
 def _tail_tanh(row: np.ndarray, q: float) -> tuple[float, np.ndarray]:
@@ -81,40 +86,38 @@ def test_solve_alpha_beta_simplified():
 
 
 def test_build_target_worked_example_against_recomputation():
-    conf = ConfidenceVector((0.7, 0.2, 0.06, 0.04))
-    out = build_target(conf, 0.6)
+    out, top, rank_preserved = _one_row((0.7, 0.2, 0.06, 0.04), 0.6)
     # Independent recomputation of the closed-form coefficients.
     gamma = LN3 / (0.2 * (1 - 0.6))
     tanh_sum = sum(math.tanh(gamma * c) for c in (0.2, 0.06, 0.04))
     alpha = (1 - 0.6) / (tanh_sum + 3)
     expected = (0.6,) + tuple(alpha * math.tanh(gamma * c) + alpha for c in (0.2, 0.06, 0.04))
-    assert out.probs.probs == pytest.approx(expected, abs=1e-9)
-    assert out.top_index == 0
-    assert out.q_m == 0.6
-    assert out.rank_preserved
+    assert tuple(out) == pytest.approx(expected, abs=1e-9)
+    assert top == 0
+    assert rank_preserved
     # Oracle: pinned top, unit mass, strict ordering.
-    assert out.probs.probs[0] == 0.6
-    assert math.fsum(out.probs.probs) == pytest.approx(1.0, abs=1e-9)
-    assert sorted(out.probs.probs, reverse=True) == list(out.probs.probs)
+    assert out[0] == 0.6
+    assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
+    assert sorted(out, reverse=True) == list(out)
 
 
 def test_build_target_one_hot_fallback():
-    out = build_target(ConfidenceVector((1.0, 0.0, 0.0, 0.0)), 0.7)
-    assert out.probs.probs == pytest.approx((0.7, 0.1, 0.1, 0.1), abs=1e-12)
+    out, _, _ = _one_row((1.0, 0.0, 0.0, 0.0), 0.7)
+    assert tuple(out) == pytest.approx((0.7, 0.1, 0.1, 0.1), abs=1e-12)
 
 
 def test_build_target_low_q_keeps_simplex():
-    out = build_target(ConfidenceVector((0.4, 0.3, 0.2, 0.1)), 0.2)
-    assert math.fsum(out.probs.probs) == pytest.approx(1.0, abs=1e-9)
-    assert out.probs.probs[0] == 0.2
-    assert not out.rank_preserved
+    out, _, rank_preserved = _one_row((0.4, 0.3, 0.2, 0.1), 0.2)
+    assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
+    assert out[0] == 0.2
+    assert not rank_preserved
 
 
 def test_build_target_bad_q():
     with pytest.raises(BadQ):
-        build_target(ConfidenceVector((0.7, 0.3)), 0.0)
+        _one_row((0.7, 0.3), 0.0)
     with pytest.raises(BadQ):
-        build_target(ConfidenceVector((0.7, 0.3)), 1.0)
+        _one_row((0.7, 0.3), 1.0)
 
 
 def test_matrix_mass_constraint():
@@ -250,13 +253,11 @@ def test_uniform_tail_is_fixed_point():
     # the construction is a no-op at the same pinned top.
     for q in (0.3, 0.6, 0.9):
         tail = (1.0 - q) / 3
-        cv = ConfidenceVector((q, tail, tail, tail))
-        out = build_target(cv, q)
-        assert np.abs(np.asarray(out.probs.probs) - np.asarray(cv.probs)).max() < 1e-6
-        again = build_target(out.probs, q)
-        assert np.abs(
-            np.asarray(again.probs.probs) - np.asarray(out.probs.probs)
-        ).max() < 1e-6
+        cv = np.array([q, tail, tail, tail])
+        out, _, _ = _one_row(cv, q)
+        assert np.abs(out - cv).max() < 1e-6
+        again, _, _ = _one_row(out, q)
+        assert np.abs(again - out).max() < 1e-6
 
 
 def test_batch_matches_scalar():
@@ -265,7 +266,7 @@ def test_batch_matches_scalar():
     q = rng.uniform(0.3, 0.95, 50)
     out, top, rank = build_target_matrix(conf, q)
     for i in range(50):
-        single = build_target(ConfidenceVector(tuple(conf[i])), float(q[i]))
-        assert single.probs.probs == pytest.approx(tuple(out[i]), abs=1e-15)
-        assert single.top_index == top[i]
-        assert single.rank_preserved == bool(rank[i])
+        single, single_top, single_rank = _one_row(conf[i], float(q[i]))
+        assert tuple(single) == pytest.approx(tuple(out[i]), abs=1e-15)
+        assert single_top == top[i]
+        assert single_rank == bool(rank[i])

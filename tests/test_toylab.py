@@ -19,7 +19,6 @@ from calibkit.toylab import (
     fit_temperature,
     gen_toy_task,
     label_smooth_targets,
-    policy_from_json_dict,
     softmax,
     task_dataset,
     temperature_transform,
@@ -290,18 +289,6 @@ def test_train_rcft_analog_overfit_rows_use_the_em_bins():
     correct = start.argmax(axis=1) == task.labels
     assert history[0]["conf_ece"] == binned_ece(start.max(axis=1), correct, 7)
     assert history[0]["conf_ece"] != binned_ece(start.max(axis=1), correct, 10)
-
-
-def test_policy_json_round_trip():
-    lp = LinearPolicy(3, 4, np.arange(12.0).reshape(3, 4), temperature=2.0)
-    back = policy_from_json_dict(json.loads(json.dumps(lp.to_json_dict())))
-    assert isinstance(back, LinearPolicy)
-    assert np.array_equal(back.W, lp.W) and back.temperature == 2.0
-
-    tp = TabularPolicy(np.arange(8.0).reshape(2, 4))
-    back = policy_from_json_dict(json.loads(json.dumps(tp.to_json_dict())))
-    assert isinstance(back, TabularPolicy)
-    assert np.array_equal(back.logits, tp.logits)
 
 
 def test_softmax_rows_on_simplex():
