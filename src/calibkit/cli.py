@@ -94,8 +94,9 @@ def cmd_eval(args) -> int:
         try:
             rows.append(json.loads(line))
             line_of_row.append(ln)
-        except ValueError as exc:
-            # JSONDecodeError, or the int parser's digit limit.
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, the int parser's digit limit, or nesting
+            # deeper than the recursion limit.
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
             print(f"error: line {ln}: invalid JSON: {msg}", file=sys.stderr)
             bad_json = True
@@ -153,9 +154,9 @@ def cmd_bounds(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, BadParams) as exc:
+    except (ValueError, RecursionError, BadParams) as exc:
         # ValueError: invalid JSON, the int parser's digit limit, or bytes
-        # that are not UTF-8.
+        # that are not UTF-8. RecursionError: nesting too deep to decode.
         print(f"error: bad model file: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -295,7 +296,8 @@ def cmd_winrate(args) -> int:
                             logp_reject=float(obj["logp_reject"]),
                         )
                     )
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError,
+                        RecursionError) as exc:
                     print(f"error: line {ln}: {exc}", file=sys.stderr)
                     return EXIT_INPUT
     except OSError as exc:

@@ -116,7 +116,7 @@ def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
     The left edge 0 is folded into bin 1. Returns each m in [1, M].
     """
     values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise OutOfRange("values outside [0, 1]")
     idx = np.ceil(values * M).astype(np.int64)
     return np.minimum(np.maximum(idx, 1, out=idx), M, out=idx)

@@ -131,18 +131,33 @@ class PairwisePreferenceRecord:
 
 def _binned_gaps(
     values: np.ndarray, events: np.ndarray, M: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted-gap sum plus per-bin counts, mean values, and event rates."""
-    n = values.shape[0]
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted-gap sum plus per-bin counts, mean values, and event rates.
+
+    ``values`` and ``events`` are one stratification of shape (n,), or a
+    stack of shape (G, n) whose rows are G separate stratifications. A stack
+    offsets each row's bin ids by row * M and makes one ``np.bincount`` per
+    sum; bincount adds each (row, bin) cell in row order and the gap sum
+    reduces each row alone, so row g of the result equals the (n,) call on
+    row g bit for bit. The gap is a Python float for (n,) input and a (G,)
+    array for a stack; the tables are (M,) or (G, M).
+    """
+    shape = values.shape[:-1] + (M,)
     idx = bin_index_array(values, M)
-    counts = np.bincount(idx, minlength=M + 1)[1:]
-    val_sums = np.bincount(idx, weights=values, minlength=M + 1)[1:]
-    evt_sums = np.bincount(idx, weights=events.astype(float), minlength=M + 1)[1:]
+    if values.ndim == 2:
+        idx += M * np.arange(values.shape[0])[:, None]
+    idx = idx.ravel()
+    size = math.prod(shape) + 1
+    counts = np.bincount(idx, minlength=size)[1:].reshape(shape)
+    val_sums = np.bincount(idx, weights=values.ravel(), minlength=size)[1:].reshape(shape)
+    evt_sums = np.bincount(
+        idx, weights=events.astype(float).ravel(), minlength=size
+    )[1:].reshape(shape)
     occupied = counts > 0
-    mean_conf = np.divide(val_sums, counts, out=np.zeros(M), where=occupied)
-    freq = np.divide(evt_sums, counts, out=np.zeros(M), where=occupied)
-    ece = float((np.abs(freq - mean_conf) * counts).sum() / n)
-    return ece, counts, mean_conf, freq
+    mean_conf = np.divide(val_sums, counts, out=np.zeros(shape), where=occupied)
+    freq = np.divide(evt_sums, counts, out=np.zeros(shape), where=occupied)
+    gaps = (np.abs(freq - mean_conf) * counts).sum(axis=-1) / values.shape[-1]
+    return (float(gaps) if values.ndim == 1 else gaps), counts, mean_conf, freq
 
 
 def binned_ece(values: np.ndarray, events: np.ndarray, M: int) -> float:
@@ -150,12 +165,10 @@ def binned_ece(values: np.ndarray, events: np.ndarray, M: int) -> float:
     return _binned_gaps(values, events, M)[0]
 
 
-def _bin_table(
-    values: np.ndarray, events: np.ndarray, M: int
-) -> tuple[float, list[BinStats]]:
-    """Weighted-gap sum and full M-row table for one stratification."""
-    ece, counts, mean_conf, freq = _binned_gaps(values, events, M)
-    table = [
+def _table(counts: np.ndarray, mean_conf: np.ndarray, freq: np.ndarray) -> list[BinStats]:
+    """The M-row reliability table of one stratification's bin arrays."""
+    M = counts.shape[0]
+    return [
         BinStats(
             m=m,
             lo=(m - 1) / M,
@@ -166,7 +179,17 @@ def _bin_table(
         )
         for m in range(1, M + 1)
     ]
-    return ece, table
+
+
+def _classwise_gaps(probs: np.ndarray, labels: np.ndarray, M: int):
+    """cw-ECE and the (k, M) bin arrays: one stacked pass over the k classes.
+
+    The k gaps are summed in class order as Python floats and divided by k,
+    the same sequential sum as a per-class loop.
+    """
+    k = probs.shape[1]
+    gaps, counts, mean_conf, freq = _binned_gaps(probs.T, labels == np.arange(k)[:, None], M)
+    return sum(gaps.tolist()) / k, counts, mean_conf, freq
 
 
 def accuracy_arrays(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -176,37 +199,29 @@ def accuracy_arrays(probs: np.ndarray, labels: np.ndarray) -> float:
 def conf_ece_arrays(
     probs: np.ndarray, labels: np.ndarray, M: int
 ) -> tuple[float, list[BinStats]]:
-    values = probs.max(axis=1)
-    events = np.argmax(probs, axis=1) == labels
-    return _bin_table(values, events, M)
+    correct = np.argmax(probs, axis=1) == labels
+    ece, *arrays = _binned_gaps(probs.max(axis=1), correct, M)
+    return ece, _table(*arrays)
 
 
 def cw_ece_arrays(
     probs: np.ndarray, labels: np.ndarray, M: int
 ) -> tuple[float, list[list[BinStats]]]:
-    k = probs.shape[1]
-    tables = []
-    total = 0.0
-    for j in range(k):
-        ece_j, table = _bin_table(probs[:, j], labels == j, M)
-        total += ece_j
-        tables.append(table)
-    return total / k, tables
+    cw, counts, mean_conf, freq = _classwise_gaps(probs, labels, M)
+    return cw, [_table(*rows) for rows in zip(counts, mean_conf, freq)]
 
 
 def metric_row(probs: np.ndarray, labels: np.ndarray, M: int) -> dict:
     """Accuracy, conf-ECE and cw-ECE at M bins, without reliability tables.
 
     The values equal those of ``accuracy_arrays``, ``conf_ece_arrays`` and
-    ``cw_ece_arrays`` bit for bit: cw-ECE sums the per-class gaps in class
-    order and divides by k.
+    ``cw_ece_arrays`` bit for bit.
     """
-    k = probs.shape[1]
     correct = np.argmax(probs, axis=1) == labels
     return {
         "acc": float(np.mean(correct)),
         "conf_ece": binned_ece(probs.max(axis=1), correct, M),
-        "cw_ece": sum(binned_ece(probs[:, j], labels == j, M) for j in range(k)) / k,
+        "cw_ece": _classwise_gaps(probs, labels, M)[0],
     }
 
 
@@ -255,11 +270,11 @@ def reliability_diagram(
     if mode in ("classwise", "classwise-merged"):
         values = probs.reshape(-1)
         events = (labels[:, None] == np.arange(ds.k)[None, :]).reshape(-1)
-        return _bin_table(values, events, M)[1]
+        return _table(*_binned_gaps(values, events, M)[1:])
     if isinstance(mode, int):
         if not (0 <= mode < ds.k):
             raise EmptyInput(f"class index {mode} outside [0, {ds.k})")
-        return _bin_table(probs[:, mode], labels == mode, M)[1]
+        return _table(*_binned_gaps(probs[:, mode], labels == mode, M)[1:])
     raise EmptyInput(f"unknown reliability mode {mode!r}")
 
 

@@ -28,7 +28,7 @@ from .emcal import (
     mean_sft,
     run_em,
 )
-from .metrics import binned_ece, metric_row
+from .metrics import _binned_gaps, binned_ece, metric_row
 
 
 class DimensionMismatch(CalibrationError):
@@ -279,18 +279,22 @@ def fit_temperature(
         logp = np.log(probs)
     logp_max = logp.max(axis=1, keepdims=True)
     rows = np.arange(ds_val.n)
+    # Correctness is judged once, at the source argmax. Tempering is
+    # monotone, so the tempered entry there is exp(0) / sum, a row max bit
+    # for bit, and the top class is the same at every T. The one place this
+    # differs from apply_temperature + conf_ece is a near-tie that the
+    # tempered softmax rounds to a tie, where a fresh argmax takes the lower
+    # index.
+    top = np.argmax(probs, axis=1)
+    correct = top == labels
 
     def objective(T: float) -> float:
-        # Same float path as apply_temperature + conf_ece, so the reported
-        # minimum is exactly what a caller recomputes on the rescaled data;
-        # the entry at the argmax is the row max.
-        scaled = _tempered(logp, logp_max, T)
-        top = np.argmax(scaled, axis=1)
-        return binned_ece(scaled[rows, top], top == labels, M)
+        return binned_ece(_tempered(logp, logp_max, T)[rows, top], correct, M)
 
-    ece_before = binned_ece(probs.max(axis=1), np.argmax(probs, axis=1) == labels, M)
+    ece_before = binned_ece(probs[rows, top], correct, M)
     grid = np.geomspace(0.05, 20.0, 400)
-    scores = _grid_objective(logp, labels, M, grid)
+    tops = _tempered(logp, logp_max, grid[:, None, None])[:, rows, top]
+    scores = _binned_gaps(tops, np.broadcast_to(correct, tops.shape), M)[0]
     best = int(np.argmin(scores))
 
     lo = grid[max(best - 1, 0)]
@@ -302,50 +306,6 @@ def fit_temperature(
     if s_best < ece_before:
         return t_best, ece_before, s_best
     return 1.0, ece_before, ece_before
-
-
-def _grid_objective(logp: np.ndarray, labels: np.ndarray, M: int, grid: np.ndarray) -> np.ndarray:
-    """Binned top-confidence gap for every temperature in one pass.
-
-    Elementwise identical to evaluating softmax(logp / T) per grid point. The
-    top confidence and class come from running ``np.maximum`` passes over the
-    class slices, which give the same values as ``max(axis=2)`` (max never
-    rounds) and are much faster for small k.
-    """
-    n = logp.shape[0]
-    G = grid.shape[0]
-    scaled = _tempered(logp[None, :, :], logp.max(axis=1, keepdims=True), grid[:, None, None])
-    values, top = _max_argmax_over_last(scaled)
-    del scaled
-    events = (top == labels[None, :]).astype(float)
-    idx = np.clip(np.ceil(values * M).astype(np.int64), 1, M) - 1
-    flat = idx + (np.arange(G)[:, None] * M)
-    size = G * M
-    counts = np.bincount(flat.ravel(), minlength=size).reshape(G, M)
-    vsum = np.bincount(flat.ravel(), weights=values.ravel(), minlength=size).reshape(G, M)
-    esum = np.bincount(flat.ravel(), weights=events.ravel(), minlength=size).reshape(G, M)
-    occupied = counts > 0
-    mean_conf = np.where(occupied, vsum / np.maximum(counts, 1), 0.0)
-    freq = np.where(occupied, esum / np.maximum(counts, 1), 0.0)
-    return (np.abs(freq - mean_conf) * counts).sum(axis=1) / n
-
-
-def _max_argmax_over_last(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a.max(axis=-1)`` and ``np.argmax(a, axis=-1)`` in one running pass.
-
-    Only a strictly larger entry moves the argmax, so ties keep the lowest
-    index as ``np.argmax`` does. ``a`` must hold no NaN, which the softmax of
-    validated confidences never produces.
-    """
-    values = a[..., 0].copy()
-    top = np.zeros(values.shape, dtype=np.intp)
-    above = np.empty(values.shape, dtype=bool)
-    for j in range(1, a.shape[-1]):
-        col = a[..., j]
-        np.greater(col, values, out=above)
-        np.copyto(top, j, where=above)
-        np.maximum(values, col, out=values)
-    return values, top
 
 
 def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, float]:

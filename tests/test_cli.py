@@ -163,6 +163,8 @@ def _model_json(k=2, weight=0.5, second_dist=(0.5, 0.5)) -> bytes:
 
 
 _NOT_UTF8 = b'{"id": "a", "confidences": [0.5, 0.5], "label": 0}\n\xff\xfe\n'
+# One JSON line nested deeper than the decoder's recursion limit.
+_TOO_DEEP = b"[" * 200_000 + b"\n"
 
 
 @pytest.mark.parametrize(
@@ -178,10 +180,14 @@ _NOT_UTF8 = b'{"id": "a", "confidences": [0.5, 0.5], "label": 0}\n\xff\xfe\n'
         (["bounds", "--model"], b'{"k": 2' + b"0" * 4300 + b', "support": []}'),
         (["winrate", "--pairs"],
          b'{"id": "p", "logp_chosen": 1' + b"0" * 400 + b', "logp_reject": 0.0}\n'),
+        (["eval"], _TOO_DEEP),
+        (["bounds", "--model"], _TOO_DEEP),
+        (["winrate", "--pairs"], _TOO_DEEP),
     ],
     ids=["eval-not-utf8", "bounds-not-utf8", "winrate-not-utf8", "model-k-string",
          "model-k-float", "model-weight-string", "model-ragged-label-dist",
-         "model-int-over-4300-digits", "winrate-int-too-large-for-float"],
+         "model-int-over-4300-digits", "winrate-int-too-large-for-float",
+         "eval-nested-too-deep", "bounds-nested-too-deep", "winrate-nested-too-deep"],
 )
 def test_malformed_input_files_exit_2_without_traceback(command, content, tmp_path, capsys):
     path = tmp_path / "input"

@@ -91,6 +91,12 @@ def test_bin_index_errors():
         bin_index_array(np.array([1.1]), 10)
 
 
+@pytest.mark.parametrize("values", [[np.nan, 0.5], [0.5, np.nan], [np.nan]])
+def test_bin_index_rejects_nan(values):
+    with pytest.raises(OutOfRange):
+        bin_index_array(np.array(values), 10)
+
+
 def test_bin_index_monotone_and_surjective():
     M = 7
     values = np.linspace(0.0, 1.0, 2000)

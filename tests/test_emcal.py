@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibkit.core import CalibrationError
+from calibkit.core import CalibrationError, OutOfRange
 from calibkit.emcal import (
     BinAccuracy,
     EmConfig,
@@ -98,6 +98,12 @@ def test_e_step_examples():
     onehot = np.eye(4)
     assert e_step(onehot, 10).z.tolist() == [10, 10, 10, 10]
     assert e_step(onehot, 1).z.tolist() == [1, 1, 1, 1]
+
+
+def test_e_step_rejects_a_nan_row():
+    probs = np.array([[0.7, 0.3], [np.nan, np.nan]])
+    with pytest.raises(OutOfRange):
+        e_step(probs, 10)
 
 
 def test_m_step_plain_and_laplace():

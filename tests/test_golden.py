@@ -1,0 +1,83 @@
+"""Golden digests: SHA-256 of CLI outputs and fitted temperatures on seeded
+inputs, so a change that claims byte-identical output is checked against the
+recorded bytes rather than only against a rerun of itself.
+
+`train-toy` is left out: its policies go through BLAS matrix products, whose
+last bits may differ between machines. The digests were recorded with
+Python 3.11 and numpy 2.4; a different numpy may sample or format other
+bytes. When a change alters these outputs on purpose, say so and re-record.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from calibkit.cli import main
+from calibkit.core import Dataset
+from calibkit.genmodel import make_model
+from calibkit.toylab import fit_temperature
+
+GOLDEN = {
+    "eval-10": "8e0f07d134ff1a6868680015fcf1045658f4ff511052b286e3849263d506fb2f",
+    "eval-heuristic": "4c691170c3029bf5b5e143e2a9dbc19a03185882884ac045dcb762b297159fca",
+    "simulate": "9baa74b12965073690e278d0be914f348b7ff4dcd9f0310af9d22d18ded98ea6",
+    "bounds": "0de9e43afe0832bcc13f6b11d330de4783588f685e1a59cb6c78ebb6d48aa383",
+    "fit_temperature": "41b6d6a7dc0ffc2f36beb93130d6b4b588246caaaa89d76447c6188ef42fafd4",
+}
+
+
+def _digest(stdout: str, *paths) -> str:
+    h = hashlib.sha256(stdout.encode())
+    for path in paths:
+        h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _run(argv, capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bins", ["10", "heuristic"])
+def test_eval_report_and_plot_digest(bins, tmp_path, capsys):
+    rng = np.random.default_rng(2000)
+    probs = rng.dirichlet(np.ones(4) * 0.5, 2000)
+    labels = rng.integers(0, 4, 2000)
+    src = tmp_path / "preds.jsonl"
+    src.write_text("".join(
+        json.dumps({"id": f"r{i}", "confidences": row, "label": label}) + "\n"
+        for i, (row, label) in enumerate(zip(probs.tolist(), labels.tolist()))
+    ), encoding="utf-8")
+    report, plot = tmp_path / "report.json", tmp_path / "plot.svg"
+    out = _run(["eval", str(src), "--bins", bins, "--report", str(report),
+                "--plot", str(plot)], capsys)
+    assert _digest(out, report, plot) == GOLDEN[f"eval-{bins}"]
+
+
+def test_simulate_digest(tmp_path, capsys):
+    prefix = tmp_path / "sim"
+    out = _run(["simulate", "--model", "dirichlet", "--n", "3000", "--seed", "7",
+                "--out", str(prefix)], capsys)
+    paths = [tmp_path / "sim.jsonl", tmp_path / "sim.model.json"]
+    assert _digest(out, *paths) == GOLDEN["simulate"]
+
+
+def test_bounds_digest(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(make_model("dirichlet", 4, 40, seed=3).to_json_dict()),
+                     encoding="utf-8")
+    csv = tmp_path / "bounds.csv"
+    out = _run(["bounds", "--model", str(model), "--out", str(csv)], capsys)
+    assert _digest(out, csv) == GOLDEN["bounds"]
+
+
+def test_fit_temperature_digest():
+    fits = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(4) * 0.7, 300)
+        labels = rng.integers(0, 4, 300)
+        fits.append(repr(fit_temperature(Dataset.from_arrays(probs, labels))))
+    assert _digest("\n".join(fits)) == GOLDEN["fit_temperature"]

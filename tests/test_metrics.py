@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibkit.core import BinningConfig, Dataset
+from calibkit.core import BinningConfig, Dataset, bin_index_array
 from calibkit.genmodel import (
     FiniteGenerativeModel,
     Predictor,
@@ -14,6 +14,7 @@ from calibkit.genmodel import (
     tce,
 )
 from calibkit.metrics import (
+    BinStats,
     CalibrationReport,
     EmptyInput,
     NonFiniteInput,
@@ -22,7 +23,9 @@ from calibkit.metrics import (
     build_report,
     conf_ece,
     cw_ece,
+    cw_ece_arrays,
     mc_ece_population,
+    metric_row,
     reliability_diagram,
     sequence_logprob,
     win_rate,
@@ -101,6 +104,44 @@ def test_cw_ece_collapsed_predictor_fixture():
     assert abs(val - 0.375) < 1e-12
     assert tables[0][9].count == 4 and tables[0][9].empirical_freq == 0.25
     assert tables[1][0].count == 4 and tables[1][0].mean_conf == 0.0
+
+
+def _reference_cw_ece(probs, labels, M):
+    """cw-ECE and its tables from one 1-D binning pass per class, summed in
+    class order: the per-class loop the stacked kernel replaced."""
+    n, k = probs.shape
+    total, tables = 0.0, []
+    for j in range(k):
+        values, events = probs[:, j], (labels == j).astype(float)
+        idx = bin_index_array(values, M)
+        counts = np.bincount(idx, minlength=M + 1)[1:]
+        val_sums = np.bincount(idx, weights=values, minlength=M + 1)[1:]
+        evt_sums = np.bincount(idx, weights=events, minlength=M + 1)[1:]
+        occupied = counts > 0
+        mean_conf = np.divide(val_sums, counts, out=np.zeros(M), where=occupied)
+        freq = np.divide(evt_sums, counts, out=np.zeros(M), where=occupied)
+        total += float((np.abs(freq - mean_conf) * counts).sum() / n)
+        tables.append([
+            BinStats(m, (m - 1) / M, m / M, int(counts[m - 1]),
+                     float(mean_conf[m - 1]), float(freq[m - 1]))
+            for m in range(1, M + 1)
+        ])
+    return total / k, tables
+
+
+@pytest.mark.parametrize("M", [1, 10, 13])
+@pytest.mark.parametrize("k", [2, 3, 4, 9])
+def test_stacked_cw_ece_equals_per_class_loop(k, M):
+    rng = np.random.default_rng(100 * k + M)
+    n = 300
+    probs = rng.dirichlet(np.ones(k) * 0.6, n)
+    probs[:5] = np.eye(k)[rng.integers(0, k, 5)]
+    probs[5:10] = 0.0
+    probs[5:10, :2] = [0.3, 0.7]
+    labels = rng.integers(0, k, n)
+    expected = _reference_cw_ece(probs, labels, M)
+    assert cw_ece_arrays(probs, labels, M) == expected
+    assert metric_row(probs, labels, M)["cw_ece"] == expected[0]
 
 
 def test_ece_bounds_on_random_data():

@@ -8,6 +8,7 @@ st = hypothesis.strategies
 
 from calibkit.core import validate_dataset
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
+from calibkit.metrics import _binned_gaps
 from test_core import _ingest, _reference_validate_dataset
 
 
@@ -78,3 +79,26 @@ def test_validate_dataset_matches_per_row_reference(data):
     k = data.draw(st.integers(2, 4), label="k")
     rows = [_raw_row(data.draw, i, k) for i in range(n)]
     assert _ingest(validate_dataset, rows) == _ingest(_reference_validate_dataset, rows)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_stacked_binned_gaps_equal_the_per_row_call(data):
+    M = data.draw(st.sampled_from([1, 7, 10, 13]), label="M")
+    G = data.draw(st.integers(1, 5), label="G")
+    n = data.draw(st.integers(1, 24), label="n")
+    edges = [m / M for m in range(M + 1)]
+    value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    values = np.asarray(
+        data.draw(st.lists(value, min_size=G * n, max_size=G * n)), dtype=float
+    ).reshape(G, n)
+    events = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=G * n, max_size=G * n))
+    ).reshape(G, n)
+    gaps, counts, mean_conf, freq = _binned_gaps(values, events, M)
+    assert gaps.shape == (G,) and counts.shape == mean_conf.shape == freq.shape == (G, M)
+    for g in range(G):
+        gap, c, v, f = _binned_gaps(values[g], events[g], M)
+        assert type(gap) is float and gap == gaps[g]
+        assert c.tolist() == counts[g].tolist()
+        assert v.tobytes() == mean_conf[g].tobytes() and f.tobytes() == freq[g].tobytes()

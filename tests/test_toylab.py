@@ -6,7 +6,7 @@ import pytest
 
 from calibkit.core import ConfidenceVector, Dataset, PredictionRecord
 from calibkit.emcal import EmConfig
-from calibkit.metrics import accuracy, binned_ece, conf_ece
+from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
 from calibkit.toylab import (
     BadEpsilon,
     BadParams,
@@ -23,8 +23,8 @@ from calibkit.toylab import (
     task_dataset,
     temperature_transform,
     train,
-    _grid_objective,
     _one_hot,
+    _tempered,
 )
 from calibkit.targetmap import build_target_matrix
 
@@ -140,6 +140,24 @@ def test_fit_temperature_improves_overconfident_data():
     t, before, after = fit_temperature(ds)
     assert t > 1.0
     assert after < before
+
+
+def test_fit_temperature_scores_near_ties_at_the_source_argmax():
+    """Overconfident rows at 50% accuracy push the fit to the top of the grid,
+    where the [0.5-ulp, 0.5+ulp] rows round to ties. Their label is the
+    source argmax 1, so they stay correct; a fresh argmax of the tempered
+    tie would pick 0. The exact ties (label 0) share their bin, so the two
+    readings give different errors."""
+    over = np.tile([[0.9, 0.1], [0.1, 0.9]], (50, 1))
+    tie = np.full((10, 2), 0.5)
+    near = np.tile([np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)], (10, 1))
+    probs = np.vstack([over, tie, near])
+    labels = np.concatenate([np.tile([0, 0, 1, 1], 25), np.zeros(10, int), np.ones(10, int)])
+    t, before, after = fit_temperature(Dataset.from_arrays(probs, labels))
+    scaled = temperature_transform(probs, t)
+    assert t >= 13.0 and scaled[-1, 0] == scaled[-1, 1]
+    top = probs.argmax(axis=1)
+    assert after == binned_ece(scaled[np.arange(len(labels)), top], top == labels, 10)
 
 
 def test_apply_temperature_examples():
@@ -308,9 +326,11 @@ def test_temperature_transform_keeps_argmax_with_zeros():
 
 @pytest.mark.parametrize("k", [2, 4, 9])
 def test_grid_objective_matches_per_temperature_softmax(k):
-    """The one-pass grid is elementwise identical to softmax(logp / T) plus
-    binned_ece at each grid point, including one-hot rows, zero entries, a
-    tie and a near-tie that rounds to a tie at high T."""
+    """The stacked grid pass of fit_temperature is elementwise identical to
+    softmax(logp / T) plus binned_ece at each grid point, including one-hot
+    rows, zero entries, a tie and a near-tie that rounds to a tie at high T.
+    Correctness is the source argmax's: row 25 stays correct at every T,
+    though a fresh argmax of its rounded tie would pick class 0."""
     rng = np.random.default_rng(40 + k)
     n = 60
     probs = rng.dirichlet(np.ones(k) * 0.5, n)
@@ -328,10 +348,15 @@ def test_grid_objective_matches_per_temperature_softmax(k):
         logp = np.log(probs)
     assert np.isneginf(logp).any()
     grid = np.geomspace(0.05, 20.0, 400)
-    scores = _grid_objective(logp, labels, 10, grid)
+    top = probs.argmax(axis=1)
+    correct = top == labels
+    tops = _tempered(logp, logp.max(axis=1, keepdims=True), grid[:, None, None])
+    tops = tops[:, np.arange(n), top]
+    scores = _binned_gaps(tops, np.broadcast_to(correct, tops.shape), 10)[0]
+    assert softmax(logp[25:26] / 20.0)[0, 0] == softmax(logp[25:26] / 20.0)[0, 1]
     for g, T in enumerate(grid):
         scaled = softmax(logp / T)
-        expected = binned_ece(scaled.max(axis=1), np.argmax(scaled, axis=1) == labels, 10)
+        expected = binned_ece(scaled.max(axis=1), correct, 10)
         assert scores[g] == expected, (g, T)
 
 
