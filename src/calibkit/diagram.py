@@ -29,7 +29,6 @@ def reliability_svg(
     n: int,
     k: int,
     mode: str = "confidence",
-    title: str = "",
 ) -> str:
     """Render one reliability table as an SVG string.
 
@@ -37,9 +36,9 @@ def reliability_svg(
     drawing (the top class can never score below 1/k), though they remain in
     the report data.
     """
-    drawable = [b for b in bins]
+    drawable = bins
     if mode == "confidence":
-        drawable = [b for b in drawable if b.hi > 1.0 / k + 1e-12]
+        drawable = [b for b in bins if b.hi > 1.0 / k + 1e-12]
     max_count = max((b.count for b in drawable), default=0)
 
     parts = [
@@ -47,11 +46,6 @@ def reliability_svg(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
-        )
     # Axes and ticks.
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '

@@ -5,9 +5,12 @@ Each epoch stratifies records into M equal-width bins of top confidence
 rank-preserving target per record with its bin's q_m pinned on top, then runs
 a fixed number of full-batch gradient steps on
 
-    mean( sft_weight * L_nll + lambda * L_target_divergence )
+    mean( sft_weight * L_fit + lambda * L_target_divergence )
 
-against those frozen targets. Policies supply ``probs``/``combined_grad``/
+against those frozen targets, where L_fit is cross-entropy to the fit targets
+(one-hot labels unless the caller passes smoothed ones). At lambda = 0 no
+targets are built and the loop is plain full-batch descent on L_fit: this is
+the package's one training loop. Policies supply ``probs``/``combined_grad``/
 ``descend`` (see toylab).
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CalibrationError, bin_index_array
+from .core import BadParams, CalibrationError, bin_index_array
 from .metrics import metric_row
 from .targetmap import build_target_matrix
 
@@ -53,15 +56,19 @@ class EmConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.bins < 1 or self.min_bin_count < 1:
-            raise CalibrationError("bad EM configuration")
+            raise BadParams(
+                f"bad EM configuration: epochs={self.epochs!r}, bins={self.bins!r}, "
+                f"min_bin_count={self.min_bin_count!r}"
+            )
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise CalibrationError(f"lam {self.lam!r} must be finite and >= 0")
+            raise BadParams(f"lam {self.lam!r} must be finite and >= 0")
+        # A negative rate would ascend, and a zero rate would train nothing.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise CalibrationError(f"learning rate {self.learning_rate!r} must be finite and > 0")
+            raise BadParams(f"learning rate {self.learning_rate!r} must be finite and > 0")
         if self.inner_steps < 1:
-            raise CalibrationError("bad EM configuration")
+            raise BadParams(f"bad EM configuration: inner_steps={self.inner_steps!r}")
         if self.divergence not in DIVERGENCES:
-            raise CalibrationError(f"unknown divergence {self.divergence!r}")
+            raise BadParams(f"unknown divergence {self.divergence!r}")
 
 
 @dataclass(frozen=True)
@@ -172,31 +179,37 @@ def run_em(
     labels: np.ndarray,
     cfg: EmConfig,
     features: np.ndarray | None = None,
+    fit_targets: np.ndarray | None = None,
 ) -> tuple[object, list[dict]]:
     """Run the EM calibration loop, mutating and returning the policy.
 
     ``features`` is forwarded to the policy (tabular policies ignore it).
-    Each history row evaluates the policy state at that epoch, including the
-    mean losses against the targets built from that same state; the epoch's
-    inner gradient passes then reuse exactly those frozen targets. With
-    lam = 0 the target term is skipped entirely, so the trajectory matches
-    plain NLL training bitwise.
+    ``fit_targets`` are the (n, k) cross-entropy targets of the fit term,
+    one-hot ``labels`` by default. Each history row evaluates the policy state
+    at that epoch, including the mean losses against the targets built from
+    that same state; the epoch's inner gradient passes then reuse exactly
+    those frozen targets. With lam = 0 the target term is skipped entirely:
+    no targets are built, every row carries ``mean_ece: None``, and the
+    trajectory is plain full-batch descent on the fit term.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    y1 = _one_hot(labels, policy.k)
+    if fit_targets is None:
+        fit_targets = _one_hot(labels, policy.k)
     history: list[dict] = []
+    targets = None
 
     for epoch in range(cfg.epochs + 1):
         probs = policy.probs(features)
         if not np.isfinite(probs).all():
             raise NonFiniteLoss(epoch, "policy produced non-finite confidences")
-        z = e_step(probs, cfg.bins)
-        qs = m_step(probs, labels, z, cfg.min_bin_count)
-        targets = build_all_targets(probs, qs, z)
-        row = _history_row(
-            epoch, probs, labels, cfg.bins, mean_ece_loss(probs, targets, cfg.divergence)
-        )
-        if not all(np.isfinite(v) for v in row.values()):
+        mean_ece = None
+        if cfg.lam != 0.0:
+            z = e_step(probs, cfg.bins)
+            qs = m_step(probs, labels, z, cfg.min_bin_count)
+            targets = build_all_targets(probs, qs, z)
+            mean_ece = mean_ece_loss(probs, targets, cfg.divergence)
+        row = _history_row(epoch, probs, labels, cfg.bins, mean_ece)
+        if not all(v is None or np.isfinite(v) for v in row.values()):
             raise NonFiniteLoss(epoch, f"history row {row}")
         history.append(row)
         if epoch == cfg.epochs:
@@ -205,7 +218,7 @@ def run_em(
             try:
                 grad = policy.combined_grad(
                     features,
-                    y1,
+                    fit_targets,
                     targets,
                     cfg.lam,
                     cfg.divergence,
@@ -220,7 +233,7 @@ def run_em(
 def _history_row(
     epoch: int, probs: np.ndarray, labels: np.ndarray, M: int, mean_ece: float | None
 ) -> dict:
-    """One per-epoch history row; plain-descent rows pass ``mean_ece=None``."""
+    """One per-epoch history row; lam = 0 rows pass ``mean_ece=None``."""
     return {
         "epoch": epoch,
         **metric_row(probs, labels, M),

@@ -190,6 +190,14 @@ def make_model(
     return FiniteGenerativeModel(k, ids, weights, rows)
 
 
+def _draw_labels(label_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one label per row of ``label_probs`` from the
+    uniforms ``u``; a row whose cumulative sum rounds below u takes the last
+    class."""
+    k = label_probs.shape[1]
+    return np.minimum((np.cumsum(label_probs, axis=1) < u[:, None]).sum(axis=1), k - 1)
+
+
 def sample_dataset(
     model: FiniteGenerativeModel,
     predictor: Predictor,
@@ -205,9 +213,7 @@ def sample_dataset(
     pred = predictor.matrix_for(model.support)
     rng = np.random.default_rng(seed)
     idx = rng.choice(model.n_support, size=n, p=model.weights)
-    u = rng.random(n)
-    cdf = np.cumsum(model.label_probs[idx], axis=1)
-    labels = np.minimum((cdf < u[:, None]).sum(axis=1), model.k - 1)
+    labels = _draw_labels(model.label_probs[idx], rng.random(n))
     return Dataset.from_arrays(pred[idx], labels)
 
 
@@ -232,9 +238,7 @@ def labeled_accuracy(
 def realize_labels(model: FiniteGenerativeModel, seed: int = 0) -> np.ndarray:
     """Draw one label per support point from its label distribution."""
     rng = np.random.default_rng(seed)
-    u = rng.random(model.n_support)
-    cdf = np.cumsum(model.label_probs, axis=1)
-    return np.minimum((cdf < u[:, None]).sum(axis=1), model.k - 1)
+    return _draw_labels(model.label_probs, rng.random(model.n_support))
 
 
 def labels_matching_accuracy(

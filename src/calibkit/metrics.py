@@ -20,7 +20,6 @@ from .core import (
     BinningConfig,
     CalibrationError,
     Dataset,
-    EmptyDataset,
     bin_index_array,
 )
 from .genmodel import FiniteGenerativeModel, Predictor, _group_means
@@ -227,8 +226,6 @@ def metric_row(probs: np.ndarray, labels: np.ndarray, M: int) -> dict:
 
 def accuracy(ds: Dataset) -> float:
     """Fraction of records whose top-confidence class is the label."""
-    if ds.n < 1:
-        raise EmptyDataset("accuracy needs at least one record")
     return accuracy_arrays(ds.probs_matrix, ds.labels_array)
 
 
@@ -236,8 +233,6 @@ def conf_ece(
     ds: Dataset, bins: BinningConfig = BinningConfig()
 ) -> tuple[float, list[BinStats]]:
     """Top-confidence calibration error and its reliability table."""
-    if ds.n < 1:
-        raise EmptyDataset("conf_ece needs at least one record")
     return conf_ece_arrays(ds.probs_matrix, ds.labels_array, bins.effective_bins(ds.n))
 
 
@@ -245,8 +240,6 @@ def cw_ece(
     ds: Dataset, bins: BinningConfig = BinningConfig()
 ) -> tuple[float, list[list[BinStats]]]:
     """Classwise calibration error and the per-class reliability tables."""
-    if ds.n < 1:
-        raise EmptyDataset("cw_ece needs at least one record")
     return cw_ece_arrays(ds.probs_matrix, ds.labels_array, bins.effective_bins(ds.n))
 
 
@@ -261,8 +254,6 @@ def reliability_diagram(
     "classwise") pools all (record, class) pairs into one table, and an
     integer j selects the class-j table of the cw-ECE stratification.
     """
-    if ds.n < 1:
-        raise EmptyDataset("reliability_diagram needs at least one record")
     M = bins.effective_bins(ds.n)
     probs, labels = ds.probs_matrix, ds.labels_array
     if mode == "confidence":

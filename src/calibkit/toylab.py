@@ -10,24 +10,22 @@ the role of the critical accuracy separating the two calibration regimes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import BadParams, BinningConfig, CalibrationError, Dataset, EmptyDataset
+from .core import BadParams, BinningConfig, CalibrationError, Dataset
 from .emcal import (
     EmConfig,
     LOG_FLOOR,
     NonFiniteGradient,
-    NonFiniteLoss,
-    _history_row,
-    _one_hot,
+    _one_hot,  # noqa: F401  re-exported: the acceptance suite imports it from here
     mean_ece_loss,
     mean_sft,
     run_em,
 )
+from .genmodel import _draw_labels
 from .metrics import _binned_gaps, binned_ece, metric_row
 
 
@@ -91,9 +89,7 @@ def gen_toy_task(
     X = rng.standard_normal((n, d))
     W = rng.standard_normal((d, k))
     probs = softmax(X @ W / teacher_temperature)
-    u = rng.random(n)
-    cdf = np.cumsum(probs, axis=1)
-    labels = np.minimum((cdf < u[:, None]).sum(axis=1), k - 1)
+    labels = _draw_labels(probs, rng.random(n))
     return ToyTask(X, labels.astype(np.int64), k, W, float(teacher_temperature))
 
 
@@ -271,8 +267,6 @@ def fit_temperature(
     T = 1 is always a candidate, so the fitted temperature never increases
     conf-ECE here; when nothing beats the identity, (1.0, e, e) is returned.
     """
-    if ds_val.n < 1:
-        raise EmptyDataset("fit_temperature needs at least one record")
     M = bins.effective_bins(ds_val.n)
     probs, labels = ds_val.probs_matrix, ds_val.labels_array
     with np.errstate(divide="ignore"):
@@ -328,28 +322,6 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
-def _gd_train(policy, features, labels, soft_labels, epochs, lr, M):
-    """Plain full-batch gradient descent on cross-entropy to soft targets,
-    logging one history row per step with metrics binned into M bins.
-
-    A step count below 0, or a learning rate that is not finite and > 0,
-    raises BadParams: a negative rate would ascend, and a zero rate or step
-    count would silently train nothing.
-    """
-    if epochs < 0 or not (math.isfinite(lr) and lr > 0.0):
-        raise BadParams(f"plain descent needs epochs >= 0 and a finite lr > 0, "
-                        f"got epochs={epochs!r}, lr={lr!r}")
-    history = [_history_row(0, policy.probs(features), labels, M, None)]
-    for epoch in range(1, epochs + 1):
-        grad = policy.combined_grad(features, soft_labels, None, 0.0, "mse")
-        policy.descend(grad, lr)
-        probs = policy.probs(features)
-        if not np.isfinite(probs).all():
-            raise NonFiniteLoss(epoch, "policy produced non-finite confidences")
-        history.append(_history_row(epoch, probs, labels, M, None))
-    return policy, history
-
-
 def train(
     policy,
     task: ToyTask,
@@ -364,34 +336,36 @@ def train(
 ):
     """Train a policy on the toy task under one of the study modes.
 
-    sft-only and label-smooth run plain full-batch gradient descent on the
+    Every mode runs the EM loop. sft-only and label-smooth run it at lam = 0,
+    one gradient step per epoch, which is plain full-batch descent on the
     (optionally smoothed) label cross-entropy. cft hands the policy to the EM
-    calibration loop. rcft-analog first switches to a tabular policy seeded
+    loop with ``em``. rcft-analog first switches to a tabular policy seeded
     from the current confidences and overfits it with plain descent, then runs
-    the EM loop at lam = 1; the capacity jump stands in for a heavier fit
-    objective and pushes accuracy past the task's critical threshold.
+    the EM loop with ``em``; the capacity jump stands in for a heavier fit
+    objective and pushes accuracy past the task's critical threshold. cft and
+    rcft-analog need ``em``.
 
-    Plain-descent history rows bin their metrics into ``bins`` bins; EM rows,
-    and the rcft-analog overfit rows before them, use the EM config's bins.
+    sft-only and label-smooth rows bin their metrics into ``bins`` bins; cft
+    and rcft-analog rows, the overfit rows included, use the EM config's bins.
+    Every plain-descent row carries ``mean_ece: None``.
     """
-    y1 = _one_hot(task.labels, task.k)
-    if mode == "sft-only":
-        return _gd_train(policy, task.features, task.labels, y1, epochs, lr, bins)
-    if mode == "label-smooth":
-        smooth = label_smooth_targets(task.labels, task.k, epsilon)
-        return _gd_train(policy, task.features, task.labels, smooth, epochs, lr, bins)
+    def plain(epochs, lr, bins):
+        return EmConfig(epochs=epochs, bins=bins, lam=0.0, learning_rate=lr, inner_steps=1)
+
+    if mode in ("sft-only", "label-smooth"):
+        fit = None if mode == "sft-only" else label_smooth_targets(task.labels, task.k, epsilon)
+        return run_em(
+            policy, task.labels, plain(epochs, lr, bins), features=task.features,
+            fit_targets=fit,
+        )
+    if mode in ("cft", "rcft-analog") and em is None:
+        raise BadParams(f"mode {mode!r} needs an EmConfig")
     if mode == "cft":
-        cfg = em if em is not None else EmConfig(epochs=max(1, epochs // 50), learning_rate=lr)
-        return run_em(policy, task.labels, cfg, features=task.features)
+        return run_em(policy, task.labels, em, features=task.features)
     if mode == "rcft-analog":
-        cfg = em if em is not None else EmConfig(
-            epochs=max(1, epochs // 50), lam=1.0, learning_rate=lr
-        )
         tab = TabularPolicy.from_probs(policy.probs(task.features))
-        tab, hist1 = _gd_train(
-            tab, None, task.labels, y1, overfit_epochs, overfit_lr, cfg.bins
-        )
-        tab, hist2 = run_em(tab, task.labels, cfg, features=None)
+        tab, hist1 = run_em(tab, task.labels, plain(overfit_epochs, overfit_lr, em.bins))
+        tab, hist2 = run_em(tab, task.labels, em)
         for i, row in enumerate(hist2):
             row["epoch"] = hist1[-1]["epoch"] + i
         return tab, hist1 + hist2[1:]
@@ -403,8 +377,11 @@ def task_dataset(task: ToyTask, policy) -> Dataset:
     return Dataset.from_arrays(policy.probs(task.features), task.labels)
 
 
-# Pinned study configuration: one task and budget per stage, reused by the CLI
-# defaults and the acceptance suite so published numbers are reproducible.
+# Pinned study configuration: one task and budget per stage, reused by the
+# acceptance suite so published numbers are reproducible. The CLI defaults
+# differ: `train-toy --mode rcft` uses its --lr (0.5) as the EM rate where the
+# study uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8) where the
+# study runs ece_only_epochs.
 STUDY = {
     "d": 32,
     "k": 4,

@@ -79,22 +79,27 @@ def test_eval_reports_every_bad_json_line(tmp_path, capsys):
     [
         (["train-toy", "--k", "1"], "BadParams"),
         (["train-toy", "--lr", "0", "--n", "40", "--dim", "4", "--epochs", "2"],
-         "CalibrationError"),
+         "BadParams"),
         (["eval", "PRED", "--bins", "0"], "OutOfRange"),
         (["train-toy", "--mode", "cft", "--lr", "nan", "--n", "40", "--dim", "4"],
-         "CalibrationError"),
+         "BadParams"),
         (["train-toy", "--mode", "cft", "--lambda", "nan", "--n", "40", "--dim", "4"],
-         "CalibrationError"),
+         "BadParams"),
         (["train-toy", "--mode", "sft-only", "--lr", "-1", "--n", "40", "--dim", "4"],
          "BadParams"),
         (["train-toy", "--mode", "ts", "--lr", "0", "--n", "40", "--dim", "4"],
          "BadParams"),
         (["train-toy", "--mode", "label-smooth", "--epochs", "-3", "--n", "40", "--dim", "4"],
          "BadParams"),
+        (["train-toy", "--mode", "ece-only", "--lr", "0", "--n", "40", "--dim", "4"],
+         "BadParams"),
+        (["train-toy", "--mode", "rcft", "--lr", "0", "--n", "40", "--dim", "4"],
+         "BadParams"),
     ],
     ids=["train-toy-k-1", "train-toy-lr-0", "eval-bins-0", "train-toy-cft-lr-nan",
          "train-toy-cft-lambda-nan", "train-toy-sft-lr-negative", "train-toy-ts-lr-0",
-         "train-toy-smooth-epochs-negative"],
+         "train-toy-smooth-epochs-negative", "train-toy-ece-only-lr-0",
+         "train-toy-rcft-lr-0"],
 )
 def test_calibration_errors_exit_2_with_one_error_line(argv, kind, pred_file, capsys):
     code = main([str(pred_file) if a == "PRED" else a for a in argv])

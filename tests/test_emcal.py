@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibkit.core import CalibrationError, OutOfRange
+from calibkit.core import BadParams, CalibrationError, OutOfRange
 from calibkit.emcal import (
     BinAccuracy,
     EmConfig,
@@ -244,6 +244,23 @@ def test_run_em_lam_zero_matches_sft_bitwise():
     assert np.array_equal(a.W, b.W)
 
 
+@pytest.mark.parametrize("features", [True, False], ids=["linear", "tabular"])
+def test_run_em_lam_zero_builds_no_targets(features, monkeypatch):
+    def no_targets(*args, **kwargs):
+        raise AssertionError("lam = 0 built a target matrix")
+
+    monkeypatch.setattr("calibkit.emcal.build_target_matrix", no_targets)
+    task = gen_toy_task(d=6, k=4, n=120, seed=15)
+    policy = LinearPolicy(task.d, task.k) if features else TabularPolicy.zeros(task.n, task.k)
+    _, history = run_em(
+        policy, task.labels,
+        EmConfig(epochs=4, inner_steps=3, lam=0.0, learning_rate=0.5),
+        features=task.features if features else None,
+    )
+    assert [row["epoch"] for row in history] == [0, 1, 2, 3, 4]
+    assert all(row["mean_ece"] is None for row in history)
+
+
 def test_run_em_large_lambda_drives_toward_chance():
     # With lam >> 1 the fit term is swamped; the step size compensates for the
     # gradient scale so descent stays stable.
@@ -286,16 +303,19 @@ def test_combined_grad_rejects_non_finite_targets():
 
 
 def test_em_config_validation():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(BadParams):
         EmConfig(divergence="kl")
-    with pytest.raises(CalibrationError):
+    with pytest.raises(BadParams):
         EmConfig(bins=0)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(BadParams):
         EmConfig(learning_rate=0.0)
+    for kwargs in ({"epochs": -1}, {"min_bin_count": 0}, {"inner_steps": 0}):
+        with pytest.raises(BadParams):
+            EmConfig(**kwargs)
     # NaN compares false with everything, so each bound is checked as finite.
     for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(BadParams):
             EmConfig(lam=bad)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(BadParams):
             EmConfig(learning_rate=bad)
     assert len(dataclasses.fields(EmConfig)) == 8

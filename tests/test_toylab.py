@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from calibkit.core import ConfidenceVector, Dataset, PredictionRecord
-from calibkit.emcal import EmConfig
+from calibkit.emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, _history_row
 from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
 from calibkit.toylab import (
     BadEpsilon,
@@ -246,6 +246,87 @@ def test_bad_params_is_one_class():
     from calibkit import core, genmodel
 
     assert BadParams is core.BadParams is genmodel.BadParams
+
+
+def _reference_gd_train(policy, features, labels, soft_labels, epochs, lr, M):
+    """The plain-descent loop ``train`` ran before every mode went through
+    ``run_em``, kept as the reference for its lam = 0 trajectory."""
+    if epochs < 0 or not (math.isfinite(lr) and lr > 0.0):
+        raise BadParams(f"plain descent needs epochs >= 0 and a finite lr > 0, "
+                        f"got epochs={epochs!r}, lr={lr!r}")
+    history = [_history_row(0, policy.probs(features), labels, M, None)]
+    for epoch in range(1, epochs + 1):
+        grad = policy.combined_grad(features, soft_labels, None, 0.0, "mse")
+        policy.descend(grad, lr)
+        probs = policy.probs(features)
+        if not np.isfinite(probs).all():
+            raise NonFiniteLoss(epoch, "policy produced non-finite confidences")
+        history.append(_history_row(epoch, probs, labels, M, None))
+    return policy, history
+
+
+def _params(policy):
+    return (policy.W if isinstance(policy, LinearPolicy) else policy.logits).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 4, 9])
+@pytest.mark.parametrize("epochs", [0, 7])
+@pytest.mark.parametrize("mode", ["sft-only", "label-smooth"])
+@pytest.mark.parametrize("kind", ["linear", "tabular"])
+def test_plain_descent_matches_reference_loop_bitwise(k, epochs, mode, kind):
+    task = gen_toy_task(d=5, k=k, n=60, seed=20 + k)
+    rng = np.random.default_rng(k)
+    if kind == "linear":
+        start, features = LinearPolicy(task.d, k, rng.standard_normal((task.d, k))), task.features
+    else:
+        start, features = TabularPolicy(rng.standard_normal((task.n, k))), None
+    if mode == "label-smooth":
+        soft = label_smooth_targets(task.labels, k, 0.1)
+    else:
+        soft = _one_hot(task.labels, k)
+    ref, ref_hist = _reference_gd_train(
+        start.clone(), features, task.labels, soft, epochs, 0.5, 7
+    )
+    got, hist = train(start.clone(), task, mode=mode, epochs=epochs, lr=0.5, bins=7)
+    assert _params(got) == _params(ref)
+    assert hist == ref_hist
+
+
+@pytest.mark.parametrize("k", [2, 4, 9])
+@pytest.mark.parametrize("overfit_epochs", [0, 7])
+def test_rcft_analog_overfit_stage_matches_reference_loop_bitwise(k, overfit_epochs):
+    task = gen_toy_task(d=5, k=k, n=60, seed=30 + k)
+    policy = LinearPolicy(task.d, k, np.random.default_rng(k).standard_normal((task.d, k)))
+    tab = TabularPolicy.from_probs(policy.probs(task.features))
+    ref, ref_hist = _reference_gd_train(
+        tab, None, task.labels, _one_hot(task.labels, k), overfit_epochs, 0.5, 7
+    )
+    # With zero EM epochs the EM stage adds no row and leaves the logits alone.
+    got, hist = train(
+        policy, task, mode="rcft-analog",
+        em=EmConfig(epochs=0, bins=7, lam=1.0, learning_rate=0.1),
+        overfit_epochs=overfit_epochs, overfit_lr=0.5,
+    )
+    assert _params(got) == _params(ref)
+    assert hist == ref_hist
+
+
+@pytest.mark.parametrize("mode", ["cft", "rcft-analog"])
+def test_train_em_modes_need_an_em_config(mode):
+    task = gen_toy_task(d=4, k=3, n=30, seed=16)
+    with pytest.raises(BadParams):
+        train(LinearPolicy(task.d, task.k), task, mode=mode)
+
+
+def test_plain_descent_non_finite_gradient_names_its_epoch():
+    class Diverging(LinearPolicy):
+        def combined_grad(self, *args, **kwargs):
+            raise NonFiniteGradient("linear policy gradient is not finite")
+
+    task = gen_toy_task(d=4, k=3, n=30, seed=17)
+    with pytest.raises(NonFiniteLoss) as err:
+        train(Diverging(task.d, task.k), task, mode="sft-only", epochs=3, lr=0.5)
+    assert err.value.epoch == 1
 
 
 def test_train_sft_equals_label_smooth_zero_bitwise():
