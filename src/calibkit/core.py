@@ -284,6 +284,49 @@ class Dataset:
 
 _EPS = float(np.finfo(float).eps)
 
+# numpy 2.4 reduces slowly over a short innermost axis: on a (1e4, 4)
+# matrix, max(axis=1) costs over 20 times a running np.maximum over the 4
+# columns. Below this many classes the row kernels take a column pass.
+_COLUMN_PASS_K = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` of a float array, bit for bit.
+
+    For k < 8 it is a running ``np.maximum`` over the k column slices: the
+    same elementwise maximum taken in row order, so the bits equal numpy's,
+    signed zeros included. From k = 8 on numpy's own reduction runs, because
+    its vector loop may return the other zero of a -0.0/0.0 tie. A row with
+    a NaN gives NaN; only the NaN's sign is not pinned, as numpy itself
+    returns +NaN for a C-ordered row that starts with -NaN and -NaN for the
+    same row in Fortran order.
+    """
+    k = a.shape[-1]
+    if not 0 < k < _COLUMN_PASS_K:
+        return a.max(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, k):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a float array, bit for bit.
+
+    For k < 8 numpy adds a row's entries in sequence onto 0.0, and the
+    column pass makes the same additions in the same order: it starts from
+    ``0.0 + a[..., 0]``, which turns a -0.0 into 0.0 as numpy does. From
+    k = 8 on numpy sums pairwise in blocks, an order a column pass does not
+    reproduce, so numpy's own reduction runs.
+    """
+    k = a.shape[-1]
+    if not 0 < k < _COLUMN_PASS_K:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, k):
+        out += a[..., j]
+    return out
+
 
 def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
     """Rows of an (n, k) matrix that ``ConfidenceVector`` would reject.
@@ -297,7 +340,7 @@ def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
         return np.ones(n, dtype=bool)
     bad = ~(np.isfinite(probs) & (probs >= 0.0) & (probs <= 1.0)).all(axis=1)
     with np.errstate(invalid="ignore"):
-        off = np.abs(probs.sum(axis=1) - 1.0)
+        off = np.abs(_row_sum(probs) - 1.0)
     band = 2.0 * k * _EPS
     bad |= off > SIMPLEX_ATOL + band
     for i in np.flatnonzero(~bad & (off >= SIMPLEX_ATOL - band)):
@@ -496,7 +539,7 @@ def _check_confidences(group: list, L: int):
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(probs).all(axis=1)
         outside = ((probs < 0.0) | (probs > 1.0 + INGEST_SIMPLEX_ATOL)).any(axis=1)
-        off = np.abs(probs.sum(axis=1) - 1.0)
+        off = np.abs(_row_sum(probs) - 1.0)
     code[(code == _CONF_OK) & ~finite] = _CONF_NON_FINITE
     code[(code == _CONF_OK) & outside] = _CONF_RANGE
     exact = np.flatnonzero((code == _CONF_OK) & (off >= SIMPLEX_ATOL - 2.0 * L * _EPS))

@@ -10,8 +10,19 @@ a fixed number of full-batch gradient steps on
 against those frozen targets, where L_fit is cross-entropy to the fit targets
 (one-hot labels unless the caller passes smoothed ones). At lambda = 0 no
 targets are built and the loop is plain full-batch descent on L_fit: this is
-the package's one training loop. Policies supply ``probs``/``combined_grad``/
-``descend`` (see toylab).
+the package's one training loop.
+
+A policy supplies (see toylab):
+
+- ``k``, its class count;
+- ``probs(features)``, the (n, k) confidence matrix;
+- ``combined_grad(features, fit_targets, targets, lam, divergence,
+  sft_weight=1.0, probs=None)``, the gradient of the mean combined loss.
+  ``probs`` is the policy's own ``probs(features)`` at its current weights
+  when the caller already holds it; None makes the policy compute it. The
+  loop passes the history row's matrix to each epoch's first inner step,
+  so one softmax serves both;
+- ``descend(grad, lr)``, one step against that gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadParams, CalibrationError, bin_index_array
+from .core import BadParams, CalibrationError, _row_max, _row_sum, bin_index_array
 from .metrics import metric_row
 from .targetmap import build_target_matrix
 
@@ -89,7 +100,7 @@ class BinAccuracy:
 
 def e_step(probs: np.ndarray, M: int) -> LatentAssignment:
     """Stratify records by top confidence into M equal-width bins."""
-    return LatentAssignment(z=bin_index_array(probs.max(axis=1), M), M=M)
+    return LatentAssignment(z=bin_index_array(_row_max(probs), M), M=M)
 
 
 def m_step(
@@ -164,7 +175,7 @@ def mean_ece_loss(probs: np.ndarray, targets: np.ndarray, divergence: str) -> fl
     if divergence == "mse":
         return float(((targets - probs) ** 2).mean())
     if divergence == "cross-entropy":
-        return float(-(targets * np.log(np.maximum(probs, LOG_FLOOR))).sum(axis=1).mean())
+        return float(-_row_sum(targets * np.log(np.maximum(probs, LOG_FLOOR))).mean())
     raise CalibrationError(f"unknown divergence {divergence!r}")
 
 
@@ -214,7 +225,7 @@ def run_em(
         history.append(row)
         if epoch == cfg.epochs:
             break
-        for _ in range(cfg.inner_steps):
+        for step in range(cfg.inner_steps):
             try:
                 grad = policy.combined_grad(
                     features,
@@ -223,6 +234,8 @@ def run_em(
                     cfg.lam,
                     cfg.divergence,
                     sft_weight=cfg.sft_weight,
+                    # The weights have not moved since the row's softmax.
+                    probs=probs if step == 0 else None,
                 )
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(epoch + 1, str(exc)) from exc

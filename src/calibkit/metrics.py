@@ -20,6 +20,7 @@ from .core import (
     BinningConfig,
     CalibrationError,
     Dataset,
+    _row_max,
     bin_index_array,
 )
 from .genmodel import FiniteGenerativeModel, Predictor, _group_means
@@ -199,7 +200,7 @@ def conf_ece_arrays(
     probs: np.ndarray, labels: np.ndarray, M: int
 ) -> tuple[float, list[BinStats]]:
     correct = np.argmax(probs, axis=1) == labels
-    ece, *arrays = _binned_gaps(probs.max(axis=1), correct, M)
+    ece, *arrays = _binned_gaps(_row_max(probs), correct, M)
     return ece, _table(*arrays)
 
 
@@ -219,7 +220,7 @@ def metric_row(probs: np.ndarray, labels: np.ndarray, M: int) -> dict:
     correct = np.argmax(probs, axis=1) == labels
     return {
         "acc": float(np.mean(correct)),
-        "conf_ece": binned_ece(probs.max(axis=1), correct, M),
+        "conf_ece": binned_ece(_row_max(probs), correct, M),
         "cw_ece": _classwise_gaps(probs, labels, M)[0],
     }
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import CalibrationError
+from .core import CalibrationError, _row_max, _row_sum
 
 LN3 = math.log(3.0)
 
@@ -52,7 +52,7 @@ def build_target_matrix(
     rows = np.arange(n)
     tail = conf.copy()
     tail[rows, top] = -np.inf
-    max_tail = np.where(np.isfinite(tail), tail, 0.0).max(axis=1)
+    max_tail = _row_max(np.where(np.isfinite(tail), tail, 0.0))
 
     out = np.empty_like(conf)
     degenerate = max_tail <= 0.0
@@ -62,8 +62,8 @@ def build_target_matrix(
         gamma = LN3 / (max_tail[ok] * (1.0 - qq))
         t = np.tanh(gamma[:, None] * conf[ok])
         t[np.arange(ok.sum()), top[ok]] = 0.0
-        tanh_sum = t.sum(axis=1)
-        tanh_max = t.max(axis=1)
+        tanh_sum = _row_sum(t)
+        tanh_max = _row_max(t)
         alpha = (1.0 - qq) / (tanh_sum + (k - 1))
         # The simplified coefficients can push the largest mapped tail entry to
         # or above the pinned top when q is small. The mass constraint leaves
@@ -106,8 +106,8 @@ def _order_isotonic(conf: np.ndarray, out: np.ndarray, top, rows) -> np.ndarray:
 
     masked = conf.copy()
     masked[rows, top] = -np.inf
-    strict_top_in = conf[rows, top] > masked.max(axis=1)
+    strict_top_in = conf[rows, top] > _row_max(masked)
     masked_out = out.copy()
     masked_out[rows, top] = -np.inf
-    strict_top_out = out[rows, top] > masked_out.max(axis=1)
+    strict_top_out = out[rows, top] > _row_max(masked_out)
     return no_inversion & (~strict_top_in | strict_top_out)

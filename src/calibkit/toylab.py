@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BadParams, BinningConfig, CalibrationError, Dataset
+from .core import BadParams, BinningConfig, CalibrationError, Dataset, _row_max, _row_sum
 from .emcal import (
     EmConfig,
     LOG_FLOOR,
@@ -41,10 +41,10 @@ class BadEpsilon(CalibrationError):
     pass
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(z - _row_max(z)[..., None])
+    return e / _row_sum(e)[..., None]
 
 
 @dataclass
@@ -119,7 +119,7 @@ def _grad_wrt_logits(
             dldp = np.where(probs > LOG_FLOOR, -targets / probs, 0.0) / n
         else:
             raise BadParams(f"unknown divergence {divergence!r}")
-        g = g + lam * probs * (dldp - (dldp * probs).sum(axis=1, keepdims=True))
+        g = g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None])
     return g
 
 
@@ -143,8 +143,11 @@ class LinearPolicy:
             raise DimensionMismatch("features do not match the weight matrix")
         return softmax(features @ self.W / self.temperature)
 
-    def combined_grad(self, features, soft_labels, targets, lam, divergence, sft_weight=1.0):
-        probs = self.probs(features)
+    def combined_grad(
+        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
+    ):
+        if probs is None:
+            probs = self.probs(features)
         g = _grad_wrt_logits(probs, soft_labels, targets, lam, divergence, sft_weight)
         grad = features.T @ g / self.temperature
         if not np.isfinite(grad).all():
@@ -181,8 +184,11 @@ class TabularPolicy:
     def probs(self, features: np.ndarray | None = None) -> np.ndarray:
         return softmax(self.logits)
 
-    def combined_grad(self, features, soft_labels, targets, lam, divergence, sft_weight=1.0):
-        probs = self.probs()
+    def combined_grad(
+        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
+    ):
+        if probs is None:
+            probs = self.probs()
         grad = _grad_wrt_logits(probs, soft_labels, targets, lam, divergence, sft_weight)
         if not np.isfinite(grad).all():
             raise NonFiniteGradient("tabular policy gradient is not finite")
@@ -240,7 +246,7 @@ def temperature_transform(probs: np.ndarray, T: float) -> np.ndarray:
         raise BadTemperature("temperature must be > 0")
     with np.errstate(divide="ignore"):
         logp = np.log(probs)
-    return _tempered(logp, logp.max(axis=1, keepdims=True), T)
+    return _tempered(logp, _row_max(logp)[:, None], T)
 
 
 def _tempered(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
@@ -254,8 +260,14 @@ def _tempered(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
     z = logp / T
     z -= logp_max / T
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= _row_sum(z)[..., None]
     return z
+
+
+# fit_temperature scores its grid a chunk of temperatures at a time, and
+# each chunk's (chunk, n, k) tempered tensor holds at most this many entries
+# (8 MB): memory stays flat as n grows, and a small split takes one pass.
+_GRID_CHUNK_ENTRIES = 2**20
 
 
 def fit_temperature(
@@ -271,7 +283,7 @@ def fit_temperature(
     probs, labels = ds_val.probs_matrix, ds_val.labels_array
     with np.errstate(divide="ignore"):
         logp = np.log(probs)
-    logp_max = logp.max(axis=1, keepdims=True)
+    logp_max = _row_max(logp)[:, None]
     rows = np.arange(ds_val.n)
     # Correctness is judged once, at the source argmax. Tempering is
     # monotone, so the tempered entry there is exp(0) / sum, a row max bit
@@ -287,8 +299,14 @@ def fit_temperature(
 
     ece_before = binned_ece(probs[rows, top], correct, M)
     grid = np.geomspace(0.05, 20.0, 400)
-    tops = _tempered(logp, logp_max, grid[:, None, None])[:, rows, top]
-    scores = _binned_gaps(tops, np.broadcast_to(correct, tops.shape), M)[0]
+    # A stacked _binned_gaps scores each row alone, so scoring the grid a
+    # chunk at a time gives the same bits as one pass.
+    step = max(1, _GRID_CHUNK_ENTRIES // probs.size)
+    chunks = []
+    for i in range(0, grid.size, step):
+        tops = _tempered(logp, logp_max, grid[i:i + step, None, None])[:, rows, top]
+        chunks.append(_binned_gaps(tops, np.broadcast_to(correct, tops.shape), M)[0])
+    scores = np.concatenate(chunks)
     best = int(np.argmin(scores))
 
     lo = grid[max(best - 1, 0)]

@@ -22,6 +22,8 @@ from calibkit.core import (
     SchemaError,
     SimplexViolation,
     Violation,
+    _row_max,
+    _row_sum,
     bin_index_array,
     normalize_options,
     validate_dataset,
@@ -606,3 +608,51 @@ def test_binning_config():
         BinningConfig(M=0)
     with pytest.raises(SchemaError):
         BinningConfig(strategy="quantile")
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Exact equality that tells -0.0 from 0.0. NaNs must sit in the same
+    places; their signs are not compared, since numpy's own row max gives
+    different NaN signs for C- and Fortran-ordered copies of one matrix."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    nan = np.isnan(want)
+    assert np.where(nan, np.nan, got).tobytes() == np.where(nan, np.nan, want).tobytes()
+
+
+def _kernel_cases(k: int) -> dict:
+    rng = np.random.default_rng(k)
+    nan_rows = rng.dirichlet(np.ones(k), 12)
+    nan_rows[rng.random((12, k)) < 0.3] = np.nan
+    nan_rows[:4, 0] = -np.nan
+    nan_rows[4] = np.nan
+    with np.errstate(divide="ignore"):
+        log_one_hot = np.log(np.eye(k))
+    return {
+        "dirichlet": rng.dirichlet(np.ones(k) * 0.5, 200),
+        "mixed-magnitudes": rng.standard_normal((200, k)) * 10.0 ** rng.integers(-8, 9, (200, k)),
+        "one-hot": np.eye(k)[rng.integers(0, k, 30)],
+        "all-zero": np.zeros((5, k)),
+        "signed-zeros": rng.choice([0.0, -0.0], (60, k)),
+        "ties": rng.integers(0, 3, (60, k)) / 2.0,
+        "log-probs-with-inf": np.vstack([log_one_hot, np.full((1, k), -np.inf)]),
+        "nan-rows": nan_rows,
+        "grid-stack": rng.standard_normal((3, 40, k)),
+        "fortran-order": np.asfortranarray(rng.standard_normal((50, k))),
+        "no-rows": np.zeros((0, k)),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 17])
+def test_row_kernels_equal_numpy_reductions(k):
+    for name, a in _kernel_cases(k).items():
+        with np.errstate(invalid="ignore"):
+            _assert_same_bits(_row_max(a), a.max(axis=-1))
+            _assert_same_bits(_row_sum(a), a.sum(axis=-1))
+
+
+def test_row_kernels_keep_the_input():
+    a = np.array([[-0.0, 0.5, 0.25], [0.3, -0.0, 0.7]])
+    before = a.copy()
+    _row_max(a), _row_sum(a)
+    assert a.tobytes() == before.tobytes()

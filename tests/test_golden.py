@@ -3,7 +3,8 @@ inputs, so a change that claims byte-identical output is checked against the
 recorded bytes rather than only against a rerun of itself.
 
 `train-toy` is left out: its policies go through BLAS matrix products, whose
-last bits may differ between machines. The digests were recorded with
+last bits may differ between machines. The EM loop is pinned instead through
+a tabular policy, which makes no matrix product. The digests were recorded with
 Python 3.11 and numpy 2.4; a different numpy may sample or format other
 bytes. When a change alters these outputs on purpose, say so and re-record.
 """
@@ -16,8 +17,9 @@ import pytest
 
 from calibkit.cli import main
 from calibkit.core import Dataset
+from calibkit.emcal import EmConfig, run_em
 from calibkit.genmodel import make_model
-from calibkit.toylab import fit_temperature
+from calibkit.toylab import TabularPolicy, fit_temperature
 
 GOLDEN = {
     "eval-10": "8e0f07d134ff1a6868680015fcf1045658f4ff511052b286e3849263d506fb2f",
@@ -25,6 +27,7 @@ GOLDEN = {
     "simulate": "9baa74b12965073690e278d0be914f348b7ff4dcd9f0310af9d22d18ded98ea6",
     "bounds": "0de9e43afe0832bcc13f6b11d330de4783588f685e1a59cb6c78ebb6d48aa383",
     "fit_temperature": "41b6d6a7dc0ffc2f36beb93130d6b4b588246caaaa89d76447c6188ef42fafd4",
+    "run_em": "31cf8c3b9c82b541772bf73edea9e90a1531c5a7f40b7b21426a82bbc8c5de44",
 }
 
 
@@ -81,3 +84,21 @@ def test_fit_temperature_digest():
         labels = rng.integers(0, 4, 300)
         fits.append(repr(fit_temperature(Dataset.from_arrays(probs, labels))))
     assert _digest("\n".join(fits)) == GOLDEN["fit_temperature"]
+
+
+def test_run_em_digest():
+    """Histories and final logits of the EM loop at lam = 1 and lam = 0, for
+    both divergences, at k = 4 and at k = 9."""
+    parts = []
+    for k in (4, 9):
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k) * 0.7, 400)
+        labels = rng.integers(0, k, 400)
+        for divergence in ("mse", "cross-entropy"):
+            for lam in (1.0, 0.0):
+                cfg = EmConfig(epochs=4, bins=10, lam=lam, divergence=divergence,
+                               learning_rate=0.5, inner_steps=5)
+                policy, hist = run_em(TabularPolicy.from_probs(probs), labels, cfg)
+                parts.append(repr(hist))
+                parts.append(repr(policy.logits.tolist()))
+    assert _digest("\n".join(parts)) == GOLDEN["run_em"]

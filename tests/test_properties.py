@@ -6,10 +6,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from calibkit.core import validate_dataset
+from calibkit.core import _row_max, _row_sum, validate_dataset
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
 from calibkit.metrics import _binned_gaps
-from test_core import _ingest, _reference_validate_dataset
+from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 
 
 def _rows(draw, s, k):
@@ -102,3 +102,20 @@ def test_stacked_binned_gaps_equal_the_per_row_call(data):
         assert type(gap) is float and gap == gaps[g]
         assert c.tolist() == counts[g].tolist()
         assert v.tobytes() == mean_conf[g].tobytes() and f.tobytes() == freq[g].tobytes()
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_row_kernels_equal_numpy_reductions(data):
+    k = data.draw(st.integers(1, 17), label="k")
+    lead = data.draw(st.sampled_from([(), (3,), (2, 3)]), label="lead")
+    size = int(np.prod(lead, dtype=int)) * k
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan, -np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    a = np.asarray(data.draw(st.lists(entry, min_size=size, max_size=size)),
+                   dtype=float).reshape(lead + (k,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_same_bits(_row_max(a), a.max(axis=-1))
+        _assert_same_bits(_row_sum(a), a.sum(axis=-1))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,3 +455,19 @@ def test_apply_temperature_keeps_ids_labels_and_splits():
         ("x", 0, "train"), ("y", 2, None), ("z", 1, "test")
     ]
     assert hot.probs_matrix.tobytes() == temperature_transform(ds.probs_matrix, 3.0).tobytes()
+
+
+def test_fit_temperature_memory_stays_bounded():
+    """At n = 2e4, k = 4 the whole 400-temperature tensor would take 256 MB;
+    the grid is scored in chunks, and the fit must peak below a quarter of
+    that."""
+    rng = np.random.default_rng(0)
+    n, k = 20_000, 4
+    ds = Dataset.from_arrays(rng.dirichlet(np.ones(k), n), rng.integers(0, k, n))
+    tracemalloc.start()
+    try:
+        fit_temperature(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n * k * 8 / 4
