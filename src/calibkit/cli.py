@@ -78,28 +78,41 @@ def _parse_bins(text: str) -> BinningConfig:
         raise BadParams(f"--bins must be an integer or 'heuristic', got {text!r}") from exc
 
 
-def cmd_eval(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    rows, line_of_row, bad_json = [], [], False
-    for ln, line in enumerate(lines, start=1):
+def _jsonl_values(fh):
+    """Yield ``(line number, value, error)`` for each nonblank line of an
+    open JSONL file: the parsed value and None, or None and the line's
+    ``line N: invalid JSON: ...`` message."""
+    for ln, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append(json.loads(line))
-            line_of_row.append(ln)
+            yield ln, json.loads(line), None
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, the int parser's digit limit, or nesting
             # deeper than the recursion limit.
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-            print(f"error: line {ln}: invalid JSON: {msg}", file=sys.stderr)
-            bad_json = True
+            yield ln, None, f"line {ln}: invalid JSON: {msg}"
+
+
+def cmd_eval(args) -> int:
+    rows, line_of_row, bad_json = [], [], []
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            for ln, value, error in _jsonl_values(fh):
+                if error is None:
+                    rows.append(value)
+                    line_of_row.append(ln)
+                else:
+                    bad_json.append(error)
+    except OSError as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+    # Printed only once the whole file has decoded, so a file that is not
+    # UTF-8 reports that alone.
+    for error in bad_json:
+        print(f"error: {error}", file=sys.stderr)
     if bad_json:
         return EXIT_INPUT
     try:
@@ -280,15 +293,14 @@ def _run_toy_mode(args, task, bins):
 
 
 def cmd_winrate(args) -> int:
+    rows = []
     try:
-        rows = []
         with open(args.pairs, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            for ln, obj, error in _jsonl_values(fh):
+                if error is not None:
+                    print(f"error: {error}", file=sys.stderr)
+                    return EXIT_INPUT
                 try:
-                    obj = json.loads(line)
                     rows.append(
                         PairwisePreferenceRecord(
                             id=str(obj["id"]),

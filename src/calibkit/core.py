@@ -254,7 +254,7 @@ class Dataset:
             # first failing check names the error.
             i = int(np.argmax(bad))
             if bad_simplex[i]:
-                _raise_simplex_violation(probs[i])
+                raise SimplexViolation(_simplex_reason(probs[i]))
             if bad_id[i]:
                 raise SchemaError("record id must be a nonempty string")
             if bad_label[i]:
@@ -278,7 +278,7 @@ class Dataset:
             raise SchemaError(f"probs must be ({self.n}, {self.k})")
         bad = _bad_simplex_rows(probs)
         if bad.any():
-            _raise_simplex_violation(probs[int(np.argmax(bad))])
+            raise SimplexViolation(_simplex_reason(probs[int(np.argmax(bad))]))
         return self._from_columns(probs, self.labels_array, self.ids, self.splits)
 
 
@@ -328,31 +328,56 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
-    """Rows of an (n, k) matrix that ``ConfidenceVector`` would reject.
+def _sum_gaps(probs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's |sum - 1| and sum, as ``ConfidenceVector``'s exact rule
+    has them: the one place a row sum is judged against 1.
 
-    A vectorized sum decides every row whose distance from the tolerance
-    exceeds its rounding error (at most k ulp for entries in [0, 1]); rows
-    within that band fall back to the exact ``math.fsum`` rule.
+    ``rows`` marks the rows of the (n, k) matrix to judge; their entries must
+    be finite and nonnegative, and every other row gets an infinite gap. A
+    vectorized sum decides each row whose gap lies below ``SIMPLEX_ATOL`` by
+    more than its rounding error (at most k ulp for entries in [0, 1]); every
+    other row gets its exact ``math.fsum`` total and gap, unless its rounded
+    sum exceeds 2k + 1: that row is off by more than any tolerance, and its
+    exact sum could overflow.
     """
+    k = probs.shape[1]
+    with np.errstate(invalid="ignore"):
+        total = _row_sum(probs)
+        gap = np.abs(total - 1.0)
+    gap[~rows] = np.inf
+    exact = np.flatnonzero((gap >= SIMPLEX_ATOL - 2.0 * k * _EPS) & (gap <= 2.0 * k))
+    total[exact] = [math.fsum(row) for row in probs[exact].tolist()]
+    gap[exact] = np.abs(total[exact] - 1.0)
+    return gap, total
+
+
+def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
+    """Rows of an (n, k) matrix that ``ConfidenceVector`` would reject."""
     n, k = probs.shape
     if k < 2:
         return np.ones(n, dtype=bool)
-    bad = ~(np.isfinite(probs) & (probs >= 0.0) & (probs <= 1.0)).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        off = np.abs(_row_sum(probs) - 1.0)
-    band = 2.0 * k * _EPS
-    bad |= off > SIMPLEX_ATOL + band
-    for i in np.flatnonzero(~bad & (off >= SIMPLEX_ATOL - band)):
-        bad[i] = abs(math.fsum(probs[i].tolist()) - 1.0) > SIMPLEX_ATOL
-    return bad
+    in_range = (np.isfinite(probs) & (probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    return _sum_gaps(probs, in_range)[0] > SIMPLEX_ATOL
 
 
-def _raise_simplex_violation(row: np.ndarray) -> None:
-    """Raise the ``SimplexViolation`` that ``ConfidenceVector`` gives for a
-    row that ``_bad_simplex_rows`` rejected."""
-    ConfidenceVector(tuple(row))
-    raise SimplexViolation(f"row {row!r} is not a probability vector")
+def _simplex_reason(row: np.ndarray) -> str:
+    """``ConfidenceVector``'s reason for rejecting a row that
+    ``_bad_simplex_rows`` rejected."""
+    try:
+        ConfidenceVector(tuple(row))
+    except SimplexViolation as exc:
+        return str(exc)
+    return f"row {row!r} is not a probability vector"
+
+
+def _check_simplex_rows(probs: np.ndarray, what: str) -> None:
+    """Raise ``SimplexViolation`` for the first row of an (s, k >= 2) matrix
+    that ``ConfidenceVector`` would reject, naming ``what``, the row's index
+    and the reason."""
+    bad = _bad_simplex_rows(probs)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SimplexViolation(f"{what}: row {i}: {_simplex_reason(probs[i])}")
 
 
 @dataclass(frozen=True)
@@ -510,13 +535,10 @@ class _ConfidenceColumns:
 def _check_confidences(group: list, L: int):
     """Check m confidence lists of length L.
 
-    Returns the (m, L) matrix with renormalized rows divided by their sum,
-    each row's outcome code and the exact sum of each row rejected for it.
-    A vectorized sum decides every row whose distance from 1 is below
-    ``SIMPLEX_ATOL`` by more than its rounding error; every other row gets
-    the exact ``math.fsum`` rule, which also gives the divisor. A row kept
-    as it is may still hold an entry in (1, 1 + SIMPLEX_ATOL]; that is an
-    entry outside [0, 1].
+    Returns the (m, L) matrix with renormalized rows divided by their exact
+    sum, each row's outcome code and the exact sum of each row rejected for
+    it; ``_sum_gaps`` gives both sums. A row kept as it is may still hold an
+    entry in (1, 1 + SIMPLEX_ATOL]; that is an entry outside [0, 1].
     """
     m = len(group)
     code = np.zeros(m, dtype=np.int8)
@@ -539,22 +561,18 @@ def _check_confidences(group: list, L: int):
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(probs).all(axis=1)
         outside = ((probs < 0.0) | (probs > 1.0 + INGEST_SIMPLEX_ATOL)).any(axis=1)
-        off = np.abs(_row_sum(probs) - 1.0)
     code[(code == _CONF_OK) & ~finite] = _CONF_NON_FINITE
     code[(code == _CONF_OK) & outside] = _CONF_RANGE
-    exact = np.flatnonzero((code == _CONF_OK) & (off >= SIMPLEX_ATOL - 2.0 * L * _EPS))
-    totals = np.array([math.fsum(row) for row in probs[exact].tolist()])
-    gap = np.abs(totals - 1.0)
-    rejected = gap > INGEST_SIMPLEX_ATOL
-    code[exact[rejected]] = _CONF_SUM
-    scaled = ~rejected & (gap > SIMPLEX_ATOL)
-    renorm = exact[scaled]
+    checked = code == _CONF_OK
+    gap, total = _sum_gaps(probs, checked)
+    rejected = np.flatnonzero(checked & (gap > INGEST_SIMPLEX_ATOL))
+    code[rejected] = _CONF_SUM
+    renorm = checked & (gap > SIMPLEX_ATOL) & (gap <= INGEST_SIMPLEX_ATOL)
     # Entries are >= 0, so none exceeds the exact sum: no quotient exceeds 1.
-    probs[renorm] /= totals[scaled, None]
-    kept = code == _CONF_OK
-    kept[renorm] = False
+    probs[renorm] /= total[renorm, None]
+    kept = (code == _CONF_OK) & ~renorm
     code[kept & (probs > 1.0).any(axis=1)] = _CONF_RANGE
-    return probs, code, dict(zip(exact[rejected].tolist(), totals[rejected].tolist()))
+    return probs, code, dict(zip(rejected.tolist(), total[rejected].tolist()))
 
 
 def _float_entries(conf) -> list[float] | None:

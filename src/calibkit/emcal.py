@@ -82,65 +82,41 @@ class EmConfig:
             raise BadParams(f"unknown divergence {self.divergence!r}")
 
 
-@dataclass(frozen=True)
-class LatentAssignment:
-    """Per-record bin index in [1, M] of the current top confidence."""
-
-    z: np.ndarray
-    M: int
-
-
-@dataclass(frozen=True)
-class BinAccuracy:
-    """Per-bin accuracy estimates; q is NaN where a bin is empty."""
-
-    q: np.ndarray
-    counts: np.ndarray
-
-
-def e_step(probs: np.ndarray, M: int) -> LatentAssignment:
-    """Stratify records by top confidence into M equal-width bins."""
-    return LatentAssignment(z=bin_index_array(_row_max(probs), M), M=M)
+def e_step(probs: np.ndarray, M: int) -> np.ndarray:
+    """Stratify records by top confidence into M equal-width bins: the (n,)
+    bin index in [1, M] of each record."""
+    return bin_index_array(_row_max(probs), M)
 
 
 def m_step(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    z: LatentAssignment,
-    min_bin_count: int = 1,
-) -> BinAccuracy:
-    """Per-bin fraction of records whose top class is the label.
+    probs: np.ndarray, labels: np.ndarray, z: np.ndarray, M: int, min_bin_count: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin fraction of records whose top class is the label, and the
+    per-bin record counts, for the bins ``z`` in [1, M] of ``e_step``.
 
     Bins smaller than ``min_bin_count`` use the Laplace-shrunk estimate
     (wins + 1) / (count + 2); empty bins are NaN and skipped downstream.
     """
-    M = z.M
     correct = (np.argmax(probs, axis=1) == labels).astype(float)
-    counts = np.bincount(z.z, minlength=M + 1)[1:]
-    wins = np.bincount(z.z, weights=correct, minlength=M + 1)[1:]
+    counts = np.bincount(z, minlength=M + 1)[1:]
+    wins = np.bincount(z, weights=correct, minlength=M + 1)[1:]
     q = np.full(M, np.nan)
     occupied = counts > 0
     small = occupied & (counts < min_bin_count)
     plain = occupied & ~small
     q[plain] = wins[plain] / counts[plain]
     q[small] = (wins[small] + 1.0) / (counts[small] + 2.0)
-    return BinAccuracy(q=q, counts=counts)
+    return q, counts
 
 
-def _clamped_record_q(qs: BinAccuracy, z: LatentAssignment) -> np.ndarray:
-    q_rec = qs.q[z.z - 1]
+def build_all_targets(probs: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (n, k) target matrix: row i is record i's calibration target, its
+    top class pinned to its bin's accuracy ``q[z[i] - 1]`` clamped into
+    [Q_CLAMP, 1 - Q_CLAMP]."""
+    q_rec = q[z - 1]
     if np.isnan(q_rec).any():
         raise CalibrationError("a record fell in a bin with undefined accuracy")
-    return np.clip(q_rec, Q_CLAMP, 1.0 - Q_CLAMP)
-
-
-def build_all_targets(
-    probs: np.ndarray, qs: BinAccuracy, z: LatentAssignment
-) -> np.ndarray:
-    """The (n, k) target matrix: row i is record i's calibration target, its
-    top class pinned to the record's bin accuracy clamped into
-    [Q_CLAMP, 1 - Q_CLAMP]."""
-    return build_target_matrix(probs, _clamped_record_q(qs, z))[0]
+    return build_target_matrix(probs, np.clip(q_rec, Q_CLAMP, 1.0 - Q_CLAMP))[0]
 
 
 def _as_row(x) -> np.ndarray:
@@ -216,8 +192,8 @@ def run_em(
         mean_ece = None
         if cfg.lam != 0.0:
             z = e_step(probs, cfg.bins)
-            qs = m_step(probs, labels, z, cfg.min_bin_count)
-            targets = build_all_targets(probs, qs, z)
+            q, _ = m_step(probs, labels, z, cfg.bins, cfg.min_bin_count)
+            targets = build_all_targets(probs, q, z)
             mean_ece = mean_ece_loss(probs, targets, cfg.divergence)
         row = _history_row(epoch, probs, labels, cfg.bins, mean_ece)
         if not all(v is None or np.isfinite(v) for v in row.values()):

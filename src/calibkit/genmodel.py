@@ -23,6 +23,8 @@ from .core import (
     Dataset,
     SIMPLEX_ATOL,
     SimplexViolation,
+    _check_simplex_rows,
+    _sum_gaps,
 )
 
 MODEL_KINDS = ("pure-random", "deterministic", "dirichlet")
@@ -40,18 +42,6 @@ class NoDisagreement(CalibrationError):
     pass
 
 
-def _check_rows_on_simplex(rows: np.ndarray, what: str) -> None:
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise SimplexViolation(f"{what} must be an (s, k>=2) matrix")
-    if not np.isfinite(rows).all():
-        raise SimplexViolation(f"{what} contains non-finite entries")
-    if rows.min() < 0.0 or rows.max() > 1.0:
-        raise SimplexViolation(f"{what} entries outside [0, 1]")
-    sums = rows.sum(axis=1)
-    if np.abs(sums - 1.0).max() > SIMPLEX_ATOL:
-        raise SimplexViolation(f"{what} rows do not sum to 1 within {SIMPLEX_ATOL}")
-
-
 class FiniteGenerativeModel:
     """Finite-support distribution over points, each with a label distribution."""
 
@@ -67,11 +57,12 @@ class FiniteGenerativeModel:
             raise BadParams("weights must align with the support")
         if not np.isfinite(weights).all() or weights.min() < 0.0:
             raise BadParams("weights must be finite and nonnegative")
-        if abs(weights.sum() - 1.0) > SIMPLEX_ATOL:
-            raise BadParams(f"weights sum to {weights.sum()!r}, not 1")
+        gap, total = _sum_gaps(weights[None, :], np.ones(1, dtype=bool))
+        if gap[0] > SIMPLEX_ATOL:
+            raise BadParams(f"weights sum to {float(total[0])!r}, not 1")
         if label_probs.shape != (len(support), k):
             raise BadParams("label_probs must be (n_support, k)")
-        _check_rows_on_simplex(label_probs, "label distributions")
+        _check_simplex_rows(label_probs, "label distributions")
         self.k = k
         self.support = support
         self.weights = weights
@@ -116,9 +107,11 @@ class Predictor:
     def __init__(self, ids: Sequence[str], probs):
         ids = [str(s) for s in ids]
         probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 2 or probs.shape[1] < 2:
+            raise SimplexViolation("predictor confidences must be an (s, k>=2) matrix")
         if probs.shape[0] != len(ids):
             raise BadParams("probs must align with ids")
-        _check_rows_on_simplex(probs, "predictor confidences")
+        _check_simplex_rows(probs, "predictor confidences")
         if len(ids) != len(set(ids)):
             raise BadParams("predictor ids must be unique")
         self.ids = ids

@@ -234,7 +234,10 @@ def label_smooth_targets(labels: np.ndarray, k: int, epsilon: float) -> np.ndarr
 def apply_temperature(ds: Dataset, T: float) -> Dataset:
     """Rescale every record's log-confidences by 1/T and renormalize.
 
-    The top class never changes, so accuracy is invariant for any T > 0.
+    For any T > 0 the source top entry stays a maximum of its tempered row,
+    so the argmax (and accuracy) is kept wherever that maximum is unique. A
+    near-tie that tempering rounds into an exact tie goes to the lower index:
+    ``[0.5 - ulp, 0.5 + ulp]`` with label 1 is wrong at T = 13 and T = 20.
     """
     if not (T > 0.0):
         raise BadTemperature("temperature must be > 0")

@@ -182,6 +182,7 @@ _TOO_DEEP = b"[" * 200_000 + b"\n"
         (["bounds", "--model"], _model_json(k=2.7)),
         (["bounds", "--model"], _model_json(weight="abc")),
         (["bounds", "--model"], _model_json(second_dist=(1.0,))),
+        (["bounds", "--model"], _model_json(second_dist=(0.6, 0.5))),
         (["bounds", "--model"], b'{"k": 2' + b"0" * 4300 + b', "support": []}'),
         (["winrate", "--pairs"],
          b'{"id": "p", "logp_chosen": 1' + b"0" * 400 + b', "logp_reject": 0.0}\n'),
@@ -191,6 +192,7 @@ _TOO_DEEP = b"[" * 200_000 + b"\n"
     ],
     ids=["eval-not-utf8", "bounds-not-utf8", "winrate-not-utf8", "model-k-string",
          "model-k-float", "model-weight-string", "model-ragged-label-dist",
+         "model-label-dist-sums-to-1.1",
          "model-int-over-4300-digits", "winrate-int-too-large-for-float",
          "eval-nested-too-deep", "bounds-nested-too-deep", "winrate-nested-too-deep"],
 )
@@ -377,6 +379,17 @@ def test_winrate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "win_rate=0.5" in out
+
+
+def test_winrate_reports_invalid_json_as_eval_does(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(
+        '{"id": "p1", "logp_chosen": -1.0, "logp_reject": -2.0}\n\n{broken\nnot-json\n',
+        encoding="utf-8",
+    )
+    assert main(["winrate", "--pairs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: invalid JSON: Expecting property name enclosed in double quotes\n"
 
 
 def test_winrate_empty_file_is_input_error(tmp_path, capsys):

@@ -6,10 +6,8 @@ import pytest
 
 from calibkit.core import BadParams, CalibrationError, OutOfRange
 from calibkit.emcal import (
-    BinAccuracy,
     EmConfig,
     LOG_FLOOR,
-    LatentAssignment,
     NonFiniteLoss,
     _history_row,
     build_all_targets,
@@ -94,10 +92,10 @@ def _reference_sft_loss(c, label):
 
 def test_e_step_examples():
     probs = np.array([[0.77, 0.13, 0.05, 0.05]])
-    assert e_step(probs, 10).z.tolist() == [8]
+    assert e_step(probs, 10).tolist() == [8]
     onehot = np.eye(4)
-    assert e_step(onehot, 10).z.tolist() == [10, 10, 10, 10]
-    assert e_step(onehot, 1).z.tolist() == [1, 1, 1, 1]
+    assert e_step(onehot, 10).tolist() == [10, 10, 10, 10]
+    assert e_step(onehot, 1).tolist() == [1, 1, 1, 1]
 
 
 def test_e_step_rejects_a_nan_row():
@@ -110,16 +108,16 @@ def test_m_step_plain_and_laplace():
     probs = np.array([[0.8, 0.2, 0.0, 0.0]] * 4)
     labels = np.array([0, 0, 1, 1])
     z = e_step(probs, 10)
-    qs = m_step(probs, labels, z, min_bin_count=1)
-    assert qs.q[7] == 0.5
-    assert qs.counts[7] == 4
+    q, counts = m_step(probs, labels, z, 10, min_bin_count=1)
+    assert q[7] == 0.5
+    assert counts[7] == 4
 
     one = np.array([[0.9, 0.1, 0.0, 0.0]])
     z1 = e_step(one, 10)
-    qs1 = m_step(one, np.array([0]), z1, min_bin_count=5)
-    assert qs1.q[8] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    q1, _ = m_step(one, np.array([0]), z1, 10, min_bin_count=5)
+    assert q1[8] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
-    assert np.isnan(qs.q[0])
+    assert np.isnan(q[0])
 
 
 def test_build_all_targets_composition():
@@ -127,12 +125,13 @@ def test_build_all_targets_composition():
     probs = np.array([[0.7, 0.2, 0.06, 0.04]] * 5)
     labels = np.array([0, 0, 0, 1, 1])
     z = e_step(probs, 10)
-    qs = m_step(probs, labels, z, min_bin_count=1)
-    targets = build_all_targets(probs, qs, z)
+    q, _ = m_step(probs, labels, z, 10, min_bin_count=1)
+    targets = build_all_targets(probs, q, z)
     assert targets.shape == (5, 4)
     assert targets[0, 0] == pytest.approx(0.6, abs=1e-15)
-    q = qs.q[z.z[0] - 1]
-    single, _, rank = build_target_matrix(np.array([[0.7, 0.2, 0.06, 0.04]]), np.array([q]))
+    single, _, rank = build_target_matrix(
+        np.array([[0.7, 0.2, 0.06, 0.04]]), np.array([q[z[0] - 1]])
+    )
     assert rank[0]
     assert np.array_equal(targets, np.tile(single[0], (5, 1)))
 
@@ -140,11 +139,11 @@ def test_build_all_targets_composition():
 def test_build_all_targets_clamps_extreme_bins():
     probs = np.array([[0.9, 0.05, 0.03, 0.02]] * 3)
     z = e_step(probs, 10)
-    perfect = m_step(probs, np.zeros(3, dtype=np.int64), z, min_bin_count=1)
+    perfect, _ = m_step(probs, np.zeros(3, dtype=np.int64), z, 10, min_bin_count=1)
     targets = build_all_targets(probs, perfect, z)
     assert targets[0, 0] == pytest.approx(0.999, abs=1e-12)
 
-    hopeless = m_step(probs, np.ones(3, dtype=np.int64), z, min_bin_count=1)
+    hopeless, _ = m_step(probs, np.ones(3, dtype=np.int64), z, 10, min_bin_count=1)
     targets = build_all_targets(probs, hopeless, z)
     assert targets[0, 0] == pytest.approx(0.001, abs=1e-12)
 
@@ -206,19 +205,19 @@ def test_em_reproduces_conf_ece_bin_table():
     policy, _ = train(policy, task, mode="sft-only", epochs=40, lr=0.5)
     probs = policy.probs(task.features)
     z = e_step(probs, 10)
-    qs = m_step(probs, task.labels, z, min_bin_count=1)
+    q, counts = m_step(probs, task.labels, z, 10, min_bin_count=1)
     _, bins = conf_ece_arrays(probs, task.labels, 10)
     for b in bins:
         if b.count:
-            assert qs.q[b.m - 1] == pytest.approx(b.empirical_freq, abs=1e-12)
-            assert qs.counts[b.m - 1] == b.count
+            assert q[b.m - 1] == pytest.approx(b.empirical_freq, abs=1e-12)
+            assert counts[b.m - 1] == b.count
 
 
 def test_e_step_pure_function_of_policy():
     task = gen_toy_task(d=6, k=4, n=100, seed=6)
     policy = LinearPolicy(task.d, task.k)
     probs = policy.probs(task.features)
-    assert np.array_equal(e_step(probs, 10).z, e_step(policy.probs(task.features), 10).z)
+    assert np.array_equal(e_step(probs, 10), e_step(policy.probs(task.features), 10))
 
 
 def test_run_em_zero_epochs_returns_unchanged():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calibkit.core import ConfidenceVector, Dataset, SimplexViolation
 from calibkit.genmodel import (
     BadParams,
     FiniteGenerativeModel,
@@ -54,6 +55,88 @@ def test_make_model_bad_params():
         make_model("dirichlet", 4, 10, alpha=0.0)
     with pytest.raises(BadParams):
         make_model("pure-random", 4, 0)
+
+
+# Each breaks row 1 of a two-row matrix in one way ConfidenceVector rejects.
+_BAD_ROWS = {
+    "nan": ([np.nan, 0.5], "non-finite entry nan"),
+    "negative": ([-0.25, 1.25], "entry -0.25 outside [0, 1]"),
+    "above-1": ([1.5, -0.5], "entry 1.5 outside [0, 1]"),
+    "off-sum": ([0.6, 0.5], "entries sum to 1.1, not 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_label_distributions_reject_bad_rows(case):
+    row, reason = _BAD_ROWS[case]
+    with pytest.raises(SimplexViolation) as exc:
+        FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[0.5, 0.5], row])
+    assert str(exc.value) == f"label distributions: row 1: {reason}"
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_predictor_rejects_bad_rows(case):
+    row, reason = _BAD_ROWS[case]
+    with pytest.raises(SimplexViolation) as exc:
+        Predictor(["a", "b"], [[0.5, 0.5], row])
+    assert str(exc.value) == f"predictor confidences: row 1: {reason}"
+
+
+def test_predictor_rejects_a_non_matrix():
+    for probs in (0.5, [0.5, 0.5], [[1.0], [1.0]]):
+        with pytest.raises(SimplexViolation, match="must be an"):
+            Predictor(["a", "b"], probs)
+
+
+# Rows whose plain float sum and exact sum fall on opposite sides of the
+# 1e-9 tolerance: A is off by just over 1e-9 exactly, B by just under.
+_ROW_A = [0.1546744237306553, 0.10034343689274351, 0.0543537952962544,
+          0.4177227225641658, 0.26860158680495844, 0.004304033711222465]
+_ROW_B = [0.5610598664116091, 0.3363082748347637, 0.10263185775362717]
+
+
+def _row_verdicts(row: np.ndarray) -> list[bool]:
+    """Whether ConfidenceVector, Dataset.from_arrays, Predictor and
+    FiniteGenerativeModel each accept one probability row."""
+    builders = [
+        lambda: ConfidenceVector(tuple(row)),
+        lambda: Dataset.from_arrays(row[None, :], np.array([0])),
+        lambda: Predictor(["x"], row[None, :]),
+        lambda: FiniteGenerativeModel(row.size, ["x"], [1.0], row[None, :]),
+    ]
+    verdicts = []
+    for build in builders:
+        try:
+            build()
+            verdicts.append(True)
+        except SimplexViolation:
+            verdicts.append(False)
+    return verdicts
+
+
+def test_rows_at_the_tolerance_edge_get_one_verdict():
+    assert _row_verdicts(np.asarray(_ROW_A)) == [False] * 4
+    assert _row_verdicts(np.asarray(_ROW_B)) == [True] * 4
+
+
+def test_support_weights_must_sum_to_one():
+    with pytest.raises(BadParams, match="weights sum to 1.1, not 1"):
+        FiniteGenerativeModel(2, ["a", "b"], [0.6, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+    # The exact sum decides, as for a probability row.
+    for weights, accepted in ((_ROW_A, False), (_ROW_B, True)):
+        ids = [f"x{i}" for i in range(len(weights))]
+        labels = [[0.5, 0.5]] * len(weights)
+        if accepted:
+            FiniteGenerativeModel(2, ids, weights, labels)
+        else:
+            with pytest.raises(BadParams, match="weights sum to 0.9999999989999999"):
+                FiniteGenerativeModel(2, ids, weights, labels)
+
+
+def test_sample_dataset_on_an_edge_row_model():
+    model = FiniteGenerativeModel(3, ["x"], [1.0], [_ROW_B])
+    ds = sample_dataset(model, Predictor.from_model(model), 50, seed=3)
+    assert ds.n == 50 and ds.probs_matrix.tolist() == [_ROW_B] * 50
 
 
 def test_model_json_round_trip():

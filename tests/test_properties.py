@@ -1,15 +1,19 @@
 """Property tests over small random inputs; they need the ``test`` extra."""
 
+import math
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from calibkit.core import _row_max, _row_sum, validate_dataset
+from calibkit.core import CalibrationError, Dataset, _row_max, _row_sum, validate_dataset
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
 from calibkit.metrics import _binned_gaps
+from calibkit.toylab import apply_temperature
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
+from test_genmodel import _row_verdicts
 
 
 def _rows(draw, s, k):
@@ -119,3 +123,60 @@ def test_row_kernels_equal_numpy_reductions(data):
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_same_bits(_row_max(a), a.max(axis=-1))
         _assert_same_bits(_row_sum(a), a.sum(axis=-1))
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_rows_at_the_tolerance_edge_get_one_verdict(data):
+    # A row in (0, 1) whose exact sum sits 1e-9 from 1, then moved by up to
+    # 8 ulp of its largest entry: the vectorized and exact sums straddle
+    # SIMPLEX_ATOL in both directions.
+    k = data.draw(st.integers(2, 9), label="k")
+    row = np.asarray(
+        data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)), dtype=float
+    )
+    row /= row.sum()
+    top = int(np.argmax(row))
+    row[top] += 1.0 + data.draw(st.sampled_from([-1e-9, 1e-9])) - math.fsum(row)
+    toward = np.inf if data.draw(st.booleans()) else -np.inf
+    for _ in range(data.draw(st.integers(0, 8), label="ulps")):
+        row[top] = np.nextafter(row[top], toward)
+    verdicts = _row_verdicts(row)
+    assert len(set(verdicts)) == 1, verdicts
+    # Below the ingestion tolerance, validate_dataset renormalizes exactly
+    # the rows that ConfidenceVector rejects and keeps the others as given.
+    ds = validate_dataset([{"id": "a", "confidences": row.tolist(), "label": 0}])
+    assert (ds.probs_matrix[0].tobytes() != row.tobytes()) == (not verdicts[0])
+
+
+def _tie_row(draw, k):
+    """A probability row of k classes; about half have two top entries a
+    few ulp apart or equal."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    row = np.asarray(counts, dtype=float)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        row[i] = row[j] = row.max()
+    row /= row.sum()
+    if draw(st.booleans()):
+        i = int(np.argmax(row))
+        for _ in range(draw(st.integers(1, 3))):
+            row[i] = np.nextafter(row[i], draw(st.sampled_from([0.0, 1.0])))
+    return row
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_tempering_keeps_every_unique_argmax(data):
+    k = data.draw(st.integers(2, 5), label="k")
+    n = data.draw(st.integers(1, 6), label="n")
+    probs = np.stack([_tie_row(data.draw, k) for _ in range(n)])
+    T = data.draw(st.sampled_from([0.05, 0.5, 1.0, 2.0, 13.0, 20.0, 1e3]), label="T")
+    try:
+        ds = Dataset.from_arrays(probs, np.zeros(n, dtype=np.int64))
+    except CalibrationError:
+        hypothesis.reject()
+    tempered = apply_temperature(ds, T).probs_matrix
+    unique = (tempered == _row_max(tempered)[:, None]).sum(axis=1) == 1
+    source_top = np.argmax(probs, axis=1)
+    assert (np.argmax(tempered, axis=1) == source_top)[unique].all()

@@ -6,7 +6,6 @@ import importlib
 import calibkit
 
 PUBLIC = [
-    "BinAccuracy",
     "BinStats",
     "BinningConfig",
     "CalibrationError",
@@ -15,7 +14,6 @@ PUBLIC = [
     "Dataset",
     "EmConfig",
     "FiniteGenerativeModel",
-    "LatentAssignment",
     "LinearPolicy",
     "PairwisePreferenceRecord",
     "PredictionRecord",
