@@ -208,7 +208,7 @@ def cmd_bounds(args) -> int:
         )
         print(
             f"target={target} achieved={built.achieved_acc!r} tce={t!r} "
-            f"envelope={envelope!r} regime={regime.regime}"
+            f"envelope={envelope!r} regime={regime}"
         )
     if args.out:
         _atomic_write(args.out, "\n".join(rows) + "\n")

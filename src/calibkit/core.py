@@ -29,14 +29,6 @@ class SimplexViolation(CalibrationError):
     pass
 
 
-class AllZeroScores(CalibrationError):
-    pass
-
-
-class NonFiniteScore(CalibrationError):
-    pass
-
-
 class OutOfRange(CalibrationError):
     pass
 
@@ -90,24 +82,6 @@ class ConfidenceVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
-
-
-def normalize_options(raw_scores: Sequence[float]) -> ConfidenceVector:
-    """Turn nonnegative per-option scores into option confidences.
-
-    Each score is divided by the total so the result lies on the simplex.
-    Scale-invariant and idempotent on already-normalized input.
-    """
-    scores = [float(s) for s in raw_scores]
-    for s in scores:
-        if not math.isfinite(s):
-            raise NonFiniteScore(f"score {s!r} is not finite")
-        if s < 0.0:
-            raise OutOfRange(f"score {s!r} is negative")
-    total = math.fsum(scores)
-    if total == 0.0:
-        raise AllZeroScores("all option scores are zero")
-    return ConfidenceVector(tuple(s / total for s in scores))
 
 
 def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
@@ -177,19 +151,16 @@ class Dataset:
         if not records:
             raise EmptyDataset("a dataset needs at least one record")
         k = records[0].confidences.k
-        seen: set[str] = set()
         for r in records:
             if r.confidences.k != k:
                 raise SchemaError(
                     f"record {r.id!r} has k={r.confidences.k}, expected {k}"
                 )
-            if r.id in seen:
-                raise DuplicateId(f"duplicate record id {r.id!r}")
-            seen.add(r.id)
+        self.ids = [r.id for r in records]
+        _check_unique_ids(self.ids)
         self.records = records
         self.probs_matrix = np.asarray([r.confidences.probs for r in records], dtype=float)
         self.labels_array = np.asarray([r.label for r in records], dtype=np.int64)
-        self.ids = [r.id for r in records]
         self.splits = [r.split for r in records]
         self.n, self.k = self.probs_matrix.shape
 
@@ -262,12 +233,7 @@ class Dataset:
             raise SchemaError(f"unknown split tag {split!r}")
         if n == 0:
             raise EmptyDataset("a dataset needs at least one record")
-        if len(set(ids)) != n:
-            seen: set[str] = set()
-            for rid in ids:
-                if rid in seen:
-                    raise DuplicateId(f"duplicate record id {rid!r}")
-                seen.add(rid)
+        _check_unique_ids(ids)
         return cls._from_columns(probs, labels, ids, [split] * n)
 
     def with_probs(self, probs: np.ndarray) -> "Dataset":
@@ -280,6 +246,16 @@ class Dataset:
         if bad.any():
             raise SimplexViolation(_simplex_reason(probs[int(np.argmax(bad))]))
         return self._from_columns(probs, self.labels_array, self.ids, self.splits)
+
+
+def _check_unique_ids(ids: list[str]) -> None:
+    """Raise ``DuplicateId`` naming the first id seen twice."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise DuplicateId(f"duplicate record id {rid!r}")
+            seen.add(rid)
 
 
 _EPS = float(np.finfo(float).eps)

@@ -9,7 +9,6 @@ checked exactly instead of estimated.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +54,8 @@ class FiniteGenerativeModel:
             raise BadParams("support ids must be unique")
         if weights.shape != (len(support),):
             raise BadParams("weights must align with the support")
+        if not support:
+            raise BadParams("support must be nonempty")
         if not np.isfinite(weights).all() or weights.min() < 0.0:
             raise BadParams("weights must be finite and nonnegative")
         gap, total = _sum_gaps(weights[None, :], np.ones(1, dtype=bool))
@@ -355,25 +356,17 @@ def _group_means(
     """Group support points whose keys are equal as floats and return each
     group's key, mass and weighted mean of ``values``, in sorted key order.
 
-    ``keys`` is (s,) for a scalar key or (s, k) for a vector key; ``values``
-    is (s, c). Float equality makes -0.0 and 0.0 one group. Groups of zero
-    mass have no mean and are dropped. The work is one sort of the s keys
-    (lexicographic for vectors) and c + 1 bincounts.
+    ``keys`` and ``values`` are (s,). Float equality makes -0.0 and 0.0 one
+    group. Groups of zero mass have no mean and are dropped. The work is one
+    sort of the s keys and two bincounts.
     """
-    if keys.ndim == 1:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    else:
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    uniq, inverse = np.unique(keys, return_inverse=True)
     g = uniq.shape[0]
     mass = np.bincount(inverse, weights=weights, minlength=g)
-    hits = np.column_stack(
-        [np.bincount(inverse, weights=weights * values[:, c], minlength=g)
-         for c in range(values.shape[1])]
-    )
+    hits = np.bincount(inverse, weights=weights * values, minlength=g)
     kept = mass > 0.0
     mass = mass[kept]
-    return uniq[kept], mass, hits[kept] / mass[:, None]
+    return uniq[kept], mass, hits[kept] / mass
 
 
 def population_cw_ece(model: FiniteGenerativeModel, predictor: Predictor) -> float:
@@ -389,10 +382,8 @@ def population_cw_ece(model: FiniteGenerativeModel, predictor: Predictor) -> flo
     pred = predictor.matrix_for(model.support)
     total = 0.0
     for j in range(model.k):
-        vals, mass, freq = _group_means(
-            pred[:, j], model.weights, model.label_probs[:, j:j + 1]
-        )
-        total += float(mass @ np.abs(freq[:, 0] - vals))
+        vals, mass, freq = _group_means(pred[:, j], model.weights, model.label_probs[:, j])
+        total += float(mass @ np.abs(freq - vals))
     return total / model.k
 
 
@@ -406,30 +397,10 @@ def verify_ece_le_tce(
     return cw, t, bool(cw <= t + 1e-12)
 
 
-# Strictly-positive marker for the unreachable-zero side of the regime split;
-# the actual constant is instance-dependent and not quantified here.
-ECE_LOWER_POSITIVE_MARKER = math.ulp(0.0)
-
-
-@dataclass(frozen=True)
-class RegimeClassification:
-    regime: str
-    acc: float
-    acc_star: float
-    ece_upper: float
-    ece_lower: float
-
-
-def classify_regime(acc: float, acc_star: float) -> RegimeClassification:
+def classify_regime(acc: float, acc_star: float) -> str:
     """Split on the reference accuracy: at or below it, zero calibration error
-    is achievable; above it, the error is strictly positive."""
+    is achievable ("calibratable"); above it, the error is strictly positive
+    ("non-calibratable")."""
     if not (0.0 <= acc <= 1.0 and 0.0 <= acc_star <= 1.0):
         raise BadParams("accuracies must lie in [0, 1]")
-    calibratable = acc <= acc_star
-    return RegimeClassification(
-        regime="calibratable" if calibratable else "non-calibratable",
-        acc=acc,
-        acc_star=acc_star,
-        ece_upper=2.0 * abs(acc_star - acc),
-        ece_lower=0.0 if calibratable else ECE_LOWER_POSITIVE_MARKER,
-    )
+    return "calibratable" if acc <= acc_star else "non-calibratable"

@@ -23,7 +23,6 @@ from .core import (
     _row_max,
     bin_index_array,
 )
-from .genmodel import FiniteGenerativeModel, Predictor, _group_means
 
 
 class EmptyInput(CalibrationError):
@@ -55,17 +54,6 @@ class BinStats:
             "empirical_freq": self.empirical_freq,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BinStats":
-        return cls(
-            m=int(obj["m"]),
-            lo=float(obj["lo"]),
-            hi=float(obj["hi"]),
-            count=int(obj["count"]),
-            mean_conf=float(obj["mean_conf"]),
-            empirical_freq=float(obj["empirical_freq"]),
-        )
-
 
 @dataclass
 class CalibrationReport:
@@ -79,10 +67,9 @@ class CalibrationReport:
     cw_ece: float
     conf_bins: list[BinStats]
     classwise_bins: list[list[BinStats]]
-    regime: str | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "k": self.k,
             "M": self.M,
@@ -94,26 +81,6 @@ class CalibrationReport:
                 [b.to_json_dict() for b in rows] for rows in self.classwise_bins
             ],
         }
-        if self.regime is not None:
-            out["regime"] = self.regime
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CalibrationReport":
-        return cls(
-            n=int(obj["n"]),
-            k=int(obj["k"]),
-            M=int(obj["M"]),
-            accuracy=float(obj["accuracy"]),
-            conf_ece=float(obj["conf_ece"]),
-            cw_ece=float(obj["cw_ece"]),
-            conf_bins=[BinStats.from_json_dict(b) for b in obj["conf_bins"]],
-            classwise_bins=[
-                [BinStats.from_json_dict(b) for b in rows]
-                for rows in obj["classwise_bins"]
-            ],
-            regime=obj.get("regime"),
-        )
 
 
 @dataclass(frozen=True)
@@ -270,11 +237,7 @@ def reliability_diagram(
     raise EmptyInput(f"unknown reliability mode {mode!r}")
 
 
-def build_report(
-    ds: Dataset,
-    bins: BinningConfig = BinningConfig(),
-    regime: str | None = None,
-) -> CalibrationReport:
+def build_report(ds: Dataset, bins: BinningConfig = BinningConfig()) -> CalibrationReport:
     """Compute every standard metric on the dataset at one bin resolution."""
     M = bins.effective_bins(ds.n)
     conf, conf_table = conf_ece_arrays(ds.probs_matrix, ds.labels_array, M)
@@ -288,24 +251,7 @@ def build_report(
         cw_ece=cw,
         conf_bins=conf_table,
         classwise_bins=cw_tables,
-        regime=regime,
     )
-
-
-def mc_ece_population(model: FiniteGenerativeModel, predictor: Predictor) -> float:
-    """Calibration gap conditioning on the full predicted vector.
-
-    Support points whose predicted vectors are equal as floats, entry by
-    entry, form one group (so -0.0 and 0.0 match); a group of zero mass
-    contributes nothing. The gap is the mean absolute difference between the
-    group's label frequencies and that vector, averaged over classes and
-    weighted by group mass. One lexicographic sort of the s vectors:
-    O(k * s log s). This is the strongest of the three calibration notions
-    and is only computable in population form on a finite support.
-    """
-    pred = predictor.matrix_for(model.support)
-    vecs, mass, freqs = _group_means(pred, model.weights, model.label_probs)
-    return float(mass @ np.abs(freqs - vecs).mean(axis=1))
 
 
 def win_rate(pairs: Sequence[PairwisePreferenceRecord]) -> float:
@@ -318,13 +264,3 @@ def win_rate(pairs: Sequence[PairwisePreferenceRecord]) -> float:
     wins = sum(1 for p in pairs if p.logp_chosen > p.logp_reject)
     return wins / len(pairs)
 
-
-def sequence_logprob(token_logps: Sequence[float]) -> float:
-    """Log-probability of a token sequence: the sum of per-token log-probs.
-
-    The empty sequence has log-probability 0 (an empty product).
-    """
-    vals = [float(v) for v in token_logps]
-    if any(not math.isfinite(v) for v in vals):
-        raise NonFiniteInput("token log-probabilities must be finite")
-    return math.fsum(vals)

@@ -239,8 +239,6 @@ def apply_temperature(ds: Dataset, T: float) -> Dataset:
     near-tie that tempering rounds into an exact tie goes to the lower index:
     ``[0.5 - ulp, 0.5 + ulp]`` with label 1 is wrong at T = 13 and T = 20.
     """
-    if not (T > 0.0):
-        raise BadTemperature("temperature must be > 0")
     return ds.with_probs(temperature_transform(ds.probs_matrix, T))
 
 

@@ -13,7 +13,6 @@ from calibkit.genmodel import (
     make_model,
     sample_dataset,
 )
-from calibkit.metrics import CalibrationReport
 from test_genmodel import _reference_population_cw_ece
 
 
@@ -43,9 +42,9 @@ def test_eval_prints_metrics_and_writes_report(pred_file, tmp_path, capsys):
     assert "accuracy=0.5" in out
     assert "conf_ece=0.30000000000000004" in out
 
-    report = CalibrationReport.from_json_dict(json.loads(report_path.read_text()))
-    assert report.n == 4 and report.k == 4 and report.M == 10
-    assert abs(report.conf_ece - 0.3) < 1e-12
+    report = json.loads(report_path.read_text())
+    assert report["n"] == 4 and report["k"] == 4 and report["M"] == 10
+    assert abs(report["conf_ece"] - 0.3) < 1e-12
 
     svg = plot_path.read_text()
     assert svg.startswith("<svg") and "line" in svg
@@ -204,6 +203,15 @@ def test_malformed_input_files_exit_2_without_traceback(command, content, tmp_pa
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_empty_support_names_the_problem(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"k": 2, "support": []}', encoding="utf-8")
+    code = main(["bounds", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: bad model file: support must be nonempty\n"
 
 
 def test_eval_validation_error_reports_kind(tmp_path, capsys):

@@ -7,7 +7,6 @@ from calibkit.core import (
     INGEST_SIMPLEX_ATOL,
     SIMPLEX_ATOL,
     VALID_SPLITS,
-    AllZeroScores,
     BinningConfig,
     CalibrationError,
     ConfidenceVector,
@@ -16,7 +15,6 @@ from calibkit.core import (
     DuplicateId,
     EmptyDataset,
     LabelOutOfRange,
-    NonFiniteScore,
     OutOfRange,
     PredictionRecord,
     SchemaError,
@@ -25,45 +23,8 @@ from calibkit.core import (
     _row_max,
     _row_sum,
     bin_index_array,
-    normalize_options,
     validate_dataset,
 )
-
-
-def test_normalize_direct_ratio():
-    cv = normalize_options([2, 1, 1, 0])
-    assert cv.probs == (0.5, 0.25, 0.25, 0.0)
-
-
-def test_normalize_symmetry():
-    assert normalize_options([1, 1, 1, 1]).probs == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_normalize_identity_on_normalized():
-    cv = normalize_options([0.9, 0.05, 0.03, 0.02])
-    assert cv.probs == pytest.approx((0.9, 0.05, 0.03, 0.02), abs=1e-15)
-
-
-def test_normalize_errors():
-    with pytest.raises(AllZeroScores):
-        normalize_options([0.0, 0.0, 0.0])
-    with pytest.raises(NonFiniteScore):
-        normalize_options([1.0, float("nan")])
-    with pytest.raises(NonFiniteScore):
-        normalize_options([1.0, float("inf")])
-    with pytest.raises(OutOfRange):
-        normalize_options([1.0, -0.5])
-
-
-def test_normalize_scale_invariant_and_idempotent():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        scores = rng.random(4) + 1e-6
-        a = normalize_options(scores)
-        b = normalize_options(7.3 * scores)
-        assert a.probs == pytest.approx(b.probs, abs=1e-12)
-        again = normalize_options(a.probs)
-        assert again.probs == pytest.approx(a.probs, abs=1e-15)
 
 
 def test_argmax_option_examples():
@@ -76,9 +37,10 @@ def test_argmax_option_examples():
 def test_argmax_invariant_under_monotone_rescale():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        cv = normalize_options(rng.random(5) + 1e-9)
-        squared = normalize_options([p ** 2 for p in cv.probs])
-        assert np.argmax(squared.as_array()) == np.argmax(cv.as_array())
+        scores = rng.random(5) + 1e-9
+        probs = scores / scores.sum()
+        squared = probs ** 2 / (probs ** 2).sum()
+        assert np.argmax(squared) == np.argmax(probs)
 
 
 def test_bin_index_examples():
@@ -155,6 +117,25 @@ def test_dataset_invariants():
     ds = Dataset([PredictionRecord("a", cv, 0), PredictionRecord("b", cv, 1)])
     assert ds.n == 2 and ds.k == 2
     assert ds.probs_matrix.shape == (2, 2)
+
+    # Both constructors share one duplicate-id rule and message.
+    ids = ["a", "b", "a", "b"]
+    with pytest.raises(DuplicateId) as from_records:
+        Dataset([PredictionRecord(rid, cv, 0) for rid in ids])
+    with pytest.raises(DuplicateId) as from_arrays:
+        Dataset.from_arrays(np.full((4, 2), 0.5), np.zeros(4, dtype=int), ids)
+    assert str(from_records.value) == str(from_arrays.value) == "duplicate record id 'a'"
+
+    # Every record's k is checked before any id: a k mismatch after a
+    # duplicate id is a SchemaError.
+    with pytest.raises(SchemaError, match="has k=3, expected 2"):
+        Dataset(
+            [
+                PredictionRecord("a", cv, 0),
+                PredictionRecord("a", cv, 1),
+                PredictionRecord("c", ConfidenceVector((0.2, 0.3, 0.5)), 0),
+            ]
+        )
 
 
 def _record_path_error(probs, labels, ids=None, split=None):

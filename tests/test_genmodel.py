@@ -341,18 +341,9 @@ def test_population_accuracy_matches_definition():
 
 
 def test_classify_regime():
-    r = classify_regime(0.43, 0.60)
-    assert r.regime == "calibratable"
-    assert r.ece_upper == pytest.approx(0.34, abs=1e-12)
-    assert r.ece_lower == 0.0
-
-    boundary = classify_regime(0.60, 0.60)
-    assert boundary.regime == "calibratable" and boundary.ece_upper == 0.0
-
-    hi = classify_regime(0.85, 0.60)
-    assert hi.regime == "non-calibratable"
-    assert hi.ece_upper == pytest.approx(0.50, abs=1e-12)
-    assert hi.ece_lower > 0.0
+    assert classify_regime(0.43, 0.60) == "calibratable"
+    assert classify_regime(0.60, 0.60) == "calibratable"
+    assert classify_regime(0.85, 0.60) == "non-calibratable"
 
 
 def test_labels_matching_accuracy_hits_grid():

@@ -1,6 +1,3 @@
-import json
-import math
-
 import numpy as np
 import pytest
 
@@ -11,23 +8,18 @@ from calibkit.genmodel import (
     make_model,
     population_cw_ece,
     sample_dataset,
-    tce,
 )
 from calibkit.metrics import (
     BinStats,
-    CalibrationReport,
     EmptyInput,
     NonFiniteInput,
     PairwisePreferenceRecord,
     accuracy,
-    build_report,
     conf_ece,
     cw_ece,
     cw_ece_arrays,
-    mc_ece_population,
     metric_row,
     reliability_diagram,
-    sequence_logprob,
     win_rate,
 )
 
@@ -154,50 +146,11 @@ def test_ece_bounds_on_random_data():
         assert 0.0 <= cw_ece(ds)[0] <= 1.0
 
 
-def test_mc_ece_population_self_is_zero():
-    model = make_model("dirichlet", 4, 20, alpha=1.0, seed=8)
-    assert mc_ece_population(model, Predictor.from_model(model)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mc_ece_population_grouping():
-    model = FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[1, 0], [0, 1]])
-    half = Predictor(model.support, np.tile([0.5, 0.5], (2, 1)))
-    assert mc_ece_population(model, half) == pytest.approx(0.0, abs=1e-15)
-    off = Predictor(model.support, np.tile([0.9, 0.1], (2, 1)))
-    assert mc_ece_population(model, off) == pytest.approx(0.4, abs=1e-12)
-
-
-def _reference_mc_ece_population(model, predictor):
-    """The bytes-key grouping mc_ece_population replaced; it agrees with the
-    float-equality rule on supports without signed zeros."""
-    pred = predictor.matrix_for(model.support)
-    groups = {}
-    for i in range(model.n_support):
-        groups.setdefault(pred[i].tobytes(), []).append(i)
-    total = 0.0
-    for rows in groups.values():
-        idx = np.asarray(rows)
-        w = float(model.weights[idx].sum())
-        if w == 0.0:
-            continue
-        freqs = model.weights[idx] @ model.label_probs[idx] / w
-        total += w * float(np.abs(freqs - pred[idx[0]]).mean())
-    return total
-
-
-def test_mc_ece_population_matches_bytes_key_loop(finite_cases):
-    for model, predictor in finite_cases:
-        got = mc_ece_population(model, predictor)
-        assert abs(got - _reference_mc_ece_population(model, predictor)) <= 1e-12
-        assert got <= tce(model, predictor) + 1e-12
-
-
 def test_population_gaps_group_signed_zeros_together():
-    # Predictor accepts both rows; as floats they are one predicted vector,
-    # whose group frequencies (0, 0.5, 0.5) match it exactly.
+    # Predictor accepts both rows; as floats their class-0 confidences are
+    # one group, whose class-0 frequency 0 matches it exactly.
     model = FiniteGenerativeModel(3, ["a", "b"], [0.5, 0.5], [[0, 1, 0], [0, 0, 1]])
     pred = Predictor(["a", "b"], [[-0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-    assert mc_ece_population(model, pred) == 0.0
     assert population_cw_ece(model, pred) == 0.0
 
 
@@ -253,21 +206,3 @@ def test_pair_record_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
         PairwisePreferenceRecord("p", float("nan"), 0.0)
 
-
-def test_sequence_logprob():
-    assert sequence_logprob([math.log(0.5), math.log(0.5)]) == pytest.approx(
-        math.log(0.25), abs=1e-15
-    )
-    assert sequence_logprob([]) == 0.0
-    assert sequence_logprob([math.log(0.9)] * 3) == pytest.approx(3 * math.log(0.9), abs=1e-15)
-    with pytest.raises(NonFiniteInput):
-        sequence_logprob([0.0, float("-inf")])
-
-
-def test_report_json_round_trip():
-    rng = np.random.default_rng(7)
-    ds = _ds(rng.dirichlet(np.ones(4), 60), rng.integers(0, 4, 60))
-    report = build_report(ds, BinningConfig(M=10))
-    blob = json.dumps(report.to_json_dict())
-    back = CalibrationReport.from_json_dict(json.loads(blob))
-    assert back == report

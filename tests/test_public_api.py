@@ -18,7 +18,6 @@ PUBLIC = [
     "PairwisePreferenceRecord",
     "PredictionRecord",
     "Predictor",
-    "RegimeClassification",
     "TabularPolicy",
     "ToyTask",
     "accuracy",
@@ -37,12 +36,9 @@ PUBLIC = [
     "lower_bound_constant",
     "m_step",
     "make_model",
-    "mc_ece_population",
-    "normalize_options",
     "reliability_diagram",
     "run_em",
     "sample_dataset",
-    "sequence_logprob",
     "sft_loss",
     "tce",
     "tradeoff_study",
