@@ -13,15 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
+from array import array
+
+import numpy as np
 
 from .core import (
+    VALID_SPLITS,
     BadParams,
     BinningConfig,
     CalibrationError,
     DatasetValidationError,
-    validate_dataset,
+    _validate_columns,
 )
 from .diagram import reliability_svg
 from .emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, run_em
@@ -40,7 +45,7 @@ from .genmodel import (
     tce,
     verify_ece_le_tce,
 )
-from .metrics import PairwisePreferenceRecord, build_report, win_rate
+from .metrics import NonFiniteInput, PairwisePreferenceRecord, build_report, win_rate
 from . import toylab
 
 EXIT_OK = 0
@@ -51,12 +56,17 @@ EXIT_NUMERIC = 3
 DEFAULT_SEED = 42
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, data) -> None:
+    """Write ``data``, a string or an iterable of string chunks, to a temp
+    file beside ``path`` and rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-calibkit-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -78,52 +88,177 @@ def _parse_bins(text: str) -> BinningConfig:
         raise BadParams(f"--bins must be an integer or 'heuristic', got {text!r}") from exc
 
 
-def _jsonl_values(fh):
-    """Yield ``(line number, value, error)`` for each nonblank line of an
-    open JSONL file: the parsed value and None, or None and the line's
-    ``line N: invalid JSON: ...`` message."""
+def _jsonl_lines(fh):
+    """Yield ``(line number, line)`` for each nonblank line of an open file,
+    stripped of surrounding whitespace."""
     for ln, line in enumerate(fh, start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            yield ln, json.loads(line), None
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, the int parser's digit limit, or nesting
-            # deeper than the recursion limit.
-            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-            yield ln, None, f"line {ln}: invalid JSON: {msg}"
+        if line:
+            yield ln, line
+
+
+def _json_value(ln: int, line: str):
+    """``(value, None)`` for a line that ``json.loads`` reads, else ``(None,
+    message)``. The message names the line and the decoder's reason: a
+    JSONDecodeError, the int parser's digit limit, or nesting deeper than the
+    recursion limit."""
+    try:
+        return json.loads(line), None
+    except (ValueError, RecursionError) as exc:
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        return None, f"line {ln}: invalid JSON: {msg}"
+
+
+def _jsonl_values(fh):
+    """Yield ``(line number, value, error)`` for each nonblank line of an
+    open JSONL file, as ``_json_value`` reads it."""
+    for ln, line in _jsonl_lines(fh):
+        yield (ln, *_json_value(ln, line))
+
+
+# The prediction lines that ``json.dumps`` writes with its default
+# separators, in the README's key order and in sorted key order. Numbers
+# take JSON's unsigned grammar. An integer entry has at most 17 digits:
+# far below float overflow and the int parser's digit limit, where
+# ``float()`` of the text and the integer ``json.loads`` reads part ways.
+# Each form's groups are id, confidences, label and split, in line order.
+_ID = r'"([A-Za-z0-9_-]+)"'
+_NUM = r"(?:0|[1-9][0-9]{0,16})(?:\.[0-9]{1,40})?(?:[eE][-+]?[0-9]{1,3})?"
+_CONFS = rf"\[({_NUM}(?:, {_NUM})+)\]"
+_TAIL = r'"label": (0|[1-9][0-9]{0,8})(?:, "split": "(train|val|test)")?\}'
+_README_FORM = re.compile(rf'\{{"id": {_ID}, "confidences": {_CONFS}, {_TAIL}')
+_SORTED_FORM = re.compile(rf'\{{"confidences": {_CONFS}, "id": {_ID}, {_TAIL}')
+_SPLIT_TAGS = {s: s for s in VALID_SPLITS}
+_CHUNK_ROWS = 8192
+
+
+class _PredictionColumns:
+    """The rows of a prediction JSONL file as ``_validate_columns`` takes
+    them, each row's line number, and the file's invalid-JSON messages.
+
+    A line in ``_README_FORM`` or ``_SORTED_FORM`` whose entry count is the
+    first such line's goes straight into columns, ``_CHUNK_ROWS`` rows at a
+    time. Every other nonblank line goes through ``_json_value``. Both paths
+    give the same values. When every row took the strict path, ``confs`` is
+    one float matrix and ``labels`` one int64 array; otherwise both are lists
+    of per-row values in file order.
+    """
+
+    def __init__(self, fh):
+        self.ids: list = []
+        self.splits: list = []
+        self.lines = array("q")
+        self.bad_json: list[str] = []
+        parsed: dict[int, object] = {}  # row index -> value of a json.loads row
+        blocks, label_blocks = [], []
+        confs: list[str] = []
+        labels: list[str] = []
+        k = None
+        for ln, line in _jsonl_lines(fh):
+            m = _README_FORM.fullmatch(line)
+            if m is not None:
+                rid, conf, label, split = m.groups()
+            else:
+                m = _SORTED_FORM.fullmatch(line)
+                if m is not None:
+                    conf, rid, label, split = m.groups()
+            if m is not None:
+                if k is None:
+                    k = conf.count(",") + 1
+                if conf.count(",") + 1 == k:
+                    self.ids.append(rid)
+                    self.splits.append(_SPLIT_TAGS[split])
+                    self.lines.append(ln)
+                    confs.append(conf)
+                    labels.append(label)
+                    if len(confs) == _CHUNK_ROWS:
+                        blocks.append(_float_block(confs, k))
+                        label_blocks.append(np.array(labels, dtype=np.int64))
+                        confs, labels = [], []
+                    continue
+            value, error = _json_value(ln, line)
+            if error is not None:
+                self.bad_json.append(error)
+                continue
+            parsed[len(self.lines)] = value
+            row = value if isinstance(value, dict) else {}
+            self.ids.append(row.get("id"))
+            self.splits.append(row.get("split"))
+            self.lines.append(ln)
+        if confs:
+            blocks.append(_float_block(confs, k))
+            label_blocks.append(np.array(labels, dtype=np.int64))
+
+        n = len(self.lines)
+        self.is_obj = np.ones(n, dtype=bool)
+        if n and not parsed:
+            self.confs = np.concatenate(blocks)
+            self.labels = np.concatenate(label_blocks)
+            return
+        strict_confs = iter(np.concatenate(blocks).tolist() if blocks else ())
+        strict_labels = iter(np.concatenate(label_blocks).tolist() if blocks else ())
+        self.confs, self.labels = [], []
+        for i in range(n):
+            if i in parsed:
+                self.is_obj[i] = isinstance(parsed[i], dict)
+                row = parsed[i] if self.is_obj[i] else {}
+                self.confs.append(row.get("confidences"))
+                self.labels.append(row.get("label"))
+            else:
+                self.confs.append(next(strict_confs))
+                self.labels.append(next(strict_labels))
+
+    def validate(self):
+        return _validate_columns(self.ids, self.confs, self.labels, self.splits, self.is_obj)
+
+
+def _float_block(confs: list[str], k: int) -> np.ndarray:
+    """The (m, k) matrix of m strict-form confidence lists of k entries."""
+    tokens = ", ".join(confs).split(", ")
+    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, k)
+
+
+def _prediction_lines(ds):
+    """Yield a sampled dataset's JSONL lines, ``_CHUNK_ROWS`` rows per
+    string, as ``json.dumps(row, sort_keys=True)`` writes them: ``%r`` of a
+    float is ``float.__repr__``, which json uses too, and the ids
+    ``sample_dataset`` gives (``r0``, ``r1``, ...) need no escaping."""
+    k = ds.k
+    line = '{"confidences": [' + ", ".join(["%r"] * k) + '], "id": "%s", "label": %d}\n'
+    for start in range(0, ds.n, _CHUNK_ROWS):
+        probs = ds.probs_matrix[start:start + _CHUNK_ROWS]
+        # Each line's format arguments: k floats, the id and the label.
+        args = np.empty((len(probs), k + 2), dtype=object)
+        args[:, :k] = probs.tolist()
+        args[:, k] = ds.ids[start:start + _CHUNK_ROWS]
+        args[:, k + 1] = ds.labels_array[start:start + _CHUNK_ROWS].tolist()
+        yield line * len(probs) % tuple(args.ravel().tolist())
 
 
 def cmd_eval(args) -> int:
-    rows, line_of_row, bad_json = [], [], []
+    # Checked before the input is read, so a bad --bins fails fast.
+    bins = _parse_bins(args.bins)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            for ln, value, error in _jsonl_values(fh):
-                if error is None:
-                    rows.append(value)
-                    line_of_row.append(ln)
-                else:
-                    bad_json.append(error)
+            cols = _PredictionColumns(fh)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
 
     # Printed only once the whole file has decoded, so a file that is not
     # UTF-8 reports that alone.
-    for error in bad_json:
+    for error in cols.bad_json:
         print(f"error: {error}", file=sys.stderr)
-    if bad_json:
+    if cols.bad_json:
         return EXIT_INPUT
     try:
-        ds = validate_dataset(rows)
+        ds = cols.validate()
     except DatasetValidationError as exc:
         for v in exc.violations:
-            ln = line_of_row[v.index] if v.index < len(line_of_row) else v.index + 1
+            ln = cols.lines[v.index] if v.index < len(cols.lines) else v.index + 1
             print(f"error: line {ln}: {v.kind}: {v.message}", file=sys.stderr)
         return EXIT_INPUT
 
-    bins = _parse_bins(args.bins)
     report = build_report(ds, bins)
     print(f"n={report.n} k={report.k} M={report.M}")
     print(f"accuracy={report.accuracy!r}")
@@ -149,13 +284,7 @@ def cmd_simulate(args) -> int:
     print(f"conf_ece={report.conf_ece!r}")
     print(f"cw_ece={report.cw_ece!r}")
     if args.out:
-        lines = [
-            json.dumps({"id": rid, "confidences": conf, "label": label}, sort_keys=True)
-            for rid, conf, label in zip(
-                ds.ids, ds.probs_matrix.tolist(), ds.labels_array.tolist()
-            )
-        ]
-        _atomic_write(args.out + ".jsonl", "\n".join(lines) + "\n")
+        _atomic_write(args.out + ".jsonl", _prediction_lines(ds))
         _atomic_write(args.out + ".model.json", _dump_json(model.to_json_dict()))
     return EXIT_OK
 
@@ -309,7 +438,7 @@ def cmd_winrate(args) -> int:
                         )
                     )
                 except (KeyError, TypeError, ValueError, OverflowError,
-                        RecursionError) as exc:
+                        RecursionError, NonFiniteInput) as exc:
                     print(f"error: line {ln}: {exc}", file=sys.stderr)
                     return EXIT_INPUT
     except OSError as exc:

@@ -393,11 +393,26 @@ def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     is_obj = np.fromiter((isinstance(r, dict) for r in rows), dtype=bool, count=n)
     if not is_obj.all():
         rows = [r if ok else {} for r, ok in zip(rows, is_obj)]
-    ids = [r.get("id") for r in rows]
-    confs = [r.get("confidences") for r in rows]
-    labels = [r.get("label") for r in rows]
-    splits = [r.get("split") for r in rows]
+    return _validate_columns(
+        [r.get("id") for r in rows],
+        [r.get("confidences") for r in rows],
+        [r.get("label") for r in rows],
+        [r.get("split") for r in rows],
+        is_obj,
+    )
 
+
+def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray) -> Dataset:
+    """``validate_dataset``'s checks over the columns of n raw rows.
+
+    ``ids``, ``splits`` and ``labels`` hold each row's raw value (None where
+    the key is missing); ``labels`` may instead be an int64 array. ``confs``
+    holds each row's raw confidences, or is one (n, k >= 2) float matrix when
+    every row has k float entries; such a matrix is renormalized in place and
+    becomes the dataset's. ``is_obj`` is False for a row that is not
+    an object; its other values must be None.
+    """
+    n = len(ids)
     conf = _ConfidenceColumns(confs)
     built = (conf.code == _CONF_OK) | (conf.code == _CONF_K)
     label_col, label_int = _label_column(labels)
@@ -467,19 +482,23 @@ _HUGE_ENTRY = 2.0
 class _ConfidenceColumns:
     """The confidence checks of ``validate_dataset`` over whole columns.
 
+    ``confs`` is a list of raw per-row values or one (n, L) float matrix.
     Rows are grouped by length and each group becomes one (m, L) float
     matrix. ``code`` holds each row's outcome, ``lengths`` its entry count,
     ``probs[L]`` the (renormalized) matrix of the length-L rows and ``k`` the
     length of the first row that passes.
     """
 
-    def __init__(self, confs: list):
+    def __init__(self, confs):
         n = len(confs)
-        self.lengths = np.fromiter(
-            (len(c) if isinstance(c, (list, tuple)) else 0 for c in confs),
-            dtype=np.int64,
-            count=n,
-        )
+        if isinstance(confs, np.ndarray):
+            self.lengths = np.full(n, confs.shape[1], dtype=np.int64)
+        else:
+            self.lengths = np.fromiter(
+                (len(c) if isinstance(c, (list, tuple)) else 0 for c in confs),
+                dtype=np.int64,
+                count=n,
+            )
         self.code = np.full(n, _CONF_SHAPE, dtype=np.int8)
         self.totals: dict[int, float] = {}
         self.probs: dict[int, np.ndarray] = {}
@@ -508,8 +527,9 @@ class _ConfidenceColumns:
         return _CONF_MESSAGES[code]
 
 
-def _check_confidences(group: list, L: int):
-    """Check m confidence lists of length L.
+def _check_confidences(group, L: int):
+    """Check m confidence lists of length L, or an (m, L) float matrix, which
+    is renormalized in place.
 
     Returns the (m, L) matrix with renormalized rows divided by their exact
     sum, each row's outcome code and the exact sum of each row rejected for
@@ -519,7 +539,7 @@ def _check_confidences(group: list, L: int):
     m = len(group)
     code = np.zeros(m, dtype=np.int8)
     try:
-        probs = np.array(group)
+        probs = np.asarray(group)
         numeric = probs.dtype.kind in "fiub" and probs.shape == (m, L)
     except (TypeError, ValueError, OverflowError):
         numeric = False
@@ -567,11 +587,13 @@ def _float_entries(conf) -> list[float] | None:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _label_column(labels: list) -> tuple[np.ndarray, np.ndarray]:
+def _label_column(labels) -> tuple[np.ndarray, np.ndarray]:
     """int64 labels and a mask of the entries that are integers (not bools).
     An integer beyond int64 is clamped to -1 or the int64 maximum, which is
-    out of range either way."""
+    out of range either way. An int64 array is taken as it is."""
     n = len(labels)
+    if isinstance(labels, np.ndarray):
+        return labels, np.ones(n, dtype=bool)
     if set(map(type, labels)) <= {int}:
         try:
             return np.array(labels, dtype=np.int64), np.ones(n, dtype=bool)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tracemalloc
+from operator import methodcaller
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from calibkit import toylab
+from calibkit import cli, toylab
 from calibkit.cli import main
+from calibkit.core import validate_dataset
 from calibkit.emcal import NonFiniteGradient
 from calibkit.genmodel import (
     Predictor,
@@ -13,6 +19,7 @@ from calibkit.genmodel import (
     make_model,
     sample_dataset,
 )
+from test_core import _ingest
 from test_genmodel import _reference_population_cw_ece
 
 
@@ -94,11 +101,12 @@ def test_eval_reports_every_bad_json_line(tmp_path, capsys):
          "BadParams"),
         (["train-toy", "--mode", "rcft", "--lr", "0", "--n", "40", "--dim", "4"],
          "BadParams"),
+        (["eval", "/nonexistent", "--bins", "abc"], "BadParams"),
     ],
     ids=["train-toy-k-1", "train-toy-lr-0", "eval-bins-0", "train-toy-cft-lr-nan",
          "train-toy-cft-lambda-nan", "train-toy-sft-lr-negative", "train-toy-ts-lr-0",
          "train-toy-smooth-epochs-negative", "train-toy-ece-only-lr-0",
-         "train-toy-rcft-lr-0"],
+         "train-toy-rcft-lr-0", "eval-bins-abc-before-missing-file"],
 )
 def test_calibration_errors_exit_2_with_one_error_line(argv, kind, pred_file, capsys):
     code = main([str(pred_file) if a == "PRED" else a for a in argv])
@@ -234,6 +242,235 @@ def test_eval_diagnostics_survive_blank_lines(tmp_path, capsys):
     assert "line 4" in err
 
 
+class _ReferenceColumns:
+    """The reference reader: ``json.loads`` on every nonblank line, then
+    ``validate_dataset`` on the parsed rows."""
+
+    def __init__(self, fh):
+        self.rows, self.lines, self.bad_json = [], [], []
+        for ln, value, error in cli._jsonl_values(fh):
+            if error is None:
+                self.rows.append(value)
+                self.lines.append(ln)
+            else:
+                self.bad_json.append(error)
+
+    def validate(self):
+        return validate_dataset(self.rows)
+
+
+def _eval_run(path, *flags):
+    """Exit code, stdout, stderr, report bytes and plot bytes of one eval."""
+    report, plot = path.with_suffix(".report.json"), path.with_suffix(".svg")
+    for p in (report, plot):
+        p.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", str(path), *flags, "--report", str(report), "--plot", str(plot)])
+    files = [p.read_bytes() if p.exists() else None for p in (report, plot)]
+    return code, out.getvalue(), err.getvalue(), *files
+
+
+def _assert_eval_like_reference(path, *flags):
+    """The reader's dataset or violations, and eval's outputs, on ``path``
+    equal those of the reference reader."""
+    with open(path, encoding="utf-8") as fh:
+        cols = cli._PredictionColumns(fh)
+    with open(path, encoding="utf-8") as fh:
+        ref = _ReferenceColumns(fh)
+    assert (list(cols.lines), cols.bad_json) == (ref.lines, ref.bad_json)
+    if not ref.bad_json:
+        assert _ingest(methodcaller("validate"), cols) == _ingest(methodcaller("validate"), ref)
+    got = _eval_run(path, *flags)
+    with mock.patch.object(cli, "_PredictionColumns", _ReferenceColumns):
+        want = _eval_run(path, *flags)
+    assert got == want
+    return got
+
+
+def _strict_rows(text: str) -> bool:
+    """Whether the reader took every row of ``text`` without json.loads."""
+    with mock.patch.object(cli, "_json_value", wraps=cli._json_value) as fallback:
+        cli._PredictionColumns(io.StringIO(text))
+    return fallback.call_count == 0
+
+
+def _canonical_lines(n, k=4, seed=0, start=0):
+    """n rows as json.dumps writes them, about half with a split tag."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k), n)
+    labels = rng.integers(0, k, n)
+    splits = rng.choice(["train", "val", "test", ""], n)
+    lines = []
+    for i, (row, label, split) in enumerate(zip(probs.tolist(), labels.tolist(), splits)):
+        obj = {"id": f"q{start + i}", "confidences": row, "label": label}
+        if split:
+            obj["split"] = str(split)
+        lines.append(json.dumps(obj))
+    return lines
+
+
+# One line each, placed between k = 2 canonical rows, and whether the
+# strict path reads it after such a row (the rest go through json.loads).
+_EDGE_LINES = {
+    "exponent-lower": ('{"id": "e1", "confidences": [1e-05, 0.99999], "label": 1}', True),
+    "exponent-upper-signed": ('{"id": "e2", "confidences": [5E-7, 0.9999995], "label": 0}', True),
+    "exponent-plus": ('{"id": "e3", "confidences": [2.5e+0, 0.5], "label": 0}', True),
+    "exponent-overflow": ('{"id": "e4", "confidences": [1e400, 0.5], "label": 0}', True),
+    "integer-entries": ('{"id": "i1", "confidences": [1, 0], "label": 0}', True),
+    "integer-17-digits": (
+        '{"id": "i2", "confidences": [12345678901234567, 0], "label": 0}', True),
+    "integer-beyond-2-53": (
+        '{"id": "i3", "confidences": [9007199254740993, 0], "label": 0}', True),
+    "integer-18-digits": (
+        '{"id": "i4", "confidences": [123456789012345678, 0], "label": 0}', False),
+    "integer-400-digits": (
+        '{"id": "i5", "confidences": [1' + "0" * 400 + ', 0], "label": 0}', False),
+    "negative-zero-int": ('{"id": "z1", "confidences": [-0, 1], "label": 1}', False),
+    "negative-zero-float": ('{"id": "z2", "confidences": [-0.0, 1.0], "label": 1}', False),
+    "leading-zero-entry": ('{"id": "l1", "confidences": [00.5, 0.5], "label": 0}', False),
+    "leading-zero-label": ('{"id": "l2", "confidences": [0.5, 0.5], "label": 01}', False),
+    "label-10-digits": ('{"id": "l3", "confidences": [0.5, 0.5], "label": 1000000000}', False),
+    "unicode-escape-id": ('{"id": "\\u0071x", "confidences": [0.5, 0.5], "label": 0}', False),
+    "escape-duplicates-id": ('{"id": "\\u0071s0", "confidences": [0.5, 0.5], "label": 0}',
+                             False),
+    "duplicate-keys": (
+        '{"id": "d1", "id": "d2", "confidences": [0.5, 0.5], "label": 0}', False),
+    "reordered-keys": ('{"label": 0, "id": "o1", "confidences": [0.5, 0.5]}', False),
+    "sorted-keys": ('{"confidences": [0.5, 0.5], "id": "o2", "label": 0, "split": "val"}',
+                    True),
+    "extra-key": ('{"id": "x1", "confidences": [0.5, 0.5], "label": 0, "note": 1}', False),
+    "split-null": ('{"id": "s1", "confidences": [0.5, 0.5], "label": 0, "split": null}', False),
+    "split-unknown": ('{"id": "s2", "confidences": [0.5, 0.5], "label": 0, "split": "dev"}',
+                      False),
+    "compact-separators": ('{"id":"c1","confidences":[0.5,0.5],"label":0}', False),
+    "tab-separators": ('{"id":\t"c2",\t"confidences":\t[0.5,\t0.5],\t"label":\t0}', False),
+    "nan-entry": ('{"id": "n1", "confidences": [NaN, 0.5], "label": 0}', False),
+    "trailing-comma": ('{"id": "t1", "confidences": [0.5, 0.5,], "label": 0}', False),
+    "other-k": ('{"id": "k3", "confidences": [0.25, 0.25, 0.5], "label": 2}', False),
+    "one-entry": ('{"id": "k1", "confidences": [1.0], "label": 0}', False),
+    "not-an-object": ("[0.5, 0.5]", False),
+    "renormalized": ('{"id": "r1", "confidences": [0.5000003, 0.5], "label": 0}', True),
+    "label-out-of-range": ('{"id": "r2", "confidences": [0.5, 0.5], "label": 7}', True),
+    "sum-beyond-tolerance": ('{"id": "r3", "confidences": [0.5, 0.6], "label": 0}', True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_LINES))
+def test_eval_edge_lines_read_like_json_loads(name, tmp_path):
+    line, strict = _EDGE_LINES[name]
+    head, tail = _canonical_lines(3, k=2, seed=1), _canonical_lines(2, k=2, seed=2, start=3)
+    assert _strict_rows(f"{head[0]}\n{line}\n") == strict
+    for layout in ([line] + head + tail, head + [line] + tail, head + tail + [line]):
+        path = tmp_path / "edge.jsonl"
+        path.write_text("\n".join(layout) + "\n", encoding="utf-8")
+        _assert_eval_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "newline, blank", [("\r\n", ""), ("\n", "\n  \n"), ("\r\n", "\r\n\t\r\n")],
+    ids=["crlf", "blank-lines", "crlf-blank-lines"],
+)
+def test_eval_line_endings_and_blank_lines_read_like_json_loads(newline, blank, tmp_path):
+    lines = _canonical_lines(6, seed=3)
+    text = newline.join(lines[:3]) + newline + blank + newline.join(lines[3:]) + newline
+    path = tmp_path / "ends.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert _strict_rows(text)
+    assert _assert_eval_like_reference(path)[0] == 0
+    # Out-of-range labels: the violations must name the same lines.
+    path.write_bytes(text.replace('"label": ', '"label": 4').encode("utf-8"))
+    assert _assert_eval_like_reference(path)[0] == 2
+
+
+def _chunk_case(name):
+    """Files that put a rule's evidence in one chunk and its verdict in a
+    later one, or make every row of a chunk bad."""
+    chunk = cli._CHUNK_ROWS
+    lines = _canonical_lines(chunk + 300, seed=4)
+
+    def row(i, conf, rid=None):
+        return json.dumps({"id": rid or f"q{i}", "confidences": conf, "label": 0})
+
+    off_sum = [0.5, 0.6, 0.1, 0.1]
+    if name == "duplicate-of-an-earlier-chunk":
+        lines[chunk + 100] = row(chunk + 100, [0.25] * 4, rid="q10")
+    elif name == "duplicate-of-a-row-rejected-in-an-earlier-chunk":
+        lines[10] = row(10, off_sum)
+        lines[chunk + 100] = row(chunk + 100, [0.25] * 4, rid="q10")
+        lines[chunk + 200] = row(chunk + 200, [0.25] * 4, rid="q10")
+    elif name == "k-fixed-by-an-earlier-chunk":
+        lines[chunk + 5] = row(chunk + 5, [0.25, 0.25, 0.5])
+    elif name == "k-fixed-in-a-later-chunk":
+        lines[: chunk + 20] = [row(i, off_sum) for i in range(chunk + 20)]
+        lines[chunk + 30] = row(chunk + 30, [0.25, 0.25, 0.5])
+    elif name == "every-row-of-a-chunk-bad":
+        lines = _canonical_lines(2 * chunk + 300, seed=4)
+        lines[chunk : 2 * chunk] = [
+            line.replace('"label": ', '"label": 4') for line in lines[chunk : 2 * chunk]
+        ]
+    elif name == "one-loose-line-among-20000":
+        lines = _canonical_lines(20_000, seed=6)
+        lines[12_345] = lines[12_345].replace(", ", ",")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["duplicate-of-an-earlier-chunk", "duplicate-of-a-row-rejected-in-an-earlier-chunk",
+     "k-fixed-by-an-earlier-chunk", "k-fixed-in-a-later-chunk", "every-row-of-a-chunk-bad",
+     "one-loose-line-among-20000"],
+)
+def test_eval_chunk_boundaries_read_like_json_loads(name, tmp_path):
+    path = tmp_path / "chunks.jsonl"
+    path.write_text("\n".join(_chunk_case(name)) + "\n", encoding="utf-8")
+    _assert_eval_like_reference(path)
+
+
+def test_eval_canonical_file_reads_like_json_loads(tmp_path):
+    lines = _canonical_lines(2 * cli._CHUNK_ROWS + 17, seed=7)
+    path = tmp_path / "canonical.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _strict_rows(path.read_text(encoding="utf-8"))
+    for bins in ("10", "heuristic"):
+        assert _assert_eval_like_reference(path, "--bins", bins)[0] == 0
+
+
+# When eval parsed every line into a dict (json.loads on each line, then
+# validate_dataset over the dicts), its traced peak grew by 796 bytes per
+# row between the files of this test (Python 3.11, numpy 2.4); the columnar
+# reader measured 202.
+_DICT_READER_BYTES_PER_ROW = 796
+
+
+def _traced_eval_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", str(path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_ingestion_memory_grows_linearly_with_a_small_per_row_constant(tmp_path):
+    line = '{"id": "q%d", "confidences": [%r, %r, %r, %r], "label": %d}\n'
+    small, large = 50_000, 200_000
+    rng = np.random.default_rng(8)
+    probs, labels = rng.dirichlet(np.ones(4), large).tolist(), rng.integers(0, 4, large).tolist()
+    peaks = {}
+    for n in (small, large):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text(
+            "".join(line % (i, *probs[i], labels[i]) for i in range(n)), encoding="utf-8"
+        )
+        peaks[n] = _traced_eval_peak(path)
+    per_row = (peaks[large] - peaks[small]) / (large - small)
+    # Linear growth, within 10% for container overallocation.
+    assert peaks[large] <= 1.1 * peaks[small] * large / small, peaks
+    assert per_row < _DICT_READER_BYTES_PER_ROW / 3, per_row
+
+
 def test_eval_missing_file_is_io_error(tmp_path, capsys):
     code = main(["eval", str(tmp_path / "nope.jsonl")])
     assert code == 1
@@ -295,17 +532,45 @@ def _per_record_jsonl(ds):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
-def test_simulate_out_matches_a_per_record_writer(model, tmp_path, capsys):
+def _check_simulate_out(model, k, alpha, tmp_path):
     prefix = tmp_path / "sim"
     code = main([
-        "simulate", "--model", model, "--k", "3", "--n", "300", "--support", "12",
-        "--alpha", "0.5", "--seed", "9", "--out", str(prefix),
+        "simulate", "--model", model, "--k", str(k), "--n", "300", "--support", "12",
+        "--alpha", str(alpha), "--seed", "9", "--out", str(prefix),
     ])
     assert code == 0
-    fm = make_model(model, 3, 12, alpha=0.5, seed=9)
+    fm = make_model(model, k, 12, alpha=alpha, seed=9)
     ds = sample_dataset(fm, Predictor.from_model(fm), 300, seed=9)
-    assert (tmp_path / "sim.jsonl").read_bytes() == _per_record_jsonl(ds).encode("utf-8")
+    written = (tmp_path / "sim.jsonl").read_bytes()
+    assert written == _per_record_jsonl(ds).encode("utf-8")
+    return written
+
+
+@pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
+def test_simulate_out_matches_a_per_record_writer(model, tmp_path, capsys):
+    written = _check_simulate_out(model, 3, 0.5, tmp_path)
+    if model == "deterministic":
+        assert b"[1.0, 0.0, 0.0]" in written and b"[0.0, 0.0, 1.0]" in written
+
+
+def test_simulate_out_matches_a_per_record_writer_with_exponent_reprs(tmp_path, capsys):
+    # k = 9 at alpha 0.05 gives entries down to 1e-40 and below: reprs with an exponent.
+    written = _check_simulate_out("dirichlet", 9, 0.05, tmp_path)
+    assert all(token in written for token in (b"e-05", b"e-1", b"e-2"))
+
+
+def test_streamed_write_that_fails_midway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield "first chunk\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        cli._atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 @pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
@@ -398,6 +663,18 @@ def test_winrate_reports_invalid_json_as_eval_does(tmp_path, capsys):
     assert main(["winrate", "--pairs", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: line 3: invalid JSON: Expecting property name enclosed in double quotes\n"
+
+
+def test_winrate_non_finite_pair_names_its_line(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(
+        '{"id": "p1", "logp_chosen": -1.0, "logp_reject": -2.0}\n'
+        '{"id": "p2", "logp_chosen": NaN, "logp_reject": -2.0}\n',
+        encoding="utf-8",
+    )
+    assert main(["winrate", "--pairs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: pair 'p2' has non-finite log-probabilities\n"
 
 
 def test_winrate_empty_file_is_input_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Property tests over small random inputs; they need the ``test`` extra."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from calibkit.core import CalibrationError, Dataset, _row_max, _row_sum, validat
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
 from calibkit.metrics import _binned_gaps
 from calibkit.toylab import apply_temperature
+from test_cli import _assert_eval_like_reference
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 from test_genmodel import _row_verdicts
 
@@ -83,6 +86,61 @@ def test_validate_dataset_matches_per_row_reference(data):
     k = data.draw(st.integers(2, 4), label="k")
     rows = [_raw_row(data.draw, i, k) for i in range(n)]
     assert _ingest(validate_dataset, rows) == _ingest(_reference_validate_dataset, rows)
+
+
+# (item, key) separator pairs: json.dumps's default first, then others
+# that json.loads reads.
+_SEPARATORS = [(", ", ": "), (", ", ": "), (",", ":"), (", ", ":"), (",\t", ":\t"), (" , ", " :  ")]
+# Ways to write one float: its repr (json.dumps's), and other texts of the
+# same or a nearby value.
+_FLOAT_TEXTS = [
+    repr, repr, repr, "{:.17g}".format, "{:e}".format, "{:.3E}".format, "{:.20f}".format,
+    lambda x: str(int(x)) if x.is_integer() else repr(x),
+    lambda x: repr(-x) if x == 0.0 else repr(x),
+]
+_ENTRIES = [0.0, 1.0, 0.5, 0.25, 1e-05, 5e-07, 1e-300, 0.1, 1.0 + 5e-7, 0.3333333333333333]
+
+
+def _pred_line(draw, i, k):
+    """One prediction line with its keys in a drawn order, drawn separators
+    and a drawn text for each float; mostly the canonical form."""
+    entries = draw(st.lists(
+        st.one_of(st.sampled_from(_ENTRIES), st.floats(0.0, 1.0)), min_size=k, max_size=k
+    ))
+    if draw(st.integers(0, 4)):
+        total = math.fsum(entries) or 1.0
+        entries = [e / total for e in entries]
+    canonical = draw(st.integers(0, 2)) > 0
+    item, key = _SEPARATORS[0] if canonical else draw(st.sampled_from(_SEPARATORS))
+    to_text = repr if canonical else draw(st.sampled_from(_FLOAT_TEXTS))
+    fields = {
+        # The last id is "q{i}" written with an escape.
+        "id": '"%s"' % draw(st.sampled_from([f"q{i}"] * 6 + ["q0", f"a-b_C{i}", "\\u0071%d" % i])),
+        "confidences": "[" + item.join(to_text(e) for e in entries) + "]",
+        "label": str(draw(st.sampled_from([0, 1, k - 1] * 5 + [k]))),
+    }
+    split = draw(st.sampled_from([None, None, "train", "val", "test", "null"]))
+    if split is not None:
+        fields["split"] = split if split == "null" else f'"{split}"'
+    order = list(fields)
+    if draw(st.integers(0, 3)) == 0:
+        order = draw(st.permutations(order))
+    return "{" + item.join(f'"{name}"{key}{fields[name]}' for name in order) + "}"
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_eval_reads_any_formatting_like_json_loads(data):
+    k = data.draw(st.integers(2, 4), label="k")
+    n = data.draw(st.integers(1, 10), label="n")
+    lines = [
+        _pred_line(data.draw, i, data.draw(st.sampled_from([k] * 9 + [3]))) for i in range(n)
+    ]
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preds.jsonl"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        _assert_eval_like_reference(path)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
