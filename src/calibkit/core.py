@@ -92,8 +92,11 @@ def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise OutOfRange("values outside [0, 1]")
-    idx = np.ceil(values * M).astype(np.int64)
-    return np.minimum(np.maximum(idx, 1, out=idx), M, out=idx)
+    # For values in [0, 1] the rounded product lies in [0, M], so only the
+    # left edge needs folding.
+    scaled = values * M
+    idx = np.ceil(scaled, out=scaled).astype(np.int64)
+    return np.maximum(idx, 1, out=idx)
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,31 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         np.maximum(out, a[..., j], out=out)
     return out
+
+
+def _row_argmax(a: np.ndarray) -> np.ndarray:
+    """``np.argmax(a, axis=-1)`` of a float array, exactly.
+
+    For k < 8 it is a column pass that keeps the running maximum and moves
+    the index to column j only where column j is strictly greater: the first
+    index wins a tie, a -0.0/0.0 tie included, as in numpy. A NaN would stop
+    the comparisons, so the rows that hold one (their running maximum is
+    NaN) take numpy's argmax, which returns the first NaN. From k = 8 on
+    numpy's own argmax runs.
+    """
+    k = a.shape[-1]
+    if not 0 < k < _COLUMN_PASS_K:
+        return np.argmax(a, axis=-1)
+    best = a[..., 0].copy()
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, k):
+        col = a[..., j]
+        np.maximum(arg, (col > best) * j, out=arg)
+        np.maximum(best, col, out=best)
+    nan = np.isnan(best)
+    if nan.any():
+        arg[nan] = np.argmax(a[nan], axis=-1)
+    return arg
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

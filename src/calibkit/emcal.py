@@ -23,6 +23,12 @@ A policy supplies (see toylab):
   loop passes the history row's matrix to each epoch's first inner step,
   so one softmax serves both;
 - ``descend(grad, lr)``, one step against that gradient.
+
+Per epoch of ``inner_steps`` gradient steps the loop takes ``inner_steps``
+softmaxes (the history row's, which the first step reuses, and one per
+later step) and the row argmax of one confidence matrix three times at
+lam > 0 (``m_step``, the target build and the history row) or once at
+lam = 0 (the history row); the final row-only epoch takes one of each.
 """
 
 from __future__ import annotations
@@ -32,9 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadParams, CalibrationError, _row_max, _row_sum, bin_index_array
+from .core import (
+    BadParams,
+    CalibrationError,
+    _row_argmax,
+    _row_max,
+    _row_sum,
+    bin_index_array,
+)
 from .metrics import metric_row
-from .targetmap import build_target_matrix
+from .targetmap import _target_rows
 
 DIVERGENCES = ("mse", "cross-entropy")
 
@@ -97,7 +110,7 @@ def m_step(
     Bins smaller than ``min_bin_count`` use the Laplace-shrunk estimate
     (wins + 1) / (count + 2); empty bins are NaN and skipped downstream.
     """
-    correct = (np.argmax(probs, axis=1) == labels).astype(float)
+    correct = (_row_argmax(probs) == labels).astype(float)
     counts = np.bincount(z, minlength=M + 1)[1:]
     wins = np.bincount(z, weights=correct, minlength=M + 1)[1:]
     q = np.full(M, np.nan)
@@ -116,7 +129,7 @@ def build_all_targets(probs: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.nda
     q_rec = q[z - 1]
     if np.isnan(q_rec).any():
         raise CalibrationError("a record fell in a bin with undefined accuracy")
-    return build_target_matrix(probs, np.clip(q_rec, Q_CLAMP, 1.0 - Q_CLAMP))[0]
+    return _target_rows(probs, np.clip(q_rec, Q_CLAMP, 1.0 - Q_CLAMP))[0]
 
 
 def _as_row(x) -> np.ndarray:

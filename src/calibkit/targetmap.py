@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import CalibrationError, _row_max, _row_sum
+from .core import CalibrationError, _row_argmax, _row_max, _row_sum
 
 LN3 = math.log(3.0)
 
@@ -38,6 +38,13 @@ def build_target_matrix(
     Returns (targets, top_index, rank_preserved). Rows whose tail is all zero
     (one-hot sources) get the remaining mass split uniformly over the tail.
     """
+    out, top = _target_rows(conf, q)
+    conf = np.asarray(conf, dtype=float)
+    return out, top, _order_isotonic(conf, out, top, np.arange(conf.shape[0]))
+
+
+def _target_rows(conf: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``build_target_matrix``'s (targets, top_index), without the rank flag."""
     conf = np.asarray(conf, dtype=float)
     q = np.asarray(q, dtype=float)
     if conf.ndim != 2 or conf.shape[1] < 2:
@@ -48,7 +55,7 @@ def build_target_matrix(
         raise BadQ("top probabilities must lie strictly inside (0, 1)")
 
     n, k = conf.shape
-    top = np.argmax(conf, axis=1)
+    top = _row_argmax(conf)
     rows = np.arange(n)
     tail = conf.copy()
     tail[rows, top] = -np.inf
@@ -82,9 +89,7 @@ def build_target_matrix(
     if degenerate.any():
         out[degenerate] = (1.0 - q[degenerate, None]) / (k - 1)
     out[rows, top] = q
-
-    rank_preserved = _order_isotonic(conf, out, top, rows)
-    return out, top, rank_preserved
+    return out, top
 
 
 def _order_isotonic(conf: np.ndarray, out: np.ndarray, top, rows) -> np.ndarray:

@@ -15,7 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BadParams, BinningConfig, CalibrationError, Dataset, _row_max, _row_sum
+from .core import (
+    _COLUMN_PASS_K,
+    BadParams,
+    BinningConfig,
+    CalibrationError,
+    Dataset,
+    _row_argmax,
+    _row_max,
+    _row_sum,
+)
 from .emcal import (
     EmConfig,
     LOG_FLOOR,
@@ -42,9 +51,27 @@ class BadEpsilon(CalibrationError):
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = np.exp(z - _row_max(z)[..., None])
-    return e / _row_sum(e)[..., None]
+    """Softmax over the last axis, written into one new array."""
+    z = np.asarray(z)
+    return _softmax_into(z, np.empty(z.shape, dtype=np.result_type(z, 1.0)))
+
+
+def _softmax_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``softmax(z)`` written into ``out``, which may be ``z`` itself."""
+    _by_column(np.subtract, z, _row_max(z), out=out)
+    np.exp(out, out=out)
+    return _by_column(np.divide, out, _row_sum(out), out=out)
+
+
+def _by_column(op, a: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op(a, r[..., None], out=out)``: for k < 8 one pass per column, which
+    avoids numpy's slow broadcast over a short last axis."""
+    k = a.shape[-1]
+    if not 0 < k < _COLUMN_PASS_K:
+        return op(a, r[..., None], out=out)
+    for j in range(k):
+        op(a[..., j], r, out=out[..., j])
+    return out
 
 
 @dataclass
@@ -109,17 +136,38 @@ def _grad_wrt_logits(
     trajectory is bit-identical to fit-only training.
     """
     n, k = probs.shape
-    g = (sft_weight / n) * (probs - soft_labels)
+    g = np.subtract(probs, soft_labels)
+    g *= sft_weight / n
     if lam != 0.0:
         if targets is None:
             raise BadParams("a positive lam needs targets")
+        # In place, in the operation order of
+        # g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None]).
         if divergence == "mse":
-            dldp = (2.0 / k) * (probs - targets) / n
+            dldp = np.subtract(probs, targets)
+            dldp *= 2.0 / k
         elif divergence == "cross-entropy":
-            dldp = np.where(probs > LOG_FLOOR, -targets / probs, 0.0) / n
+            # -targets / probs where probs > LOG_FLOOR, else 0.0.
+            live = probs > LOG_FLOOR
+            dldp = np.divide(targets, probs, out=np.zeros_like(probs), where=live)
+            np.negative(dldp, out=dldp, where=live)
         else:
             raise BadParams(f"unknown divergence {divergence!r}")
-        g = g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None])
+        dldp /= n
+        if k >= _COLUMN_PASS_K:
+            g += lam * probs * (dldp - _row_sum(dldp * probs)[:, None])
+            return g
+        # Below 8 classes, one column at a time: only g and dldp span (n, k).
+        rowsum = dldp[:, 0] * probs[:, 0]
+        rowsum += 0.0
+        a, c = np.empty(n), np.empty(n)
+        for j in range(1, k):
+            rowsum += np.multiply(dldp[:, j], probs[:, j], out=a)
+        for j in range(k):
+            np.subtract(dldp[:, j], rowsum, out=c)
+            np.multiply(probs[:, j], lam, out=a)
+            a *= c
+            g[:, j] += a
     return g
 
 
@@ -141,7 +189,9 @@ class LinearPolicy:
     def probs(self, features: np.ndarray) -> np.ndarray:
         if features is None or features.shape[1] != self.W.shape[0]:
             raise DimensionMismatch("features do not match the weight matrix")
-        return softmax(features @ self.W / self.temperature)
+        z = features @ self.W
+        z /= self.temperature
+        return _softmax_into(z, z)
 
     def combined_grad(
         self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
@@ -258,24 +308,61 @@ def _tempered(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
     of logp divided by T; the slow max reduction runs once per dataset rather
     than once per temperature.
     """
-    z = logp / T
-    z -= logp_max / T
-    np.exp(z, out=z)
+    z = _tempered_exp(logp, logp_max, T)
     z /= _row_sum(z)[..., None]
     return z
 
 
+def _tempered_exp(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
+    """exp(logp / T - logp_max / T): the tempered softmax before its divide."""
+    z = logp / T
+    z -= logp_max / T
+    return np.exp(z, out=z)
+
+
+def _tempered_top(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
+    """Each row's tempered top entry, ``_tempered(logp, logp_max, T)`` at the
+    row's argmax, bit for bit.
+
+    The entry at the argmax is exp(0) = 1 over the row sum, so only the sum
+    is needed. For k < 8 the sum is a column pass that tempers one class
+    column at a time, the same operations in the same order, so no
+    (..., n, k) tensor exists; from k = 8 on the tensor is built and freed
+    before the reciprocal.
+    """
+    k = logp.shape[-1]
+    if not 0 < k < _COLUMN_PASS_K:
+        total = _row_sum(_tempered_exp(logp, logp_max, T))
+        return np.divide(1.0, total, out=total)
+    shift = logp_max / T
+    total, e = None, None
+    for j in range(k):
+        e = np.divide(logp[:, j:j + 1], T, out=e)
+        e -= shift
+        np.exp(e, out=e)
+        if total is None:
+            total = e + 0.0
+        else:
+            total += e
+    return np.divide(1.0, total, out=total)[..., 0]
+
+
+# fit_temperature scores this log-spaced grid of temperatures, (first, last,
+# count), then refines around the best one by golden section.
+_TEMPERATURE_GRID = (0.05, 20.0, 400)
 # fit_temperature scores its grid a chunk of temperatures at a time, and
-# each chunk's (chunk, n, k) tempered tensor holds at most this many entries
-# (8 MB): memory stays flat as n grows, and a small split takes one pass.
+# each chunk tempers at most this many entries (chunk * n * k; 8 MB as one
+# tensor, which only k >= 8 builds): memory stays flat as n grows, and a
+# small split takes one pass.
 _GRID_CHUNK_ENTRIES = 2**20
 
 
 def fit_temperature(
     ds_val: Dataset, bins: BinningConfig = BinningConfig()
 ) -> tuple[float, float, float]:
-    """Search a log-spaced temperature grid (plus golden-section refinement)
-    for the value minimizing conf-ECE on the given split.
+    """Search a log-spaced temperature grid, ``_TEMPERATURE_GRID`` (plus
+    golden-section refinement), for the value minimizing conf-ECE on the
+    given split.
 
     T = 1 is always a candidate, so the fitted temperature never increases
     conf-ECE here; when nothing beats the identity, (1.0, e, e) is returned.
@@ -292,20 +379,20 @@ def fit_temperature(
     # differs from apply_temperature + conf_ece is a near-tie that the
     # tempered softmax rounds to a tie, where a fresh argmax takes the lower
     # index.
-    top = np.argmax(probs, axis=1)
+    top = _row_argmax(probs)
     correct = top == labels
 
     def objective(T: float) -> float:
-        return binned_ece(_tempered(logp, logp_max, T)[rows, top], correct, M)
+        return binned_ece(_tempered_top(logp, logp_max, T), correct, M)
 
     ece_before = binned_ece(probs[rows, top], correct, M)
-    grid = np.geomspace(0.05, 20.0, 400)
+    grid = np.geomspace(*_TEMPERATURE_GRID)
     # A stacked _binned_gaps scores each row alone, so scoring the grid a
     # chunk at a time gives the same bits as one pass.
     step = max(1, _GRID_CHUNK_ENTRIES // probs.size)
     chunks = []
     for i in range(0, grid.size, step):
-        tops = _tempered(logp, logp_max, grid[i:i + step, None, None])[:, rows, top]
+        tops = _tempered_top(logp, logp_max, grid[i:i + step, None, None])
         chunks.append(_binned_gaps(tops, np.broadcast_to(correct, tops.shape), M)[0])
     scores = np.concatenate(chunks)
     best = int(np.argmin(scores))
@@ -319,6 +406,17 @@ def fit_temperature(
     if s_best < ece_before:
         return t_best, ece_before, s_best
     return 1.0, ece_before, ece_before
+
+
+def _grid_edge(T: float) -> str | None:
+    """The edge cell of the temperature grid that T lies in, "first" or
+    "last", where a better temperature may lie beyond the grid; else None."""
+    grid = np.geomspace(*_TEMPERATURE_GRID)
+    if T <= grid[1]:
+        return "first"
+    if T >= grid[-2]:
+        return "last"
+    return None
 
 
 def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, float]:

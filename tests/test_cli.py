@@ -698,6 +698,30 @@ def test_train_toy_ts_invariants(tmp_path, capsys):
     assert before_acc.split("acc=")[1].split()[0] == after_acc.split("acc=")[1].split()[0]
 
 
+def test_train_toy_ts_warns_when_the_fit_reaches_the_grid_edge(tmp_path, capsys):
+    """A policy trained for one small step is underconfident, and its fit
+    runs to the bottom of the temperature grid: one warning line on stderr
+    names the edge, and the run still exits 0. An interior fit warns
+    nothing."""
+    edge = ["train-toy", "--mode", "ts", "--n", "100", "--dim", "8", "--epochs", "1",
+            "--lr", "0.01", "--seed", "0", "--out", str(tmp_path / "edge")]
+    assert main(edge) == 0
+    captured = capsys.readouterr()
+    history = json.loads((tmp_path / "edge.history.json").read_text())
+    assert history[0]["temperature"] == 0.05
+    assert captured.err == (
+        "warning: fitted temperature 0.05 lies in the first cell of the grid "
+        "[0.05, 20.0]; a better one may lie beyond it\n"
+    )
+    assert captured.out.splitlines()[0] == "mode=ts"
+    assert len(captured.out.splitlines()) == 3
+
+    interior = ["train-toy", "--mode", "ts", "--n", "400", "--dim", "8", "--epochs", "60",
+                "--seed", "5"]
+    assert main(interior) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_train_toy_writes_artifacts_and_is_deterministic(tmp_path):
     args = [
         "train-toy", "--mode", "cft", "--n", "400", "--dim", "8",

@@ -9,6 +9,7 @@ from calibkit.emcal import (
     EmConfig,
     LOG_FLOOR,
     NonFiniteLoss,
+    Q_CLAMP,
     _history_row,
     build_all_targets,
     e_step,
@@ -136,6 +137,22 @@ def test_build_all_targets_composition():
     assert np.array_equal(targets, np.tile(single[0], (5, 1)))
 
 
+@pytest.mark.parametrize("k", [2, 4, 9])
+def test_build_all_targets_equals_build_target_matrix(k):
+    """build_all_targets skips the rank flag but keeps every target bit:
+    on Dirichlet rows, one-hot rows and ties, it equals build_target_matrix's
+    targets at the same clamped bin accuracies."""
+    rng = np.random.default_rng(70 + k)
+    probs = rng.dirichlet(np.ones(k) * 0.5, 500)
+    probs[:20] = np.eye(k)[rng.integers(0, k, 20)]
+    probs[20:30] = 1.0 / k
+    labels = rng.integers(0, k, 500)
+    z = e_step(probs, 10)
+    q, _ = m_step(probs, labels, z, 10, min_bin_count=5)
+    expected = build_target_matrix(probs, np.clip(q[z - 1], Q_CLAMP, 1.0 - Q_CLAMP))[0]
+    assert build_all_targets(probs, q, z).tobytes() == expected.tobytes()
+
+
 def test_build_all_targets_clamps_extreme_bins():
     probs = np.array([[0.9, 0.05, 0.03, 0.02]] * 3)
     z = e_step(probs, 10)
@@ -248,7 +265,7 @@ def test_run_em_lam_zero_builds_no_targets(features, monkeypatch):
     def no_targets(*args, **kwargs):
         raise AssertionError("lam = 0 built a target matrix")
 
-    monkeypatch.setattr("calibkit.emcal.build_target_matrix", no_targets)
+    monkeypatch.setattr("calibkit.emcal.build_all_targets", no_targets)
     task = gen_toy_task(d=6, k=4, n=120, seed=15)
     policy = LinearPolicy(task.d, task.k) if features else TabularPolicy.zeros(task.n, task.k)
     _, history = run_em(

@@ -19,6 +19,7 @@ from calibkit.cli import main
 from calibkit.core import Dataset
 from calibkit.emcal import EmConfig, run_em
 from calibkit.genmodel import make_model
+from calibkit.metrics import conf_ece_arrays, cw_ece_arrays, metric_row
 from calibkit.toylab import TabularPolicy, fit_temperature
 
 GOLDEN = {
@@ -28,6 +29,11 @@ GOLDEN = {
     "bounds": "0de9e43afe0832bcc13f6b11d330de4783588f685e1a59cb6c78ebb6d48aa383",
     "fit_temperature": "41b6d6a7dc0ffc2f36beb93130d6b4b588246caaaa89d76447c6188ef42fafd4",
     "run_em": "31cf8c3b9c82b541772bf73edea9e90a1531c5a7f40b7b21426a82bbc8c5de44",
+    # Recorded at the parent of the change that moved the argmax, cw-ECE,
+    # softmax, gradient and tempered-top kernels to column passes, before
+    # any of those kernels changed.
+    "run_em-k2-k7": "fc112f8df0da58876efb6d43a9edd56a43ef89255ef3ee854cb485fdfda92835",
+    "metric-kernels": "c12a9e9cf17cadeee83273bcbf588f1d09f65d6224a85ac36407b2136e957521",
 }
 
 
@@ -89,8 +95,12 @@ def test_fit_temperature_digest():
 def test_run_em_digest():
     """Histories and final logits of the EM loop at lam = 1 and lam = 0, for
     both divergences, at k = 4 and at k = 9."""
+    assert _digest("\n".join(_run_em_parts((4, 9)))) == GOLDEN["run_em"]
+
+
+def _run_em_parts(ks) -> list[str]:
     parts = []
-    for k in (4, 9):
+    for k in ks:
         rng = np.random.default_rng(k)
         probs = rng.dirichlet(np.ones(k) * 0.7, 400)
         labels = rng.integers(0, k, 400)
@@ -101,4 +111,39 @@ def test_run_em_digest():
                 policy, hist = run_em(TabularPolicy.from_probs(probs), labels, cfg)
                 parts.append(repr(hist))
                 parts.append(repr(policy.logits.tolist()))
-    assert _digest("\n".join(parts)) == GOLDEN["run_em"]
+    return parts
+
+
+def test_run_em_digest_k2_k7():
+    """The same EM runs at k = 2, the smallest class count, and k = 7, the
+    largest that the small-k column passes serve."""
+    assert _digest("\n".join(_run_em_parts((2, 7)))) == GOLDEN["run_em-k2-k7"]
+
+
+def _edge_matrix(n: int, k: int, M: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n rows over k classes: a third Dirichlet rows, a third rows whose
+    entries are bin edges m / M (zeros included), and a third one-hot rows,
+    shuffled, with uniform labels."""
+    rng = np.random.default_rng(seed)
+    third = n // 3
+    dirichlet = rng.dirichlet(np.ones(k) * 0.5, n - 2 * third)
+    # Each row splits M units over the k classes: entries m / M that sum to 1.
+    units = rng.multinomial(M, np.ones(k) / k, third)
+    edges = units / M
+    one_hot = np.eye(k)[rng.integers(0, k, third)]
+    probs = np.concatenate([dirichlet, edges, one_hot])[rng.permutation(n)]
+    return probs, rng.integers(0, k, n)
+
+
+def test_metric_kernels_digest():
+    """metric_row values and the conf-ECE and cw-ECE tables on 1e5 rows with
+    entries on the bin edges, exact zeros and one-hot rows, at k = 4 (column
+    passes) and k = 9 (numpy's reductions), at M = 10 and M = 5."""
+    parts = []
+    for k in (4, 9):
+        probs, labels = _edge_matrix(100_000, k, 10, seed=k)
+        for M in (10, 5):
+            parts.append(repr(metric_row(probs, labels, M)))
+            parts.append(repr(conf_ece_arrays(probs, labels, M)))
+            parts.append(repr(cw_ece_arrays(probs, labels, M)))
+    assert _digest("\n".join(parts)) == GOLDEN["metric-kernels"]

@@ -10,10 +10,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from calibkit.core import CalibrationError, Dataset, _row_max, _row_sum, validate_dataset
+from calibkit.core import (
+    CalibrationError,
+    Dataset,
+    _row_argmax,
+    _row_max,
+    _row_sum,
+    validate_dataset,
+)
 from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
-from calibkit.metrics import _binned_gaps
-from calibkit.toylab import apply_temperature
+from calibkit.metrics import _binned_gaps, _classwise_gaps, binned_ece, metric_row
+from calibkit.toylab import _tempered, _tempered_top, apply_temperature
 from test_cli import _assert_eval_like_reference
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 from test_genmodel import _row_verdicts
@@ -181,6 +188,84 @@ def test_row_kernels_equal_numpy_reductions(data):
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_same_bits(_row_max(a), a.max(axis=-1))
         _assert_same_bits(_row_sum(a), a.sum(axis=-1))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_row_argmax_equals_numpy_argmax(data):
+    """Ties (the first index wins), -0.0/0.0 ties, one-hot rows and NaN rows,
+    at k = 2..7 (the column pass) and k = 8..10 (numpy's own argmax), on
+    (0, k), (1, k) and taller matrices."""
+    k = data.draw(st.integers(2, 10), label="k")
+    n = data.draw(st.sampled_from([0, 1, 2, 5, 12]), label="n")
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan]),
+        st.floats(0.0, 1.0),
+    )
+    a = np.asarray(data.draw(st.lists(entry, min_size=n * k, max_size=n * k)),
+                   dtype=float).reshape(n, k)
+    hot = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    for i in range(n):
+        if data.draw(st.integers(0, 3)) == 0:
+            a[i] = 0.0
+            a[i, hot[i]] = 1.0
+    expected = np.argmax(a, axis=-1)
+    got = _row_argmax(a)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_classwise_ece_equals_the_per_class_loop(data):
+    """metric_row's cw-ECE, binned on the row-major matrix, equals the sum in
+    class order of binned_ece on each class column against labels == j, and
+    each class's table equals that column's own call; labels may be floats
+    and may lie outside [0, k)."""
+    k = data.draw(st.integers(2, 9), label="k")
+    n = data.draw(st.integers(1, 30), label="n")
+    M = data.draw(st.sampled_from([1, 5, 10, 13]), label="M")
+    edges = [m / 10 for m in range(11)]
+    value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    probs = np.asarray(data.draw(st.lists(value, min_size=n * k, max_size=n * k)),
+                       dtype=float).reshape(n, k)
+    labels = np.asarray(data.draw(st.lists(st.integers(-1, k), min_size=n, max_size=n)))
+    if data.draw(st.booleans(), label="float labels"):
+        labels = labels.astype(float)
+        labels[: data.draw(st.integers(0, n))] += data.draw(st.sampled_from([0.0, 0.5]))
+    expected = sum(binned_ece(probs[:, j], labels == j, M) for j in range(k)) / k
+    assert metric_row(probs, labels, M)["cw_ece"] == expected
+    cw, counts, mean_conf, freq = _classwise_gaps(probs, labels, M)
+    assert cw == expected
+    for j in range(k):
+        _, c, v, f = _binned_gaps(probs[:, j], labels == j, M)
+        assert c.tolist() == counts[j].tolist()
+        assert v.tobytes() == mean_conf[j].tobytes() and f.tobytes() == freq[j].tobytes()
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_tempered_top_equals_the_full_softmax_entry(data):
+    """The tempered top taken as 1 / row sum equals the tempered softmax's
+    entry at the source argmax, on near-ties, one-hot rows (whose log holds
+    -inf), k = 2 and k >= 8 (the tensor path), at the grid's ends T = 0.05
+    and T = 20, one temperature at a time and stacked."""
+    k = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), label="k")
+    n = data.draw(st.integers(1, 6), label="n")
+    probs = np.stack([_tie_row(data.draw, k) for _ in range(n)])
+    for i in range(n):
+        if data.draw(st.integers(0, 3)) == 0:
+            probs[i] = np.eye(k)[data.draw(st.integers(0, k - 1))]
+    with np.errstate(divide="ignore"):
+        logp = np.log(probs)
+    logp_max = _row_max(logp)[:, None]
+    rows, top = np.arange(n), _row_argmax(probs)
+    for T in (0.05, 20.0):
+        full = _tempered(logp, logp_max, T)[rows, top]
+        assert _tempered_top(logp, logp_max, T).tobytes() == full.tobytes()
+    grid = np.array([0.05, 1.0, 20.0])[:, None, None]
+    full = _tempered(logp, logp_max, grid)[:, rows, top]
+    assert _tempered_top(logp, logp_max, grid).tobytes() == full.tobytes()
 
 
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
