@@ -399,14 +399,9 @@ def _run_toy_mode(args, task, bins):
         base, _ = _sft_baseline(args, task)
         before_ds, before_report = _toy_report(task, base, bins)
         t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, bins)
-        edge = toylab._grid_edge(t_star)
-        if edge is not None:
-            lo, hi, _ = toylab._TEMPERATURE_GRID
-            print(
-                f"warning: fitted temperature {t_star!r} lies in the {edge} cell of the "
-                f"grid [{lo!r}, {hi!r}]; a better one may lie beyond it",
-                file=sys.stderr,
-            )
+        warning = toylab._grid_edge_warning(t_star)
+        if warning is not None:
+            print(f"warning: {warning}", file=sys.stderr)
         transformed = toylab.apply_temperature(before_ds, t_star)
         after_report = build_report(transformed, bins)
         history = [{"temperature": t_star, "ece_before": ece_b, "ece_after": ece_a}]

@@ -265,7 +265,8 @@ _EPS = float(np.finfo(float).eps)
 
 # numpy 2.4 reduces slowly over a short innermost axis: on a (1e4, 4)
 # matrix, max(axis=1) costs over 20 times a running np.maximum over the 4
-# columns. Below this many classes the row kernels take a column pass.
+# columns. Below this many classes the row max and row sum take a column
+# pass; from k = 8 on that pass would no longer give numpy's bits.
 _COLUMN_PASS_K = 8
 
 
@@ -292,19 +293,19 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 def _row_argmax(a: np.ndarray) -> np.ndarray:
     """``np.argmax(a, axis=-1)`` of a float array, exactly.
 
-    For k < 8 it is a column pass that keeps the running maximum and moves
-    the index to column j only where column j is strictly greater: the first
-    index wins a tie, a -0.0/0.0 tie included, as in numpy. A NaN would stop
-    the comparisons, so the rows that hold one (their running maximum is
-    NaN) take numpy's argmax, which returns the first NaN. From k = 8 on
-    numpy's own argmax runs.
+    A column pass that keeps the running maximum and moves the index to
+    column j only where column j is strictly greater: the first index wins a
+    tie, a -0.0/0.0 tie included, as in numpy. A NaN would stop the
+    comparisons, so the rows that hold one (their running maximum is NaN)
+    take numpy's argmax, which returns the first NaN. Every step is
+    elementwise, so the pass runs at every k; an empty last axis raises as
+    numpy does.
     """
-    k = a.shape[-1]
-    if not 0 < k < _COLUMN_PASS_K:
+    if a.shape[-1] == 0:
         return np.argmax(a, axis=-1)
     best = a[..., 0].copy()
     arg = np.zeros(best.shape, dtype=np.intp)
-    for j in range(1, k):
+    for j in range(1, a.shape[-1]):
         col = a[..., j]
         np.maximum(arg, (col > best) * j, out=arg)
         np.maximum(best, col, out=best)

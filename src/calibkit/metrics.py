@@ -20,7 +20,7 @@ from .core import (
     BinningConfig,
     CalibrationError,
     Dataset,
-    _COLUMN_PASS_K,
+    SchemaError,
     _row_argmax,
     _row_max,
     bin_index_array,
@@ -99,79 +99,44 @@ class PairwisePreferenceRecord:
 
 
 def _binned_gaps(
-    values: np.ndarray, events: np.ndarray, M: int, by_class: bool = False
+    values: np.ndarray, events: np.ndarray, M: int
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted-gap sum plus per-bin counts, mean values, and event rates.
 
     ``values`` and ``events`` are one stratification of shape (n,), or a
-    stack of shape (G, n) whose rows are G separate stratifications. With
-    ``by_class``, ``values`` is an (n, G) probability matrix whose column j
-    is stratification j, and ``events`` holds the n labels: column j's
-    events are the rows with ``labels == j``. A stack offsets each
-    stratification's bin ids by g * M and makes one ``np.bincount`` per sum
-    over the values as they lie in memory; bincount adds each (g, bin) cell
-    in ascending row order and the gap sum reduces each stratification
-    alone, so stratification g of the result equals the (n,) call on it bit
-    for bit. The gap is a Python float for (n,) input and a (G,) array for a
-    stack; the tables are (M,) or (G, M).
+    stack of shape (G, n) whose rows are G separate stratifications. A stack
+    offsets each row's bin ids by row * M and makes one ``np.bincount`` per
+    sum; bincount adds each (row, bin) cell in row order and the gap sum
+    reduces each row alone, so row g of the result equals the (n,) call on
+    row g bit for bit. The gap is a Python float for (n,) input and a (G,)
+    array for a stack; the tables are (M,) or (G, M).
     """
+    shape = values.shape[:-1] + (M,)
     idx = bin_index_array(values, M)
-    if by_class:
-        n, G = values.shape
-        shape = (G, M)
-        _offset_columns(idx, M)
-    else:
-        n = values.shape[-1]
-        shape = values.shape[:-1] + (M,)
-        if values.ndim == 2:
-            idx += M * np.arange(values.shape[0])[:, None]
+    if values.ndim == 2:
+        idx += M * np.arange(values.shape[0])[:, None]
     idx = idx.ravel()
+    evt_sums = np.bincount(
+        idx, weights=events.astype(float).ravel(), minlength=math.prod(shape) + 1
+    )[1:].reshape(shape)
+    gaps, *tables = _gap_tables(idx, values, evt_sums, shape, values.shape[-1])
+    return (float(gaps) if values.ndim == 1 else gaps), *tables
+
+
+def _gap_tables(
+    idx: np.ndarray, values: np.ndarray, evt_sums: np.ndarray, shape: tuple, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The gap sums over the last axis of ``shape``, the counts, mean values
+    and event rates, from the flat offset bin ids of ``values`` (one id per
+    entry, in memory order; 0 is never used) and each cell's event sum."""
     size = math.prod(shape) + 1
     counts = np.bincount(idx, minlength=size)[1:].reshape(shape)
     val_sums = np.bincount(idx, weights=values.ravel(), minlength=size)[1:].reshape(shape)
-    if by_class:
-        # A running sum of 0.0/1.0 event weights is an exact integer count.
-        evt_sums = np.bincount(
-            idx[_label_cells(events, n, G)], minlength=size
-        )[1:].reshape(shape).astype(float)
-    else:
-        evt_sums = np.bincount(
-            idx, weights=events.astype(float).ravel(), minlength=size
-        )[1:].reshape(shape)
     occupied = counts > 0
     mean_conf = np.divide(val_sums, counts, out=np.zeros(shape), where=occupied)
     freq = np.divide(evt_sums, counts, out=np.zeros(shape), where=occupied)
     gaps = (np.abs(freq - mean_conf) * counts).sum(axis=-1) / n
-    return (float(gaps) if values.ndim == 1 else gaps), counts, mean_conf, freq
-
-
-def _offset_columns(idx: np.ndarray, M: int) -> None:
-    """Add j * M to column j of an (n, G) bin-id matrix, in place."""
-    G = idx.shape[1]
-    if G < _COLUMN_PASS_K:
-        for j in range(1, G):
-            idx[:, j] += j * M
-    else:
-        idx += M * np.arange(G)
-
-
-def _label_cells(labels, n: int, k: int) -> np.ndarray:
-    """Flat positions, in a C-ordered (n, k) matrix, of each row's label
-    cell: the entry j with ``labels == j``. A row whose label equals no j in
-    [0, k) has none."""
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels of shape {labels.shape} for {n} rows")
-    if labels.dtype.kind in "iu":
-        # An unsigned label beyond the int64 range wraps to a negative one.
-        cls = labels.astype(np.int64, copy=False)
-    else:
-        cls = np.full(n, -1)
-        for j in range(k):
-            cls[labels == j] = j
-    cells = np.arange(0, n * k, k) + cls
-    inside = (cls >= 0) & (cls < k)
-    return cells if inside.all() else cells[inside]
+    return gaps, counts, mean_conf, freq
 
 
 def binned_ece(values: np.ndarray, events: np.ndarray, M: int) -> float:
@@ -199,11 +164,39 @@ def _classwise_gaps(probs: np.ndarray, labels: np.ndarray, M: int):
     """cw-ECE and the (k, M) bin arrays: one pass over the k class columns
     of the row-major matrix.
 
-    The k gaps are summed in class order as Python floats and divided by k,
-    the same sequential sum as a per-class loop.
+    Column j's bin ids are offset by j * M, so one ``np.bincount`` per sum
+    over the entries as they lie in memory adds each (class, bin) cell in
+    ascending row order, as the per-class call on ``probs[:, j]`` does.
+    Class j's events are the rows with ``labels == j``; a running sum of
+    0.0/1.0 event weights is an exact integer, so the event sums are integer
+    counts of the bin ids of each row's label cell. The k gaps are summed in
+    class order as Python floats and divided by k, the same sequential sum
+    as a per-class loop.
     """
-    gaps, counts, mean_conf, freq = _binned_gaps(probs, labels, M, by_class=True)
-    return sum(gaps.tolist()) / probs.shape[1], counts, mean_conf, freq
+    n, k = probs.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise SchemaError("probs must be (n, k) aligned with labels")
+    idx = bin_index_array(probs, M)
+    for j in range(1, k):
+        idx[:, j] += j * M
+    idx = idx.ravel()
+    if labels.dtype.kind in "iu":
+        # An unsigned label beyond the int64 range wraps to a negative one.
+        cls = labels.astype(np.int64, copy=False)
+    else:
+        cls = np.full(n, -1)
+        for j in range(k):
+            cls[labels == j] = j
+    # The flat position of each row's label cell; a row whose label is no
+    # class in [0, k) has none.
+    cells = np.arange(0, n * k, k) + cls
+    inside = (cls >= 0) & (cls < k)
+    evt_sums = np.bincount(
+        idx[cells if inside.all() else cells[inside]], minlength=k * M + 1
+    )[1:].reshape(k, M).astype(float)
+    gaps, counts, mean_conf, freq = _gap_tables(idx, probs, evt_sums, (k, M), n)
+    return sum(gaps.tolist()) / k, counts, mean_conf, freq
 
 
 def accuracy_arrays(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -64,12 +64,9 @@ def _softmax_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _by_column(op, a: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op(a, r[..., None], out=out)``: for k < 8 one pass per column, which
-    avoids numpy's slow broadcast over a short last axis."""
-    k = a.shape[-1]
-    if not 0 < k < _COLUMN_PASS_K:
-        return op(a, r[..., None], out=out)
-    for j in range(k):
+    """``op(a, r[..., None], out=out)``, one elementwise pass per column,
+    which avoids numpy's slow broadcast over a short last axis."""
+    for j in range(a.shape[-1]):
         op(a[..., j], r, out=out[..., j])
     return out
 
@@ -142,7 +139,8 @@ def _grad_wrt_logits(
         if targets is None:
             raise BadParams("a positive lam needs targets")
         # In place, in the operation order of
-        # g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None]).
+        # g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None]), with
+        # three (n, k) buffers: g, dldp and prod.
         if divergence == "mse":
             dldp = np.subtract(probs, targets)
             dldp *= 2.0 / k
@@ -154,20 +152,12 @@ def _grad_wrt_logits(
         else:
             raise BadParams(f"unknown divergence {divergence!r}")
         dldp /= n
-        if k >= _COLUMN_PASS_K:
-            g += lam * probs * (dldp - _row_sum(dldp * probs)[:, None])
-            return g
-        # Below 8 classes, one column at a time: only g and dldp span (n, k).
-        rowsum = dldp[:, 0] * probs[:, 0]
-        rowsum += 0.0
-        a, c = np.empty(n), np.empty(n)
-        for j in range(1, k):
-            rowsum += np.multiply(dldp[:, j], probs[:, j], out=a)
-        for j in range(k):
-            np.subtract(dldp[:, j], rowsum, out=c)
-            np.multiply(probs[:, j], lam, out=a)
-            a *= c
-            g[:, j] += a
+        prod = dldp * probs
+        rowsum = _row_sum(prod)
+        _by_column(np.subtract, dldp, rowsum, out=dldp)
+        np.multiply(probs, lam, out=prod)
+        prod *= dldp
+        g += prod
     return g
 
 
@@ -408,15 +398,16 @@ def fit_temperature(
     return 1.0, ece_before, ece_before
 
 
-def _grid_edge(T: float) -> str | None:
-    """The edge cell of the temperature grid that T lies in, "first" or
-    "last", where a better temperature may lie beyond the grid; else None."""
-    grid = np.geomspace(*_TEMPERATURE_GRID)
-    if T <= grid[1]:
-        return "first"
-    if T >= grid[-2]:
-        return "last"
-    return None
+def _grid_edge_warning(T: float) -> str | None:
+    """The warning for a fitted temperature T in the first or last cell of
+    the grid, where a better temperature may lie beyond it; else None."""
+    lo, hi, count = _TEMPERATURE_GRID
+    grid = np.geomspace(lo, hi, count)
+    if grid[1] < T < grid[-2]:
+        return None
+    edge = "first" if T <= grid[1] else "last"
+    return (f"fitted temperature {T!r} lies in the {edge} cell of the grid "
+            f"[{lo!r}, {hi!r}]; a better one may lie beyond it")
 
 
 def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, float]:

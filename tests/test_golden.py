@@ -34,6 +34,7 @@ GOLDEN = {
     # any of those kernels changed.
     "run_em-k2-k7": "fc112f8df0da58876efb6d43a9edd56a43ef89255ef3ee854cb485fdfda92835",
     "metric-kernels": "c12a9e9cf17cadeee83273bcbf588f1d09f65d6224a85ac36407b2136e957521",
+    "run_em-lam0.3": "907f815dde106f7f81db40512b38b0165162250c6ea2b150878fe96ca98d04b0",
 }
 
 
@@ -98,14 +99,14 @@ def test_run_em_digest():
     assert _digest("\n".join(_run_em_parts((4, 9)))) == GOLDEN["run_em"]
 
 
-def _run_em_parts(ks) -> list[str]:
+def _run_em_parts(ks, lams=(1.0, 0.0)) -> list[str]:
     parts = []
     for k in ks:
         rng = np.random.default_rng(k)
         probs = rng.dirichlet(np.ones(k) * 0.7, 400)
         labels = rng.integers(0, k, 400)
         for divergence in ("mse", "cross-entropy"):
-            for lam in (1.0, 0.0):
+            for lam in lams:
                 cfg = EmConfig(epochs=4, bins=10, lam=lam, divergence=divergence,
                                learning_rate=0.5, inner_steps=5)
                 policy, hist = run_em(TabularPolicy.from_probs(probs), labels, cfg)
@@ -118,6 +119,13 @@ def test_run_em_digest_k2_k7():
     """The same EM runs at k = 2, the smallest class count, and k = 7, the
     largest that the small-k column passes serve."""
     assert _digest("\n".join(_run_em_parts((2, 7)))) == GOLDEN["run_em-k2-k7"]
+
+
+def test_run_em_digest_fractional_lam():
+    """The EM runs at k = 4 and 9 with lam = 0.3: a weight that is no power
+    of two rounds differently when the gradient's products are regrouped, so
+    this pins their order."""
+    assert _digest("\n".join(_run_em_parts((4, 9), (0.3,)))) == GOLDEN["run_em-lam0.3"]
 
 
 def _edge_matrix(n: int, k: int, M: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calibkit.core import BinningConfig, Dataset, bin_index_array
+from calibkit.core import BinningConfig, Dataset, SchemaError, bin_index_array
 from calibkit.genmodel import (
     FiniteGenerativeModel,
     Predictor,
@@ -134,6 +134,13 @@ def test_stacked_cw_ece_equals_per_class_loop(k, M):
     expected = _reference_cw_ece(probs, labels, M)
     assert cw_ece_arrays(probs, labels, M) == expected
     assert metric_row(probs, labels, M)["cw_ece"] == expected[0]
+
+
+def test_cw_ece_rejects_labels_not_aligned_with_the_rows():
+    probs = np.full((4, 2), 0.5)
+    for labels in (np.zeros(3, dtype=int), np.zeros((4, 1), dtype=int), 0):
+        with pytest.raises(SchemaError):
+            cw_ece_arrays(probs, labels, 10)
 
 
 def test_ece_bounds_on_random_data():
