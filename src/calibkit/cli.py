@@ -29,7 +29,7 @@ from .core import (
     _validate_columns,
 )
 from .diagram import reliability_svg
-from .emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, run_em
+from .emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, _epochs, run_em
 from .genmodel import (
     FiniteGenerativeModel,
     NoDisagreement,
@@ -374,8 +374,13 @@ def cmd_train_toy(args) -> int:
 
 
 def _sft_baseline(args, task):
+    """The policy of ``toylab.train(..., mode="sft-only")``, fitted by
+    draining the EM loop: no history row is built."""
     policy = toylab.LinearPolicy(task.d, task.k)
-    return toylab.train(policy, task, mode="sft-only", epochs=args.epochs, lr=args.lr)
+    cfg = toylab._plain_descent(args.epochs, args.lr)
+    for _ in _epochs(policy, task.labels, cfg, features=task.features):
+        pass
+    return policy
 
 
 def _run_toy_mode(args, task, bins):
@@ -396,7 +401,7 @@ def _run_toy_mode(args, task, bins):
         )
         policy, history = run_em(policy, task.labels, cfg, features=None)
     elif args.mode == "ts":
-        base, _ = _sft_baseline(args, task)
+        base = _sft_baseline(args, task)
         before_ds, before_report = _toy_report(task, base, bins)
         t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, bins)
         warning = toylab._grid_edge_warning(t_star)
@@ -413,7 +418,7 @@ def _run_toy_mode(args, task, bins):
             lam=args.lam if args.mode == "cft" else 1.0,
             divergence=args.divergence, learning_rate=args.lr,
         )
-        base, _ = _sft_baseline(args, task)
+        base = _sft_baseline(args, task)
         before_ds, before_report = _toy_report(task, base, bins)
         mode = "cft" if args.mode == "cft" else "rcft-analog"
         policy, history = toylab.train(base, task, mode=mode, em=cfg)

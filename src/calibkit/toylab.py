@@ -430,6 +430,12 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
+def _plain_descent(epochs: int, lr: float, bins: int = 10) -> EmConfig:
+    """The EM config of plain full-batch descent: lam = 0, one step per
+    epoch. ``bins`` bins only the history rows; 10 is ``train``'s default."""
+    return EmConfig(epochs=epochs, bins=bins, lam=0.0, learning_rate=lr, inner_steps=1)
+
+
 def train(
     policy,
     task: ToyTask,
@@ -457,13 +463,10 @@ def train(
     and rcft-analog rows, the overfit rows included, use the EM config's bins.
     Every plain-descent row carries ``mean_ece: None``.
     """
-    def plain(epochs, lr, bins):
-        return EmConfig(epochs=epochs, bins=bins, lam=0.0, learning_rate=lr, inner_steps=1)
-
     if mode in ("sft-only", "label-smooth"):
         fit = None if mode == "sft-only" else label_smooth_targets(task.labels, task.k, epsilon)
         return run_em(
-            policy, task.labels, plain(epochs, lr, bins), features=task.features,
+            policy, task.labels, _plain_descent(epochs, lr, bins), features=task.features,
             fit_targets=fit,
         )
     if mode in ("cft", "rcft-analog") and em is None:
@@ -472,7 +475,9 @@ def train(
         return run_em(policy, task.labels, em, features=task.features)
     if mode == "rcft-analog":
         tab = TabularPolicy.from_probs(policy.probs(task.features))
-        tab, hist1 = run_em(tab, task.labels, plain(overfit_epochs, overfit_lr, em.bins))
+        tab, hist1 = run_em(
+            tab, task.labels, _plain_descent(overfit_epochs, overfit_lr, em.bins)
+        )
         tab, hist2 = run_em(tab, task.labels, em)
         for i, row in enumerate(hist2):
             row["epoch"] = hist1[-1]["epoch"] + i

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from calibkit import cli, toylab
+from calibkit import cli, emcal, toylab
 from calibkit.cli import main
 from calibkit.core import validate_dataset
 from calibkit.emcal import NonFiniteGradient
@@ -748,3 +749,43 @@ def test_train_toy_plain_descent_history_uses_bins(tmp_path):
         assert history[-1]["conf_ece"] == report["conf_ece"]
         final[bins] = history[-1]["conf_ece"]
     assert final["7"] != final["10"]
+
+
+@pytest.mark.parametrize("mode", ["cft", "rcft", "ts"])
+def test_train_toy_builds_only_the_history_rows_it_writes(mode, tmp_path, monkeypatch):
+    """The SFT baseline under cft, rcft and ts is fitted without history
+    rows. cft builds exactly the rows it writes. rcft builds one more: its EM
+    stage's epoch-0 row, which repeats the overfit stage's last state and
+    which ``toylab.train`` drops. ts, whose history is the temperature fit,
+    builds none."""
+    built = []
+    history_row = emcal._history_row
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return history_row(*args, **kwargs)
+
+    monkeypatch.setattr(emcal, "_history_row", counted)
+    assert main([
+        "train-toy", "--mode", mode, "--n", "200", "--dim", "6", "--epochs", "30",
+        "--em-epochs", "2", "--seed", "3", "--out", str(tmp_path / mode),
+    ]) == 0
+    history = json.loads((tmp_path / f"{mode}.history.json").read_text())
+    expected = {"cft": len(history), "rcft": len(history) + 1, "ts": 0}[mode]
+    assert len(built) == expected
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_sft_baseline_matches_train_sft_only_bitwise(k, seed):
+    """The row-free baseline of cft, rcft and ts takes the same steps as
+    ``toylab.train``'s sft-only mode. Both run here, on one machine: the
+    policy's matrix products go through BLAS."""
+    task = toylab.gen_toy_task(d=8, k=k, n=300, seed=seed)
+    args = argparse.Namespace(epochs=40, lr=0.5)
+    drained = cli._sft_baseline(args, task)
+    trained, history = toylab.train(
+        toylab.LinearPolicy(task.d, task.k), task, mode="sft-only", epochs=40, lr=0.5
+    )
+    assert len(history) == 41
+    assert drained.W.tobytes() == trained.W.tobytes()

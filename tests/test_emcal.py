@@ -10,6 +10,7 @@ from calibkit.emcal import (
     LOG_FLOOR,
     NonFiniteLoss,
     Q_CLAMP,
+    _epochs,
     _history_row,
     build_all_targets,
     e_step,
@@ -306,6 +307,48 @@ def test_run_em_rejects_non_finite_policy():
         with pytest.raises(NonFiniteLoss) as err:
             run_em(broken, np.array([0]), EmConfig(epochs=2), features=None)
     assert err.value.epoch == 0
+
+
+class _NanAfterSteps:
+    """A stub policy whose confidences turn NaN once it has taken
+    ``nan_step`` descent steps."""
+
+    k = 3
+
+    def __init__(self, nan_step):
+        self.nan_step = nan_step
+        self.steps = 0
+
+    def probs(self, features):
+        out = np.full((4, self.k), 1.0 / self.k)
+        if self.steps >= self.nan_step:
+            out[1, 2] = np.nan
+        return out
+
+    def combined_grad(self, features, fit_targets, targets, lam, divergence,
+                      sft_weight=1.0, probs=None):
+        return np.zeros(self.k)
+
+    def descend(self, grad, lr):
+        self.steps += 1
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_epochs_and_run_em_report_the_epoch_of_non_finite_confidences(lam):
+    """Draining the loop and running it with history rows stop at the same
+    epoch: with one step per epoch, confidences turn NaN at epoch 3."""
+    labels = np.array([0, 1, 2, 0])
+    cfg = EmConfig(epochs=6, lam=lam, inner_steps=1, min_bin_count=1)
+    seen = []
+    with pytest.raises(NonFiniteLoss) as drained:
+        for epoch, _, _ in _epochs(_NanAfterSteps(3), labels, cfg):
+            seen.append(epoch)
+    assert drained.value.epoch == 3
+    assert seen == [0, 1, 2]
+    with pytest.raises(NonFiniteLoss) as rows:
+        run_em(_NanAfterSteps(3), labels, cfg)
+    assert rows.value.epoch == 3
+    assert str(rows.value) == str(drained.value)
 
 
 def test_combined_grad_rejects_non_finite_targets():
