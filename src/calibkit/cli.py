@@ -220,18 +220,28 @@ def _float_block(confs: list[str], k: int) -> np.ndarray:
 
 def _prediction_lines(ds):
     """Yield a sampled dataset's JSONL lines, ``_CHUNK_ROWS`` rows per
-    string, as ``json.dumps(row, sort_keys=True)`` writes them: ``%r`` of a
-    float is ``float.__repr__``, which json uses too, and the ids
-    ``sample_dataset`` gives (``r0``, ``r1``, ...) need no escaping."""
+    string, as ``json.dumps(row, sort_keys=True)`` writes them: ``repr`` of
+    a float is ``float.__repr__``, which json uses too, and the ids
+    ``sample_dataset`` gives (``r0``, ``r1``, ...) need no escaping.
+
+    Each distinct confidence row is formatted once per chunk: a model of s
+    support points gives at most s distinct rows. Rows are grouped by their
+    bytes, so -0.0 and 0.0 stay apart as ``repr`` keeps them apart."""
     k = ds.k
-    line = '{"confidences": [' + ", ".join(["%r"] * k) + '], "id": "%s", "label": %d}\n'
+    # One head per distinct row; float reprs hold no newline to split on.
+    head = '{"confidences": [' + ", ".join(["%s"] * k) + '], "id": "\n'
+    line = '%s%s", "label": %d}\n'
     for start in range(0, ds.n, _CHUNK_ROWS):
-        probs = ds.probs_matrix[start:start + _CHUNK_ROWS]
-        # Each line's format arguments: k floats, the id and the label.
-        args = np.empty((len(probs), k + 2), dtype=object)
-        args[:, :k] = probs.tolist()
-        args[:, k] = ds.ids[start:start + _CHUNK_ROWS]
-        args[:, k + 1] = ds.labels_array[start:start + _CHUNK_ROWS].tolist()
+        probs = np.ascontiguousarray(ds.probs_matrix[start:start + _CHUNK_ROWS])
+        keys = probs.view(np.dtype((np.void, 8 * k))).ravel()
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        reprs = tuple(map(repr, uniq.view(float).tolist()))
+        heads = np.array((head * len(uniq) % reprs).split("\n")[:-1], dtype=object)
+        # Each line's format arguments: its row's head, the id and the label.
+        args = np.empty((len(probs), 3), dtype=object)
+        args[:, 0] = heads[inverse]
+        args[:, 1] = ds.ids[start:start + _CHUNK_ROWS]
+        args[:, 2] = ds.labels_array[start:start + _CHUNK_ROWS].tolist()
         yield line * len(probs) % tuple(args.ravel().tolist())
 
 
@@ -273,13 +283,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
+    # Checked before the model is built and sampled, so bad flags fail fast.
+    bins = BinningConfig(M=args.bins)
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_INPUT
+    model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
     ds = sample_dataset(model, predictor, args.n, seed=args.seed)
-    report = build_report(ds, BinningConfig(M=args.bins))
+    report = build_report(ds, bins)
     print(f"accuracy={report.accuracy!r}")
     print(f"conf_ece={report.conf_ece!r}")
     print(f"cw_ece={report.cw_ece!r}")

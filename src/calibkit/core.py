@@ -211,7 +211,6 @@ class Dataset:
             raise SchemaError("probs must be (n, k) aligned with labels")
         n, k = probs.shape
         if ids is None:
-            ids = [f"r{i}" for i in range(n)]
             bad_id = np.zeros(n, dtype=bool)
         else:
             ids = list(ids)
@@ -236,7 +235,11 @@ class Dataset:
             raise SchemaError(f"unknown split tag {split!r}")
         if n == 0:
             raise EmptyDataset("a dataset needs at least one record")
-        _check_unique_ids(ids)
+        if ids is None:
+            # Distinct by construction, so they skip the duplicate check.
+            ids = [f"r{i}" for i in range(n)]
+        else:
+            _check_unique_ids(ids)
         return cls._from_columns(probs, labels, ids, [split] * n)
 
     def with_probs(self, probs: np.ndarray) -> "Dataset":

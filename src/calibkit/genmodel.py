@@ -327,7 +327,9 @@ def construct_bound_predictor(
     # One-hot on the realized label, or on the lowest-index wrong class.
     out[flip, labels[flip] if raise_acc else np.where(labels[flip] != 0, 0, 1)] = 1.0
 
-    achieved = a_star + moved if raise_acc else a_star - moved
+    # a_star and moved are sums of the same masses in different orders, so
+    # an exact 0 or 1 can round an ulp past [0, 1].
+    achieved = min(a_star + moved, 1.0) if raise_acc else max(a_star - moved, 0.0)
     return BoundConstruction(Predictor(list(model.support), out), achieved, a_star)
 
 

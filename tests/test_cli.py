@@ -589,6 +589,40 @@ def test_simulate_bad_params(capsys):
     assert main(["simulate", "--support", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--bins", "0"], "error: OutOfRange: bin count 0 must be >= 1"),
+        (["--n", "0"], "error: --n must be >= 1"),
+    ],
+    ids=["bins-0", "n-0"],
+)
+def test_simulate_checks_its_flags_before_sampling(flags, error, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("make_model ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "make_model", unreachable)
+    assert main(["simulate", "--n", "2000000", *flags]) == 2
+    assert capsys.readouterr().err == error + "\n"
+
+
+def test_simulate_formats_each_distinct_row_once_per_chunk(tmp_path, monkeypatch, capsys):
+    """20000 rows of a 5-point model span 3 chunks of at most 5 distinct
+    rows of 3 entries each: at most 45 floats are formatted, not 60000."""
+    formatted = []
+
+    def counted(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    assert main([
+        "simulate", "--support", "5", "--k", "3", "--n", "20000",
+        "--out", str(tmp_path / "sim"),
+    ]) == 0
+    assert 0 < len(formatted) <= 3 * 5 * 3
+
+
 def test_bounds_csv_envelope(tmp_path, capsys):
     model = make_model("dirichlet", 4, 40, alpha=1.0, seed=5)
     model_path = tmp_path / "model.json"
@@ -611,6 +645,21 @@ def test_bounds_csv_envelope(tmp_path, capsys):
     # The a = a* row trades nothing away.
     mid = rows[1]
     assert float(mid[2]) == 0.0
+
+
+def test_bounds_reaches_accuracy_0_and_1(tmp_path, capsys):
+    """On this model the masses moved to reach 0 and 1 sum an ulp past the
+    reference accuracy; the achieved accuracy stays in [0, 1]."""
+    model = make_model("dirichlet", 4, 50, alpha=1.0, seed=1)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+    assert main(["bounds", "--model", str(model_path), "--acc-grid", "0.0,1.0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" tce=")[0] for line in out] == [
+        "target=0.0 achieved=0.0", "target=1.0 achieved=1.0"
+    ]
+    assert out[0].endswith("regime=calibratable")
+    assert out[1].endswith("regime=non-calibratable")
 
 
 def test_bounds_deterministic(tmp_path):

@@ -371,7 +371,8 @@ def _reference_labels_matching_accuracy(model, target_acc):
 
 def _reference_construct_bound_predictor(model, labels, target_acc):
     """The per-point loop ``construct_bound_predictor`` replaced: the flipped
-    matrix, the achieved accuracy and the reference accuracy."""
+    matrix, the achieved accuracy and the reference accuracy. The achieved
+    accuracy is clamped into [0, 1], as an accuracy must lie there."""
     base = model.label_probs
     correct = np.argmax(base, axis=1) == labels
     a_star = float(model.weights @ correct)
@@ -392,7 +393,7 @@ def _reference_construct_bound_predictor(model, labels, target_acc):
         else:
             out[i, 0 if labels[i] != 0 else 1] = 1.0
         moved += w
-    achieved = a_star + moved if raise_acc else a_star - moved
+    achieved = min(a_star + moved, 1.0) if raise_acc else max(a_star - moved, 0.0)
     return out, achieved, a_star
 
 

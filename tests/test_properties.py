@@ -10,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from calibkit import cli
 from calibkit.core import (
     CalibrationError,
     Dataset,
@@ -18,10 +19,22 @@ from calibkit.core import (
     _row_sum,
     validate_dataset,
 )
-from calibkit.genmodel import FiniteGenerativeModel, Predictor, population_cw_ece, tce
+from calibkit.genmodel import (
+    FiniteGenerativeModel,
+    NoDisagreement,
+    Predictor,
+    UnreachableAccuracy,
+    classify_regime,
+    construct_bound_predictor,
+    labeled_accuracy,
+    lower_bound_constant,
+    population_cw_ece,
+    tce,
+    verify_ece_le_tce,
+)
 from calibkit.metrics import _binned_gaps, _classwise_gaps, binned_ece, metric_row
 from calibkit.toylab import _tempered, _tempered_top, apply_temperature
-from test_cli import _assert_eval_like_reference
+from test_cli import _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 from test_genmodel import _row_verdicts
 
@@ -322,3 +335,72 @@ def test_tempering_keeps_every_unique_argmax(data):
     unique = (tempered == _row_max(tempered)[:, None]).sum(axis=1) == 1
     source_top = np.argmax(probs, axis=1)
     assert (np.argmax(tempered, axis=1) == source_top)[unique].all()
+
+
+# Rows of k = 3 that the simulate writer must keep apart or format exactly:
+# two rows equal as floats but not as bytes, one-hot rows, the smallest
+# subnormal, and entries whose reprs carry an exponent.
+_WRITER_ROWS = [
+    [0.5, 0.5, -0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+    [5e-324, 0.5, 0.5], [2.5e-05, 0.499975, 0.5], [1e-20, 0.25, 0.75],
+    [1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.7],
+]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_prediction_lines_equal_a_per_record_json_writer(data):
+    picks = data.draw(st.lists(st.integers(0, len(_WRITER_ROWS) - 1), min_size=1, max_size=12))
+    probs = np.asarray([_WRITER_ROWS[i] for i in picks])
+    labels = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=len(picks),
+                                           max_size=len(picks))))
+    ds = Dataset.from_arrays(probs, labels)
+    expected = _per_record_jsonl(ds)
+    with pytest.MonkeyPatch.context() as mp:
+        # Small chunks, so repeated rows straddle chunk boundaries.
+        mp.setattr(cli, "_CHUNK_ROWS", data.draw(st.integers(1, 4), label="chunk rows"))
+        assert "".join(cli._prediction_lines(ds)) == expected
+
+
+def _sweep_model(draw):
+    """A finite model with s <= 40 points and k from 2 to 6: integer weights
+    with some zero, and label rows drawn from a small pool, so rows repeat
+    and many have tied top entries."""
+    k = draw(st.integers(2, 6), label="k")
+    s = draw(st.integers(1, 40), label="s")
+    w = np.asarray(
+        draw(st.lists(st.integers(0, 7), min_size=s, max_size=s).filter(any)), dtype=float
+    )
+    pool = _rows(draw, draw(st.integers(1, 4)), k)
+    rows = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=s, max_size=s))]
+    return FiniteGenerativeModel(k, [f"x{i}" for i in range(s)], w / w.sum(), rows)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_bound_theorems_hold_on_random_finite_models(data):
+    """The bound construction (targets include 0 and 1), cw-ECE <= TCE and
+    the lower-bound constant, on the constructed predictor and a random one."""
+    model = _sweep_model(data.draw)
+    s, k = model.n_support, model.k
+    labels = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=s, max_size=s)))
+    target = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    reference = Predictor.from_model(model)
+    predictors = [Predictor(model.support, _rows(data.draw, s, k))]
+    try:
+        built = construct_bound_predictor(model, labels, target)
+    except UnreachableAccuracy:
+        pass
+    else:
+        achieved, a_star = built.achieved_acc, built.reference_acc
+        assert tce(model, built.predictor) <= 2 * abs(achieved - a_star) + 1e-12
+        assert abs(labeled_accuracy(model, built.predictor, labels) - achieved) <= 1e-12
+        regime = classify_regime(achieved, a_star)
+        assert regime == ("calibratable" if achieved <= a_star else "non-calibratable")
+        predictors.append(built.predictor)
+    for pi in predictors:
+        assert verify_ece_le_tce(model, pi)[2]
+        try:
+            assert lower_bound_constant(model, reference, pi)[1]
+        except NoDisagreement:
+            pass
