@@ -11,12 +11,14 @@ every subcommand is deterministic given its inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 import tempfile
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -88,10 +90,11 @@ def _parse_bins(text: str) -> BinningConfig:
         raise BadParams(f"--bins must be an integer or 'heuristic', got {text!r}") from exc
 
 
-def _jsonl_lines(fh):
-    """Yield ``(line number, line)`` for each nonblank line of an open file,
+def _jsonl_lines(lines, start: int = 1):
+    """Yield ``(line number, line)`` for each nonblank line of ``lines``
+    (an open file, or a list of raw lines whose first is line ``start``),
     stripped of surrounding whitespace."""
-    for ln, line in enumerate(fh, start=1):
+    for ln, line in enumerate(lines, start):
         line = line.strip()
         if line:
             yield ln, line
@@ -124,24 +127,53 @@ def _jsonl_values(fh):
 # Each form's groups are id, confidences, label and split, in line order.
 _ID = r'"([A-Za-z0-9_-]+)"'
 _NUM = r"(?:0|[1-9][0-9]{0,16})(?:\.[0-9]{1,40})?(?:[eE][-+]?[0-9]{1,3})?"
-_CONFS = rf"\[({_NUM}(?:, {_NUM})+)\]"
 _TAIL = r'"label": (0|[1-9][0-9]{0,8})(?:, "split": "(train|val|test)")?\}'
-_README_FORM = re.compile(rf'\{{"id": {_ID}, "confidences": {_CONFS}, {_TAIL}')
-_SORTED_FORM = re.compile(rf'\{{"confidences": {_CONFS}, "id": {_ID}, {_TAIL}')
+
+
+def _line_form(readme: bool, entries: str) -> str:
+    """The pattern of one strict line whose confidence list is ``entries``."""
+    confs = rf"\[({entries})\]"
+    if readme:
+        head = f'"id": {_ID}, "confidences": {confs}'
+    else:
+        head = f'"confidences": {confs}, "id": {_ID}'
+    return rf"\{{{head}, {_TAIL}"
+
+
+_README_FORM = re.compile(_line_form(True, rf"{_NUM}(?:, {_NUM})+"))
+_SORTED_FORM = re.compile(_line_form(False, rf"{_NUM}(?:, {_NUM})+"))
+# Entries a chunk pattern spells out one by one; any more are one counted
+# repeat, which keeps a pattern for a file of many classes small to compile.
+_UNROLLED_ENTRIES = 32
 _SPLIT_TAGS = {s: s for s in VALID_SPLITS}
 _CHUNK_ROWS = 8192
+
+
+@functools.lru_cache(maxsize=16)
+def _chunk_form(readme: bool, k: int) -> re.Pattern:
+    """The multi-line pattern of a strict line with exactly k entries; each
+    match is one whole line, so a chunk is strict when every line matches."""
+    unrolled = min(k, _UNROLLED_ENTRIES)
+    entries = ", ".join([_NUM] * unrolled)
+    if k > unrolled:
+        entries += f"(?:, {_NUM}){{{k - unrolled}}}"
+    return re.compile(f"^{_line_form(readme, entries)}$", re.M)
 
 
 class _PredictionColumns:
     """The rows of a prediction JSONL file as ``_validate_columns`` takes
     them, each row's line number, and the file's invalid-JSON messages.
 
-    A line in ``_README_FORM`` or ``_SORTED_FORM`` whose entry count is the
-    first such line's goes straight into columns, ``_CHUNK_ROWS`` rows at a
-    time. Every other nonblank line goes through ``_json_value``. Both paths
-    give the same values. When every row took the strict path, ``confs`` is
-    one float matrix and ``labels`` one int64 array; otherwise both are lists
-    of per-row values in file order.
+    The file is read ``_CHUNK_ROWS`` raw lines at a time. The first line in
+    ``_README_FORM`` or ``_SORTED_FORM`` fixes k. A chunk whose every line
+    is in the form of its first line, with k entries and nothing around
+    it, is matched by one regex ``split`` and goes straight into columns.
+    Any other chunk is read line by line: a stripped line in either strict
+    form with k entries goes into columns, and every other nonblank line
+    through ``_json_value``. All routes give the same values. When every
+    row took a strict route, ``confs`` is one float matrix and ``labels``
+    one int64 array; otherwise both are lists of per-row values in file
+    order.
     """
 
     def __init__(self, fh):
@@ -149,45 +181,18 @@ class _PredictionColumns:
         self.splits: list = []
         self.lines = array("q")
         self.bad_json: list[str] = []
+        self._k = None
         parsed: dict[int, object] = {}  # row index -> value of a json.loads row
         blocks, label_blocks = [], []
-        confs: list[str] = []
-        labels: list[str] = []
-        k = None
-        for ln, line in _jsonl_lines(fh):
-            m = _README_FORM.fullmatch(line)
-            if m is not None:
-                rid, conf, label, split = m.groups()
-            else:
-                m = _SORTED_FORM.fullmatch(line)
-                if m is not None:
-                    conf, rid, label, split = m.groups()
-            if m is not None:
-                if k is None:
-                    k = conf.count(",") + 1
-                if conf.count(",") + 1 == k:
-                    self.ids.append(rid)
-                    self.splits.append(_SPLIT_TAGS[split])
-                    self.lines.append(ln)
-                    confs.append(conf)
-                    labels.append(label)
-                    if len(confs) == _CHUNK_ROWS:
-                        blocks.append(_float_block(confs, k))
-                        label_blocks.append(np.array(labels, dtype=np.int64))
-                        confs, labels = [], []
-                    continue
-            value, error = _json_value(ln, line)
-            if error is not None:
-                self.bad_json.append(error)
-                continue
-            parsed[len(self.lines)] = value
-            row = value if isinstance(value, dict) else {}
-            self.ids.append(row.get("id"))
-            self.splits.append(row.get("split"))
-            self.lines.append(ln)
-        if confs:
-            blocks.append(_float_block(confs, k))
-            label_blocks.append(np.array(labels, dtype=np.int64))
+        start = 1
+        for chunk in iter(lambda: list(islice(fh, _CHUNK_ROWS)), []):
+            confs, labels = self._strict_chunk(chunk, start) or self._line_chunk(
+                chunk, start, parsed
+            )
+            if confs:
+                blocks.append(_float_block(confs, self._k))
+                label_blocks.append(np.array(labels, dtype=np.int64))
+            start += len(chunk)
 
         n = len(self.lines)
         self.is_obj = np.ones(n, dtype=bool)
@@ -207,6 +212,63 @@ class _PredictionColumns:
             else:
                 self.confs.append(next(strict_confs))
                 self.labels.append(next(strict_labels))
+
+    def _strict_chunk(self, chunk: list[str], start: int):
+        """The confidence and label texts of ``chunk``, raw lines from line
+        ``start`` on, when every line is strict in the form of the first;
+        its ids, splits and line numbers go into columns. None otherwise,
+        with nothing taken."""
+        readme = chunk[0].startswith('{"id"')
+        if self._k is None:
+            m = (_README_FORM if readme else _SORTED_FORM).fullmatch(chunk[0].strip())
+            if m is None:
+                return None
+            self._k = m.group(2 if readme else 1).count(",") + 1
+        # A flat list: the text before the first match, then each match's
+        # four groups and the text after it. Unlike findall, no per-row tuple.
+        parts = _chunk_form(readme, self._k).split("".join(chunk))
+        if len(parts) != 5 * len(chunk) + 1:
+            return None
+        confs, labels = parts[2 if readme else 1 :: 5], parts[3::5]
+        self.ids.extend(parts[1 if readme else 2 :: 5])
+        self.splits.extend(map(_SPLIT_TAGS.__getitem__, parts[4::5]))
+        self.lines.extend(range(start, start + len(chunk)))
+        return confs, labels
+
+    def _line_chunk(self, chunk: list[str], start: int, parsed: dict):
+        """The confidence and label texts of the strict rows of ``chunk``,
+        read line by line; every row goes into columns, and each
+        ``json.loads`` row's value into ``parsed`` under its row index."""
+        confs: list[str] = []
+        labels: list[str] = []
+        for ln, line in _jsonl_lines(chunk, start):
+            m = _README_FORM.fullmatch(line)
+            if m is not None:
+                rid, conf, label, split = m.groups()
+            else:
+                m = _SORTED_FORM.fullmatch(line)
+                if m is not None:
+                    conf, rid, label, split = m.groups()
+            if m is not None:
+                if self._k is None:
+                    self._k = conf.count(",") + 1
+                if conf.count(",") + 1 == self._k:
+                    self.ids.append(rid)
+                    self.splits.append(_SPLIT_TAGS[split])
+                    self.lines.append(ln)
+                    confs.append(conf)
+                    labels.append(label)
+                    continue
+            value, error = _json_value(ln, line)
+            if error is not None:
+                self.bad_json.append(error)
+                continue
+            parsed[len(self.lines)] = value
+            row = value if isinstance(value, dict) else {}
+            self.ids.append(row.get("id"))
+            self.splits.append(row.get("split"))
+            self.lines.append(ln)
+        return confs, labels
 
     def validate(self):
         return _validate_columns(self.ids, self.confs, self.labels, self.splits, self.is_obj)

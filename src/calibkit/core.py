@@ -19,6 +19,7 @@ SIMPLEX_ATOL = 1e-9
 INGEST_SIMPLEX_ATOL = 1e-6
 
 VALID_SPLITS = (None, "train", "val", "test")
+_SPLIT_SET = frozenset(VALID_SPLITS)
 
 
 class CalibrationError(Exception):
@@ -450,15 +451,29 @@ def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray
     label_col, label_int = _label_column(labels)
     bad_label_type = ~label_int
     bad_label_range = label_int & built & ((label_col < 0) | (label_col >= conf.lengths))
-    bad_split = np.fromiter((s not in VALID_SPLITS for s in splits), dtype=bool, count=n)
-    bad_id = np.fromiter(
-        (not (isinstance(rid, str) and rid) for rid in ids), dtype=bool, count=n
-    )
+    # Columns with only valid splits, or only nonempty str ids (the reader's
+    # strict rows), need no per-row pass.
+    try:
+        splits_ok = set(splits) <= _SPLIT_SET
+    except TypeError:  # an unhashable split
+        splits_ok = False
+    if splits_ok:
+        bad_split = np.zeros(n, dtype=bool)
+    else:
+        bad_split = np.fromiter((s not in VALID_SPLITS for s in splits), dtype=bool, count=n)
+    id_set = set(ids) if set(map(type, ids)) <= {str} else None
+    if id_set is not None and "" not in id_set:
+        bad_id = np.zeros(n, dtype=bool)
+    else:
+        bad_id = np.fromiter(
+            (not (isinstance(rid, str) and rid) for rid in ids), dtype=bool, count=n
+        )
     # Every check but the duplicate one; among rows with one id, the first
     # that passes them all is accepted and every later one is a duplicate.
     clean = is_obj & (conf.code == _CONF_OK) & ~bad_label_type & ~bad_label_range & ~bad_split
     duplicate = np.zeros(n, dtype=bool)
-    if bad_id.any() or len(set(ids)) != n:
+    # id_set is None only when some id is not a str, and so bad_id.any().
+    if bad_id.any() or len(id_set) != n:
         first: dict[str, int] = {}
         for i in np.flatnonzero(clean & ~bad_id).tolist():
             first.setdefault(ids[i], i)

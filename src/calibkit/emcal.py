@@ -29,11 +29,12 @@ The loop is one generator, ``_epochs``, which yields each epoch's state
 that epoch's gradient steps. ``run_em`` builds one history row from each
 yield (``metric_row`` and ``mean_sft``, about 1 ms at n = 1e4); the CLI's
 SFT baseline for cft, rcft and ts drains the same generator and builds no
-rows. Per epoch of ``inner_steps`` gradient steps the loop takes
-``inner_steps`` softmaxes (the yielded one, which the first step reuses, and
-one per later step) and the row argmax of one confidence matrix twice at
-lam > 0 (``m_step`` and the target build) and never at lam = 0; the final
-epoch yields and takes no step. Each history row takes one more argmax.
+rows, and rcft-analog's EM stage builds none for its epoch 0. Per epoch of
+``inner_steps`` gradient steps the loop takes ``inner_steps`` softmaxes (the
+yielded one, which the first step reuses, and one per later step) and the
+row argmax of one confidence matrix twice at lam > 0 (``m_step`` and the
+target build) and never at lam = 0; the final epoch yields and takes no
+step. Each history row takes one more argmax.
 """
 
 from __future__ import annotations
@@ -199,13 +200,8 @@ def run_em(
     trajectory is plain full-batch descent on the fit term.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    history: list[dict] = []
-    for epoch, probs, mean_ece in _epochs(policy, labels, cfg, features, fit_targets):
-        row = _history_row(epoch, probs, labels, cfg.bins, mean_ece)
-        if not all(v is None or np.isfinite(v) for v in row.values()):
-            raise NonFiniteLoss(epoch, f"history row {row}")
-        history.append(row)
-    return policy, history
+    stage = _epochs(policy, labels, cfg, features, fit_targets)
+    return policy, _history(stage, labels, cfg.bins)
 
 
 def _epochs(
@@ -256,13 +252,22 @@ def _epochs(
             policy.descend(grad, cfg.learning_rate)
 
 
+def _history(stage, labels: np.ndarray, M: int) -> list[dict]:
+    """One history row for each yield of the ``_epochs`` generator ``stage``."""
+    return [_history_row(epoch, probs, labels, M, mean_ece) for epoch, probs, mean_ece in stage]
+
+
 def _history_row(
     epoch: int, probs: np.ndarray, labels: np.ndarray, M: int, mean_ece: float | None
 ) -> dict:
-    """One per-epoch history row; lam = 0 rows pass ``mean_ece=None``."""
-    return {
+    """One per-epoch history row; lam = 0 rows pass ``mean_ece=None``. A
+    non-finite value raises ``NonFiniteLoss`` at ``epoch``."""
+    row = {
         "epoch": epoch,
         **metric_row(probs, labels, M),
         "mean_sft": mean_sft(probs, labels),
         "mean_ece": mean_ece,
     }
+    if not all(v is None or np.isfinite(v) for v in row.values()):
+        raise NonFiniteLoss(epoch, f"history row {row}")
+    return row

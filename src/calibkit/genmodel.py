@@ -175,8 +175,8 @@ def make_model(
         rows = np.zeros((n_support, k))
         rows[np.arange(n_support), np.arange(n_support) % k] = 1.0
     else:
-        if not (alpha > 0.0):
-            raise BadParams("dirichlet concentration must be > 0")
+        if not (0.0 < alpha < np.inf):
+            raise BadParams(f"dirichlet concentration alpha must be finite and > 0, got {alpha!r}")
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.full(k, float(alpha)), size=n_support)
         # Sampler rows can sit a few ulp off unit sum; pin them down.

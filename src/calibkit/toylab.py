@@ -29,6 +29,8 @@ from .emcal import (
     EmConfig,
     LOG_FLOOR,
     NonFiniteGradient,
+    _epochs,
+    _history,
     _one_hot,  # noqa: F401  re-exported: the acceptance suite imports it from here
     mean_ece_loss,
     mean_sft,
@@ -112,7 +114,15 @@ def gen_toy_task(
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     W = rng.standard_normal((d, k))
-    probs = softmax(X @ W / teacher_temperature)
+    # A subnormal temperature can overflow the logits: that is reported as a
+    # bad temperature, not as numpy warnings and NaN teacher rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = X @ W / teacher_temperature
+        probs = softmax(logits)
+    if not (np.isfinite(logits).all() and np.isfinite(probs).all()):
+        raise BadParams(
+            f"teacher temperature {teacher_temperature!r} overflows the teacher logits"
+        )
     labels = _draw_labels(probs, rng.random(n))
     return ToyTask(X, labels.astype(np.int64), k, W, float(teacher_temperature))
 
@@ -478,10 +488,12 @@ def train(
         tab, hist1 = run_em(
             tab, task.labels, _plain_descent(overfit_epochs, overfit_lr, em.bins)
         )
-        tab, hist2 = run_em(tab, task.labels, em)
-        for i, row in enumerate(hist2):
-            row["epoch"] = hist1[-1]["epoch"] + i
-        return tab, hist1 + hist2[1:]
+        stage = _epochs(tab, task.labels, em)
+        next(stage)  # epoch 0 is the overfit stage's last state: hist1 ends with its row
+        hist2 = _history(stage, task.labels, em.bins)
+        for row in hist2:
+            row["epoch"] += hist1[-1]["epoch"]
+        return tab, hist1 + hist2
     raise BadParams(f"unknown training mode {mode!r}")
 
 

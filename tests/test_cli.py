@@ -428,6 +428,54 @@ def test_eval_chunk_boundaries_read_like_json_loads(name, tmp_path):
     _assert_eval_like_reference(path)
 
 
+class _CountedForm:
+    """A strict-form pattern whose per-line ``fullmatch`` calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, line):
+        self.calls += 1
+        return self.pattern.fullmatch(line)
+
+
+@pytest.mark.parametrize("sort_keys", [False, True], ids=["readme-form", "sorted-form"])
+def test_eval_matches_an_all_strict_chunk_at_once(sort_keys, tmp_path, monkeypatch):
+    """On a file of three all-strict chunks the per-line matchers run at
+    most once per chunk."""
+    chunk = 5
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    lines = [
+        json.dumps(json.loads(line), sort_keys=sort_keys)
+        for line in _canonical_lines(3 * chunk, seed=9)
+    ]
+    path = tmp_path / "strict.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    forms = [_CountedForm(cli._README_FORM), _CountedForm(cli._SORTED_FORM)]
+    monkeypatch.setattr(cli, "_README_FORM", forms[0])
+    monkeypatch.setattr(cli, "_SORTED_FORM", forms[1])
+    assert _strict_rows(path.read_text(encoding="utf-8"))
+    assert sum(form.calls for form in forms) <= 3
+    assert _assert_eval_like_reference(path)[0] == 0
+
+
+def test_eval_many_classes_read_like_json_loads(tmp_path, monkeypatch):
+    """Past ``_UNROLLED_ENTRIES`` entries the chunk pattern counts the rest:
+    all-strict chunks are still taken at once, and a line of one entry more
+    or fewer is not."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    k = cli._UNROLLED_ENTRIES + 8
+    lines = _canonical_lines(12, k=k, seed=10)
+    path = tmp_path / "wide.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _strict_rows(path.read_text(encoding="utf-8"))
+    assert _assert_eval_like_reference(path)[0] == 0
+    lines[5] = _canonical_lines(1, k=k + 1, seed=11, start=5)[0]
+    lines[9] = _canonical_lines(1, k=k - 1, seed=12, start=9)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _assert_eval_like_reference(path)[0] == 2
+
+
 def test_eval_canonical_file_reads_like_json_loads(tmp_path):
     lines = _canonical_lines(2 * cli._CHUNK_ROWS + 17, seed=7)
     path = tmp_path / "canonical.jsonl"
@@ -587,6 +635,14 @@ def test_sample_dataset_records_round_trip_the_arrays(model):
 
 def test_simulate_bad_params(capsys):
     assert main(["simulate", "--support", "0"]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_simulate_rejects_a_non_finite_dirichlet_concentration(alpha, capsys):
+    assert main(["simulate", "--model", "dirichlet", "--alpha", alpha, "--n", "10"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: BadParams: dirichlet concentration alpha must be finite and > 0, got {alpha}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -800,13 +856,23 @@ def test_train_toy_plain_descent_history_uses_bins(tmp_path):
     assert final["7"] != final["10"]
 
 
+def test_train_toy_rejects_a_tau_that_overflows_the_teacher(tmp_path, capsys):
+    """A subnormal --tau overflows the teacher logits: exit 2 naming the
+    temperature, with no numpy warning (an error under pytest's filter)."""
+    flags = ["train-toy", "--mode", "sft-only", "--n", "40", "--dim", "4", "--epochs", "2"]
+    assert main([*flags, "--tau", "1e-320"]) == 2
+    assert capsys.readouterr().err == (
+        "error: BadParams: teacher temperature 1e-320 overflows the teacher logits\n"
+    )
+    assert main([*flags, "--tau", "1e-300", "--out", str(tmp_path / "cold")]) == 0
+
+
 @pytest.mark.parametrize("mode", ["cft", "rcft", "ts"])
 def test_train_toy_builds_only_the_history_rows_it_writes(mode, tmp_path, monkeypatch):
     """The SFT baseline under cft, rcft and ts is fitted without history
-    rows. cft builds exactly the rows it writes. rcft builds one more: its EM
-    stage's epoch-0 row, which repeats the overfit stage's last state and
-    which ``toylab.train`` drops. ts, whose history is the temperature fit,
-    builds none."""
+    rows. cft and rcft build exactly the rows they write: rcft's EM stage
+    builds no row for its epoch 0, which repeats the overfit stage's last
+    state. ts, whose history is the temperature fit, builds none."""
     built = []
     history_row = emcal._history_row
 
@@ -820,7 +886,7 @@ def test_train_toy_builds_only_the_history_rows_it_writes(mode, tmp_path, monkey
         "--em-epochs", "2", "--seed", "3", "--out", str(tmp_path / mode),
     ]) == 0
     history = json.loads((tmp_path / f"{mode}.history.json").read_text())
-    expected = {"cft": len(history), "rcft": len(history) + 1, "ts": 0}[mode]
+    expected = {"cft": len(history), "rcft": len(history), "ts": 0}[mode]
     assert len(built) == expected
 
 

@@ -1,5 +1,6 @@
 """Property tests over small random inputs; they need the ``test`` extra."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -34,7 +35,7 @@ from calibkit.genmodel import (
 )
 from calibkit.metrics import _binned_gaps, _classwise_gaps, binned_ece, metric_row
 from calibkit.toylab import _tempered, _tempered_top, apply_temperature
-from test_cli import _assert_eval_like_reference, _per_record_jsonl
+from test_cli import _EDGE_LINES, _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 from test_genmodel import _row_verdicts
 
@@ -160,6 +161,44 @@ def test_eval_reads_any_formatting_like_json_loads(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "preds.jsonl"
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        _assert_eval_like_reference(path)
+
+
+def _mixed_line(draw, i, k):
+    """One line of a file that mixes the reader's routes: a strict line in
+    the README or the sorted key order (mostly of k entries, some of k + 1),
+    an ``_EDGE_LINES`` line, or a blank one."""
+    kind = draw(st.sampled_from(["readme"] * 4 + ["sorted"] * 4 + ["edge", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "edge":
+        return _EDGE_LINES[draw(st.sampled_from(sorted(_EDGE_LINES)))][0]
+    width = draw(st.sampled_from([k] * 5 + [k + 1]))
+    row = {
+        "id": draw(st.sampled_from([f"q{i}"] * 8 + ["q0"])),
+        "confidences": _rows(draw, 1, width)[0].tolist(),
+        "label": draw(st.sampled_from([0, width - 1] * 4 + [width])),
+    }
+    split = draw(st.sampled_from([None, None, "train", "test"]))
+    if split is not None:
+        row["split"] = split
+    return json.dumps(row, sort_keys=kind == "sorted")
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_eval_reads_mixed_chunks_like_json_loads(data):
+    """Chunks of 1 to 4 lines that are all strict in one form, or mix the
+    forms, entry counts, json.loads lines, blank lines and line endings,
+    read like json.loads on every line."""
+    k = data.draw(st.integers(2, 3), label="k")
+    n = data.draw(st.integers(1, 12), label="n")
+    lines = [_mixed_line(data.draw, i, k) for i in range(n)]
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=n, max_size=n))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK_ROWS", data.draw(st.integers(1, 4), label="chunk rows"))
+        path = Path(tmp) / "preds.jsonl"
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
         _assert_eval_like_reference(path)
 
 
