@@ -165,10 +165,10 @@ class _PredictionColumns:
     them, each row's line number, and the file's invalid-JSON messages.
 
     The file is read ``_CHUNK_ROWS`` raw lines at a time. The first line in
-    ``_README_FORM`` or ``_SORTED_FORM`` fixes k. A chunk whose every line
-    is in the form of its first line, with k entries and nothing around
-    it, is matched by one regex ``split`` and goes straight into columns.
-    Any other chunk is read line by line: a stripped line in either strict
+    ``_README_FORM`` or ``_SORTED_FORM`` fixes k. One regex ``split`` of a
+    chunk matches each line in the form of most of its lines, with k
+    entries and nothing around it, and these go straight into columns. The
+    lines left over are read one by one: a stripped line in either strict
     form with k entries goes into columns, and every other nonblank line
     through ``_json_value``. All routes give the same values. When every
     row took a strict route, ``confs`` is one float matrix and ``labels``
@@ -186,9 +186,7 @@ class _PredictionColumns:
         blocks, label_blocks = [], []
         start = 1
         for chunk in iter(lambda: list(islice(fh, _CHUNK_ROWS)), []):
-            confs, labels = self._strict_chunk(chunk, start) or self._line_chunk(
-                chunk, start, parsed
-            )
+            confs, labels = self._chunk_rows(chunk, start, parsed)
             if confs:
                 blocks.append(_float_block(confs, self._k))
                 label_blocks.append(np.array(labels, dtype=np.int64))
@@ -213,35 +211,66 @@ class _PredictionColumns:
                 self.confs.append(next(strict_confs))
                 self.labels.append(next(strict_labels))
 
-    def _strict_chunk(self, chunk: list[str], start: int):
-        """The confidence and label texts of ``chunk``, raw lines from line
-        ``start`` on, when every line is strict in the form of the first;
-        its ids, splits and line numbers go into columns. None otherwise,
-        with nothing taken."""
-        readme = chunk[0].startswith('{"id"')
+    def _chunk_rows(self, chunk: list[str], start: int, parsed: dict):
+        """Put every row of ``chunk``, raw lines from line ``start`` on, into
+        columns, and each ``json.loads`` row's value into ``parsed`` under its
+        row index; return the confidence and label texts of its strict rows.
+        """
         if self._k is None:
-            m = (_README_FORM if readme else _SORTED_FORM).fullmatch(chunk[0].strip())
+            first = chunk[0].strip()
+            readme = first.startswith('{"id"')
+            m = (_README_FORM if readme else _SORTED_FORM).fullmatch(first)
             if m is None:
-                return None
+                return self._line_rows(chunk, start, parsed, [], [])
             self._k = m.group(2 if readme else 1).count(",") + 1
+        text = "".join(chunk)
+        # The form of most lines: of the two, only a sorted-form line holds
+        # this text.
+        readme = 2 * text.count('{"confidences"') < len(chunk)
         # A flat list: the text before the first match, then each match's
         # four groups and the text after it. Unlike findall, no per-row tuple.
-        parts = _chunk_form(readme, self._k).split("".join(chunk))
-        if len(parts) != 5 * len(chunk) + 1:
-            return None
-        confs, labels = parts[2 if readme else 1 :: 5], parts[3::5]
-        self.ids.extend(parts[1 if readme else 2 :: 5])
-        self.splits.extend(map(_SPLIT_TAGS.__getitem__, parts[4::5]))
-        self.lines.extend(range(start, start + len(chunk)))
-        return confs, labels
-
-    def _line_chunk(self, chunk: list[str], start: int, parsed: dict):
-        """The confidence and label texts of the strict rows of ``chunk``,
-        read line by line; every row goes into columns, and each
-        ``json.loads`` row's value into ``parsed`` under its row index."""
+        parts = _chunk_form(readme, self._k).split(text)
+        if len(parts) == 5 * len(chunk) + 1:
+            return self._matched_rows(parts, 0, len(chunk), start, readme)
+        # Some lines did not match. Each run of matched lines is still taken
+        # from the list; the loose lines between runs are read line by line.
+        # Past the first, each gap starts with the newline of the line
+        # before it, and its loose lines end with their own.
         confs: list[str] = []
         labels: list[str] = []
-        for ln, line in _jsonl_lines(chunk, start):
+        gaps = parts[::5]
+        run, ln = 0, start  # the first match of the current run, and its line
+        for j, gap in enumerate(gaps):
+            loose = gap[1:] if j else gap
+            if not loose:
+                continue
+            strict = self._matched_rows(parts, run, j, ln, readme)
+            confs += strict[0]
+            labels += strict[1]
+            ln += j - run
+            lines = loose.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            self._line_rows(lines, ln, parsed, confs, labels)
+            run, ln = j, ln + len(lines)
+        strict = self._matched_rows(parts, run, len(gaps) - 1, ln, readme)
+        return confs + strict[0], labels + strict[1]
+
+    def _matched_rows(self, parts: list[str], a: int, b: int, ln: int, readme: bool):
+        """Put matches ``a`` to ``b - 1`` of a chunk ``split``, on lines
+        ``ln`` on, into columns; return their confidence and label texts."""
+        lo, hi = 5 * a, 5 * b
+        self.ids.extend(parts[lo + (1 if readme else 2) : hi : 5])
+        self.splits.extend(map(_SPLIT_TAGS.__getitem__, parts[lo + 4 : hi : 5]))
+        self.lines.extend(range(ln, ln + b - a))
+        return parts[lo + (2 if readme else 1) : hi : 5], parts[lo + 3 : hi : 5]
+
+    def _line_rows(self, lines: list[str], start: int, parsed: dict, confs: list, labels: list):
+        """Read ``lines``, raw lines from line ``start`` on, one by one into
+        columns; each strict row's confidence and label texts go onto
+        ``confs`` and ``labels``, and each ``json.loads`` row's value into
+        ``parsed`` under its row index. Return ``confs, labels``."""
+        for ln, line in _jsonl_lines(lines, start):
             m = _README_FORM.fullmatch(line)
             if m is not None:
                 rid, conf, label, split = m.groups()

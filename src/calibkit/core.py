@@ -472,8 +472,9 @@ def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray
     # that passes them all is accepted and every later one is a duplicate.
     clean = is_obj & (conf.code == _CONF_OK) & ~bad_label_type & ~bad_label_range & ~bad_split
     duplicate = np.zeros(n, dtype=bool)
-    # id_set is None only when some id is not a str, and so bad_id.any().
-    if bad_id.any() or len(id_set) != n:
+    # id_set is None when some id is not exactly a str: a str subclass such
+    # as np.str_ passes the per-row check, so its set is built here.
+    if bad_id.any() or len(set(ids) if id_set is None else id_set) != n:
         first: dict[str, int] = {}
         for i in np.flatnonzero(clean & ~bad_id).tolist():
             first.setdefault(ids[i], i)

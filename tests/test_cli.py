@@ -459,6 +459,28 @@ def test_eval_matches_an_all_strict_chunk_at_once(sort_keys, tmp_path, monkeypat
     assert _assert_eval_like_reference(path)[0] == 0
 
 
+def test_eval_reads_only_the_loose_lines_of_a_chunk_line_by_line(tmp_path, monkeypatch):
+    """In a chunk with a few loose lines (a blank, a compact and a
+    sorted-form line among README-form ones) the per-line matchers run on
+    the nonblank loose lines only: two calls each, plus one for the first
+    line of the file. The second chunk starts with its blank line."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 6)
+    lines = _canonical_lines(18, seed=13)
+    for c in range(3):
+        lines[6 * c + 2] = json.dumps(json.loads(lines[6 * c + 2]), separators=(",", ":"))
+        lines[6 * c + 4] = json.dumps(json.loads(lines[6 * c + 4]), sort_keys=True)
+    lines[6] = ""
+    path = tmp_path / "loose.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    forms = [_CountedForm(cli._README_FORM), _CountedForm(cli._SORTED_FORM)]
+    with mock.patch.object(cli, "_README_FORM", forms[0]), \
+            mock.patch.object(cli, "_SORTED_FORM", forms[1]), \
+            open(path, encoding="utf-8") as fh:
+        cli._PredictionColumns(fh)
+    assert sum(form.calls for form in forms) == 1 + 3 * 4
+    assert _assert_eval_like_reference(path)[0] == 0
+
+
 def test_eval_many_classes_read_like_json_loads(tmp_path, monkeypatch):
     """Past ``_UNROLLED_ENTRIES`` entries the chunk pattern counts the rest:
     all-strict chunks are still taken at once, and a line of one entry more

@@ -447,6 +447,12 @@ _INGEST_CASES = {
         {"id": "b", "confidences": "no", "label": 0},
     ],
     "only-duplicates": [_row(0), _row(0)],
+    "numpy-str-ids": [_row(0, id=np.str_("a")), _row(1, id=np.str_("b"))],
+    "numpy-str-duplicate-ids": [
+        _row(0, id=np.str_("a")),
+        _row(1, id="b"),
+        _row(2, id=np.str_("a")),
+    ],
     "ragged-k": [
         _row(0, (0.2, 0.3, 0.6)),
         {"id": "r1", "confidences": [0.2, 0.3, 0.5], "label": 0, "split": "dev"},
