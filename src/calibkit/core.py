@@ -54,6 +54,16 @@ class BadParams(CalibrationError):
     pass
 
 
+class NonFiniteLoss(CalibrationError):
+    def __init__(self, epoch: int, detail: str):
+        self.epoch = epoch
+        super().__init__(f"non-finite loss at epoch {epoch}: {detail}")
+
+
+class NonFiniteGradient(CalibrationError):
+    pass
+
+
 @dataclass(frozen=True)
 class ConfidenceVector:
     """A probability vector over k >= 2 classes.

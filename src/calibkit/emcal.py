@@ -47,6 +47,8 @@ import numpy as np
 from .core import (
     BadParams,
     CalibrationError,
+    NonFiniteGradient,
+    NonFiniteLoss,
     _row_argmax,
     _row_max,
     _row_sum,
@@ -61,16 +63,6 @@ DIVERGENCES = ("mse", "cross-entropy")
 # which the tail solve cannot absorb; clamp into the open interval.
 Q_CLAMP = 1e-3
 LOG_FLOOR = 1e-12
-
-
-class NonFiniteLoss(CalibrationError):
-    def __init__(self, epoch: int, detail: str):
-        self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}: {detail}")
-
-
-class NonFiniteGradient(CalibrationError):
-    pass
 
 
 @dataclass(frozen=True)

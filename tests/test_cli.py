@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from calibkit import cli, emcal, toylab
+from calibkit import cli, emcal, genmodel, toylab
 from calibkit.cli import main
 from calibkit.core import validate_dataset
 from calibkit.emcal import NonFiniteGradient
@@ -679,7 +679,7 @@ def test_simulate_checks_its_flags_before_sampling(flags, error, monkeypatch, ca
     def unreachable(*args, **kwargs):
         raise AssertionError("make_model ran before the flags were checked")
 
-    monkeypatch.setattr(cli, "make_model", unreachable)
+    monkeypatch.setattr(genmodel, "make_model", unreachable)
     assert main(["simulate", "--n", "2000000", *flags]) == 2
     assert capsys.readouterr().err == error + "\n"
 

@@ -33,7 +33,15 @@ from calibkit.genmodel import (
     tce,
     verify_ece_le_tce,
 )
-from calibkit.metrics import _binned_gaps, _classwise_gaps, binned_ece, metric_row
+from calibkit.metrics import (
+    _binned_gaps,
+    _classwise_gaps,
+    accuracy_arrays,
+    binned_ece,
+    conf_ece_arrays,
+    cw_ece_arrays,
+    metric_row,
+)
 from calibkit.toylab import _tempered, _tempered_top, apply_temperature
 from test_cli import _EDGE_LINES, _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
@@ -374,6 +382,37 @@ def test_tempering_keeps_every_unique_argmax(data):
     unique = (tempered == _row_max(tempered)[:, None]).sum(axis=1) == 1
     source_top = np.argmax(probs, axis=1)
     assert (np.argmax(tempered, axis=1) == source_top)[unique].all()
+
+
+def _range_row(draw, k):
+    """A probability row of k classes: one-hot, with zero entries, or with
+    a near-tie at the top."""
+    kind = draw(st.sampled_from(["one-hot", "zeros", "near-tie"]))
+    if kind == "one-hot":
+        return np.eye(k)[draw(st.integers(0, k - 1))]
+    if kind == "near-tie":
+        return _tie_row(draw, k)
+    counts = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    return np.asarray(counts, dtype=float) / sum(counts)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_every_metric_lies_in_the_unit_interval(data):
+    k = data.draw(st.integers(2, 9), label="k")
+    n = data.draw(st.integers(1, 60), label="n")
+    M = data.draw(st.integers(1, 20), label="M")
+    probs = np.stack([_range_row(data.draw, k) for _ in range(n)])
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    ds = Dataset.from_arrays(probs, np.asarray(labels))
+    probs, labels = ds.probs_matrix, ds.labels_array
+    values = [
+        accuracy_arrays(probs, labels),
+        conf_ece_arrays(probs, labels, M)[0],
+        cw_ece_arrays(probs, labels, M)[0],
+        *metric_row(probs, labels, M).values(),
+    ]
+    assert all(0.0 <= v <= 1.0 for v in values), values
 
 
 # Rows of k = 3 that the simulate writer must keep apart or format exactly:

@@ -2,6 +2,9 @@
 ``calibkit.__all__`` has to update this list on purpose."""
 
 import importlib
+import importlib.util
+
+import pytest
 
 import calibkit
 
@@ -60,3 +63,22 @@ def test_every_public_name_imports():
         namespace: dict = {}
         exec(f"from calibkit import {name}", namespace)
         assert namespace[name] is getattr(fresh, name)
+
+
+def test_dir_lists_every_public_name():
+    # A fresh execution of the package, before any name is loaded and cached.
+    spec = importlib.util.find_spec("calibkit")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert set(fresh.__all__) <= set(dir(fresh))
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from calibkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(calibkit.__all__)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        calibkit.no_such_name
