@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "BinningConfig": "core",
     "CalibrationError": "core",
-    "ConfidenceVector": "core",
     "Dataset": "core",
-    "PredictionRecord": "core",
     "validate_dataset": "core",
     "BinStats": "metrics",
     "CalibrationReport": "metrics",
@@ -24,7 +22,6 @@ _EXPORTS = {
     "build_report": "metrics",
     "conf_ece": "metrics",
     "cw_ece": "metrics",
-    "reliability_diagram": "metrics",
     "win_rate": "metrics",
     "FiniteGenerativeModel": "genmodel",
     "Predictor": "genmodel",

@@ -359,7 +359,7 @@ def cmd_eval(args) -> int:
     if args.report:
         _atomic_write(args.report, _dump_json(report.to_json_dict()))
     if args.plot:
-        svg = reliability_svg(report.conf_bins, report.n, report.k, mode="confidence")
+        svg = reliability_svg(report.conf_bins, report.n, report.k)
         _atomic_write(args.plot, svg)
     return EXIT_OK
 
@@ -412,13 +412,13 @@ def cmd_bounds(args) -> int:
     labels = labels_matching_accuracy(model, args.acc_star)
     reference = Predictor.from_model(model)
     a_star = labeled_accuracy(model, reference, labels)
-    had_error = False
+    unreachable = 0
     rows = ["target_acc,achieved_acc,tce,envelope_2gap,C,cwece_pop,holds"]
     for target in grid:
         try:
             built = construct_bound_predictor(model, labels, target)
         except (UnreachableAccuracy, BadParams) as exc:
-            had_error = True
+            unreachable += 1
             rows.append(f"{target!r},,,,,,unreachable")
             print(f"warning: target {target}: {exc}", file=sys.stderr)
             continue
@@ -442,7 +442,10 @@ def cmd_bounds(args) -> int:
         )
     if args.out:
         _atomic_write(args.out, "\n".join(rows) + "\n")
-    return EXIT_INPUT if had_error else EXIT_OK
+    if unreachable:
+        print(f"error: {unreachable} of {len(grid)} targets unreachable", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def _toy_report(task, policy, bins):

@@ -1,14 +1,16 @@
-"""Core types: simplex-constrained confidence vectors, labeled prediction
-records, datasets, and the shared equal-width binning convention.
+"""Core types: the columnar dataset of labeled confidence rows, its
+validation, the error classes, and the shared equal-width binning convention.
 
-Everything here is an immutable value; all operations are pure functions.
+A confidence row is a probability vector over k >= 2 classes: its entries
+are finite, lie in [0, 1] and have an exact (``math.fsum``) sum within
+``SIMPLEX_ATOL`` of 1. Everything here is an immutable value; all operations
+are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,37 +66,6 @@ class NonFiniteGradient(CalibrationError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfidenceVector:
-    """A probability vector over k >= 2 classes.
-
-    Entries must lie in [0, 1] and sum to 1 within ``SIMPLEX_ATOL``.
-    """
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) < 2:
-            raise SimplexViolation("a confidence vector needs at least two classes")
-        for p in probs:
-            if not math.isfinite(p):
-                raise SimplexViolation(f"non-finite entry {p!r}")
-            if p < 0.0 or p > 1.0:
-                raise SimplexViolation(f"entry {p!r} outside [0, 1]")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise SimplexViolation(f"entries sum to {total!r}, not 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.probs)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-
 def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
     """Equal-width bin of each value in [0, 1]: bin m covers ((m-1)/M, m/M].
 
@@ -129,63 +100,17 @@ class BinningConfig:
         return self.M
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One labeled multiple-choice instance with its confidence vector."""
-
-    id: str
-    confidences: ConfidenceVector
-    label: int
-    split: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise SchemaError("record id must be a nonempty string")
-        if not (0 <= self.label < self.confidences.k):
-            raise LabelOutOfRange(
-                f"label {self.label} outside [0, {self.confidences.k})"
-            )
-        if self.split not in VALID_SPLITS:
-            raise SchemaError(f"unknown split tag {self.split!r}")
-
-
 class Dataset:
-    """An ordered collection of records sharing one class count.
+    """An ordered collection of labeled rows sharing one class count.
 
     The data are four columns: ``probs_matrix`` (n, k), ``labels_array``,
-    ``ids`` (unique) and ``splits``; ``records`` is the per-row view. A
-    dataset built from records validates them and builds its columns at
-    once. One built from columns (``validate_dataset``, ``from_arrays``,
-    ``with_probs``) is validated as arrays and builds its records only when
-    they are first read.
+    ``ids`` (unique) and ``splits``. A dataset is built only by
+    ``from_arrays``, ``with_probs`` and ``validate_dataset``, each of which
+    validates its columns as arrays.
     """
 
-    def __init__(self, records: Sequence[PredictionRecord]):
-        records = list(records)
-        if not records:
-            raise EmptyDataset("a dataset needs at least one record")
-        k = records[0].confidences.k
-        for r in records:
-            if r.confidences.k != k:
-                raise SchemaError(
-                    f"record {r.id!r} has k={r.confidences.k}, expected {k}"
-                )
-        self.ids = [r.id for r in records]
-        _check_unique_ids(self.ids)
-        self.records = records
-        self.probs_matrix = np.asarray([r.confidences.probs for r in records], dtype=float)
-        self.labels_array = np.asarray([r.label for r in records], dtype=np.int64)
-        self.splits = [r.split for r in records]
-        self.n, self.k = self.probs_matrix.shape
-
-    @cached_property
-    def records(self) -> list[PredictionRecord]:
-        return [
-            PredictionRecord(rid, ConfidenceVector(tuple(row)), int(label), split)
-            for rid, row, label, split in zip(
-                self.ids, self.probs_matrix, self.labels_array, self.splits
-            )
-        ]
+    def __init__(self):
+        raise TypeError("build a Dataset with from_arrays, with_probs or validate_dataset")
 
     @classmethod
     def _from_columns(
@@ -210,11 +135,13 @@ class Dataset:
     ) -> "Dataset":
         """Build a dataset from an (n, k) confidence matrix and n labels.
 
-        The whole array is validated in one pass. It rejects exactly what
-        building one ``PredictionRecord`` per row and then the ``Dataset``
-        would reject, and raises the error class that the first bad row would
-        raise there. ``ids`` defaults to ``r0 .. r{n-1}``; ``split`` tags
-        every row.
+        The whole array is validated in one pass. Each row is checked in
+        turn: its confidences against the row rule (``SimplexViolation``),
+        its id (a nonempty str, else ``SchemaError``), its label in [0, k)
+        (``LabelOutOfRange``) and the split tag (``SchemaError``); the first
+        bad row's first failing check names the error. Then zero rows raise
+        ``EmptyDataset`` and a repeated id ``DuplicateId``. ``ids`` defaults
+        to ``r0 .. r{n-1}``; ``split`` tags every row.
         """
         probs = np.array(probs, dtype=float)
         labels = np.asarray(labels, dtype=np.int64)
@@ -249,8 +176,12 @@ class Dataset:
         if ids is None:
             # Distinct by construction, so they skip the duplicate check.
             ids = [f"r{i}" for i in range(n)]
-        else:
-            _check_unique_ids(ids)
+        elif len(set(ids)) != n:
+            seen: set[str] = set()
+            for rid in ids:
+                if rid in seen:
+                    raise DuplicateId(f"duplicate record id {rid!r}")
+                seen.add(rid)
         return cls._from_columns(probs, labels, ids, [split] * n)
 
     def with_probs(self, probs: np.ndarray) -> "Dataset":
@@ -263,16 +194,6 @@ class Dataset:
         if bad.any():
             raise SimplexViolation(_simplex_reason(probs[int(np.argmax(bad))]))
         return self._from_columns(probs, self.labels_array, self.ids, self.splits)
-
-
-def _check_unique_ids(ids: list[str]) -> None:
-    """Raise ``DuplicateId`` naming the first id seen twice."""
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for rid in ids:
-            if rid in seen:
-                raise DuplicateId(f"duplicate record id {rid!r}")
-            seen.add(rid)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -348,8 +269,8 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _sum_gaps(probs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's |sum - 1| and sum, as ``ConfidenceVector``'s exact rule
-    has them: the one place a row sum is judged against 1.
+    """Each row's |sum - 1| and sum, as the row rule's exact ``math.fsum``
+    sum has them: the one place a row sum is judged against 1.
 
     ``rows`` marks the rows of the (n, k) matrix to judge; their entries must
     be finite and nonnegative, and every other row gets an infinite gap. A
@@ -371,7 +292,9 @@ def _sum_gaps(probs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
-    """Rows of an (n, k) matrix that ``ConfidenceVector`` would reject."""
+    """Rows of an (n, k) matrix that break the row rule: k < 2, an entry
+    that is not finite or lies outside [0, 1], or an exact sum off 1 by more
+    than ``SIMPLEX_ATOL``."""
     n, k = probs.shape
     if k < 2:
         return np.ones(n, dtype=bool)
@@ -380,19 +303,24 @@ def _bad_simplex_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def _simplex_reason(row: np.ndarray) -> str:
-    """``ConfidenceVector``'s reason for rejecting a row that
-    ``_bad_simplex_rows`` rejected."""
-    try:
-        ConfidenceVector(tuple(row))
-    except SimplexViolation as exc:
-        return str(exc)
-    return f"row {row!r} is not a probability vector"
+    """The row rule's reason for rejecting a row that ``_bad_simplex_rows``
+    rejected: too few classes, else the first entry that is not finite or
+    lies outside [0, 1], else the exact sum."""
+    vals = row.tolist()
+    if len(vals) < 2:
+        return "a confidence vector needs at least two classes"
+    for p in vals:
+        if not math.isfinite(p):
+            return f"non-finite entry {p!r}"
+        if p < 0.0 or p > 1.0:
+            return f"entry {p!r} outside [0, 1]"
+    return f"entries sum to {math.fsum(vals)!r}, not 1"
 
 
 def _check_simplex_rows(probs: np.ndarray, what: str) -> None:
     """Raise ``SimplexViolation`` for the first row of an (s, k >= 2) matrix
-    that ``ConfidenceVector`` would reject, naming ``what``, the row's index
-    and the reason."""
+    that breaks the row rule, naming ``what``, the row's index and the
+    reason."""
     bad = _bad_simplex_rows(probs)
     if bad.any():
         i = int(np.argmax(bad))
@@ -420,8 +348,7 @@ def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     """Build a Dataset from raw dict rows, collecting all violations.
 
     Rows are validated as columns: one pass gathers the ids, confidences,
-    labels and splits, and array masks decide every check. The result holds
-    only the arrays; its records are built when first read.
+    labels and splits, and array masks decide every check.
 
     Confidence entries are whatever ``float()`` accepts; an integer too large
     for a float is an entry outside [0, 1]. Confidence vectors whose sum is

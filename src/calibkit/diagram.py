@@ -24,21 +24,13 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def reliability_svg(
-    bins: list[BinStats],
-    n: int,
-    k: int,
-    mode: str = "confidence",
-) -> str:
-    """Render one reliability table as an SVG string.
+def reliability_svg(bins: list[BinStats], n: int, k: int) -> str:
+    """Render one top-confidence reliability table as an SVG string.
 
-    In confidence mode, bins lying entirely below 1/k are omitted from the
-    drawing (the top class can never score below 1/k), though they remain in
-    the report data.
+    Bins lying entirely below 1/k are omitted from the drawing (the top
+    class can never score below 1/k), though they remain in the report data.
     """
-    drawable = bins
-    if mode == "confidence":
-        drawable = [b for b in bins if b.hi > 1.0 / k + 1e-12]
+    drawable = [b for b in bins if b.hi > 1.0 / k + 1e-12]
     max_count = max((b.count for b in drawable), default=0)
 
     parts = [

@@ -130,21 +130,16 @@ def build_all_targets(probs: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.nda
     return _target_rows(probs, np.clip(q_rec, Q_CLAMP, 1.0 - Q_CLAMP))[0]
 
 
-def _as_row(x) -> np.ndarray:
-    if hasattr(x, "as_array"):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
-
-
 def ece_loss(target, conf, divergence: str = "mse") -> float:
     """Divergence from a target distribution to a confidence vector: the
     one-row ``mean_ece_loss``."""
-    return mean_ece_loss(_as_row(conf)[None, :], _as_row(target)[None, :], divergence)
+    conf, target = np.asarray(conf, dtype=float), np.asarray(target, dtype=float)
+    return mean_ece_loss(conf[None, :], target[None, :], divergence)
 
 
 def sft_loss(conf, label: int) -> float:
     """Negative log-confidence of the true class: the one-row ``mean_sft``."""
-    return mean_sft(_as_row(conf)[None, :], np.asarray([label]))
+    return mean_sft(np.asarray(conf, dtype=float)[None, :], np.asarray([label]))
 
 
 def mean_sft(probs: np.ndarray, labels: np.ndarray) -> float:

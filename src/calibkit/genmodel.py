@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +26,6 @@ from .core import (
 )
 
 MODEL_KINDS = ("pure-random", "deterministic", "dirichlet")
-
-
-class UnknownSupportPoint(CalibrationError):
-    pass
 
 
 class UnreachableAccuracy(CalibrationError):
@@ -122,25 +117,16 @@ class Predictor:
     def k(self) -> int:
         return self.probs.shape[1]
 
-    @cached_property
-    def _row(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.ids)}
-
     def matrix_for(self, support: Sequence[str]) -> np.ndarray:
-        """Rows aligned with ``support`` order; fails on any missing point.
+        """This predictor's confidence rows for ``support``, which must be the
+        id list it was built on, in the same order; any other raises
+        ``BadParams``.
 
-        When ``support`` is the id list this predictor was built on, the
-        result is ``self.probs`` itself, not a copy: callers only read it.
-        Any other order, or a superset of the ids, goes through an id lookup.
+        The result is ``self.probs`` itself, not a copy: callers only read it.
         """
-        support = list(support)
-        if support == self.ids:
-            return self.probs
-        try:
-            rows = [self._row[s] for s in support]
-        except KeyError as exc:
-            raise UnknownSupportPoint(f"predictor undefined at {exc.args[0]!r}") from exc
-        return self.probs[rows]
+        if list(support) != self.ids:
+            raise BadParams("predictor ids must equal the support, in order")
+        return self.probs
 
     @classmethod
     def from_model(cls, model: FiniteGenerativeModel) -> "Predictor":
@@ -200,8 +186,7 @@ def sample_dataset(
 ) -> Dataset:
     """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences.
 
-    Rows are ids ``r0 .. r{n-1}``; the dataset holds arrays and builds its
-    records only when they are read."""
+    Rows are ids ``r0 .. r{n-1}``."""
     if n < 1:
         raise BadParams("n must be >= 1")
     pred = predictor.matrix_for(model.support)

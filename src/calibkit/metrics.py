@@ -251,32 +251,6 @@ def cw_ece(
     return cw_ece_arrays(ds.probs_matrix, ds.labels_array, bins.effective_bins(ds.n))
 
 
-def reliability_diagram(
-    ds: Dataset,
-    bins: BinningConfig = BinningConfig(),
-    mode: str | int = "confidence",
-) -> list[BinStats]:
-    """Bin table for plotting.
-
-    mode "confidence" is the conf-ECE stratification, "classwise-merged" (or
-    "classwise") pools all (record, class) pairs into one table, and an
-    integer j selects the class-j table of the cw-ECE stratification.
-    """
-    M = bins.effective_bins(ds.n)
-    probs, labels = ds.probs_matrix, ds.labels_array
-    if mode == "confidence":
-        return conf_ece_arrays(probs, labels, M)[1]
-    if mode in ("classwise", "classwise-merged"):
-        values = probs.reshape(-1)
-        events = (labels[:, None] == np.arange(ds.k)[None, :]).reshape(-1)
-        return _table(*_binned_gaps(values, events, M)[1:])
-    if isinstance(mode, int):
-        if not (0 <= mode < ds.k):
-            raise EmptyInput(f"class index {mode} outside [0, {ds.k})")
-        return _table(*_binned_gaps(probs[:, mode], labels == mode, M)[1:])
-    raise EmptyInput(f"unknown reliability mode {mode!r}")
-
-
 def build_report(ds: Dataset, bins: BinningConfig = BinningConfig()) -> CalibrationReport:
     """Compute every standard metric on the dataset at one bin resolution."""
     M = bins.effective_bins(ds.n)

@@ -189,9 +189,13 @@ class LinearPolicy:
     def probs(self, features: np.ndarray) -> np.ndarray:
         if features is None or features.shape[1] != self.W.shape[0]:
             raise DimensionMismatch("features do not match the weight matrix")
-        z = features @ self.W
-        z /= self.temperature
-        return _softmax_into(z, z)
+        # A huge learning rate overflows the logits. A shift that overflows is
+        # -inf, which exp turns into 0; a NaN row fails the training loop's
+        # finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = features @ self.W
+            z /= self.temperature
+            return _softmax_into(z, z)
 
     def combined_grad(
         self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
@@ -232,7 +236,9 @@ class TabularPolicy:
         return cls(np.log(np.maximum(probs, LOG_FLOOR)))
 
     def probs(self, features: np.ndarray | None = None) -> np.ndarray:
-        return softmax(self.logits)
+        # Non-finite logits after a huge step: see ``LinearPolicy.probs``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return softmax(self.logits)
 
     def combined_grad(
         self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
@@ -247,8 +253,10 @@ class TabularPolicy:
     def descend(self, grad: np.ndarray, lr: float) -> None:
         # The mean-loss gradient carries a 1/n factor per row, but the rows are
         # independent coordinates of a separable objective; stepping per record
-        # keeps the learning rate scale comparable to the linear policy.
-        self.logits -= lr * self.logits.shape[0] * grad
+        # keeps the learning rate scale comparable to the linear policy. A huge
+        # lr gives NaN logits (inf * 0), which the next epoch reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.logits -= lr * self.logits.shape[0] * grad
 
     def clone(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())

@@ -594,11 +594,8 @@ def test_simulate_output_is_evaluable(tmp_path, capsys):
 def _per_record_jsonl(ds):
     """The simulate data file written one record at a time."""
     lines = [
-        json.dumps(
-            {"id": r.id, "confidences": list(r.confidences.probs), "label": r.label},
-            sort_keys=True,
-        )
-        for r in ds.records
+        json.dumps({"id": rid, "confidences": row, "label": label}, sort_keys=True)
+        for rid, row, label in zip(ds.ids, ds.probs_matrix.tolist(), ds.labels_array.tolist())
     ]
     return "\n".join(lines) + "\n"
 
@@ -646,13 +643,13 @@ def test_streamed_write_that_fails_midway_keeps_the_old_file(tmp_path):
 
 @pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])
 def test_sample_dataset_records_round_trip_the_arrays(model):
+    """A sampled dataset, written one record per line, reads back through
+    ``validate_dataset`` to the same columns bit for bit."""
     fm = make_model(model, 4, 20, alpha=0.7, seed=2)
     ds = sample_dataset(fm, Predictor.from_model(fm), 500, seed=4)
-    assert "records" not in vars(ds)
-    records = ds.records
-    assert [r.id for r in records] == [f"r{i}" for i in range(500)] == ds.ids
-    assert np.array([r.confidences.probs for r in records]).tobytes() == ds.probs_matrix.tobytes()
-    assert np.array([r.label for r in records]).tobytes() == ds.labels_array.tobytes()
+    assert ds.ids == [f"r{i}" for i in range(500)]
+    records = [json.loads(line) for line in _per_record_jsonl(ds).splitlines()]
+    assert _ingest(validate_dataset, records) == _ingest(lambda rows: ds, records)
 
 
 def test_simulate_bad_params(capsys):
@@ -738,6 +735,34 @@ def test_bounds_reaches_accuracy_0_and_1(tmp_path, capsys):
     ]
     assert out[0].endswith("regime=calibratable")
     assert out[1].endswith("regime=non-calibratable")
+
+
+def test_bounds_unreachable_targets_exit_2_with_one_error_line(tmp_path, capsys):
+    """Each unreachable target keeps its warning and its CSV row; the run
+    then ends with one error line that counts them, and exits 2."""
+    model = make_model("dirichlet", 4, 20, alpha=1.0, seed=2)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+    csv_path = tmp_path / "bounds.csv"
+    code = main([
+        "bounds", "--model", str(model_path), "--acc-grid", "1.5,0.5,-0.2",
+        "--out", str(csv_path),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: 2 of 3 targets unreachable"
+    ]
+    assert err[-1] == "error: 2 of 3 targets unreachable"
+    assert err[:-1] == [
+        f"warning: target {t}: target accuracy must lie in [0, 1]" for t in ("1.5", "-0.2")
+    ]
+    assert [line.split(" ")[0] for line in captured.out.splitlines()] == ["target=0.5"]
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("1.5", "unreachable"), ("0.5", "true"), ("-0.2", "unreachable")
+    ]
 
 
 def test_bounds_deterministic(tmp_path):
@@ -887,6 +912,43 @@ def test_train_toy_rejects_a_tau_that_overflows_the_teacher(tmp_path, capsys):
         "error: BadParams: teacher temperature 1e-320 overflows the teacher logits\n"
     )
     assert main([*flags, "--tau", "1e-300", "--out", str(tmp_path / "cold")]) == 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(["--n", "40", "--dim", "4"], id="dim-4"),
+        pytest.param(["--n", "40"], id="dim-32"),
+        pytest.param(["--n", "10", "--dim", "4", "--k", "2"], id="k-2"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["sft-only", "label-smooth", "ece-only", "cft", "rcft", "ts"])
+def test_train_toy_at_a_huge_learning_rate_warns_nothing(mode, shape, tmp_path, capsys):
+    """At --lr 1e308 the logits overflow: at --dim 4 in the softmax's max
+    shift, at the default --dim 32 in the features-weights product, and in
+    ece-only's tabular step at k = 2 as inf times a zero gradient entry. The
+    run prints no numpy warning (an error under pytest's filter): it either
+    exits 0 with finite metrics or exits 3 with one error line."""
+    code = main([
+        "train-toy", "--mode", mode, "--lr", "1e308", *shape,
+        "--epochs", "40", "--out", str(tmp_path / mode),
+    ])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        metrics = [
+            float(field.split("=")[1])
+            for line in captured.out.splitlines()
+            if line.startswith(("before:", "after:"))
+            for field in line.split()[1:]
+        ]
+        assert len(metrics) == 4 and np.isfinite(metrics).all()
+        report = json.loads((tmp_path / f"{mode}.report.json").read_text())
+        assert np.isfinite([report["accuracy"], report["conf_ece"], report["cw_ece"]]).all()
+    else:
+        assert code == 3
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: NonFiniteLoss: ")
 
 
 @pytest.mark.parametrize("mode", ["cft", "rcft", "ts"])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,19 +10,19 @@ from calibkit.core import (
     VALID_SPLITS,
     BinningConfig,
     CalibrationError,
-    ConfidenceVector,
     Dataset,
     DatasetValidationError,
     DuplicateId,
     EmptyDataset,
     LabelOutOfRange,
     OutOfRange,
-    PredictionRecord,
     SchemaError,
     SimplexViolation,
     Violation,
+    _bad_simplex_rows,
     _row_max,
     _row_sum,
+    _simplex_reason,
     bin_index_array,
     validate_dataset,
 )
@@ -29,9 +30,9 @@ from calibkit.core import (
 
 def test_argmax_option_examples():
     # Ties resolve to the lowest index.
-    assert np.argmax(ConfidenceVector((0.1, 0.6, 0.2, 0.1)).as_array()) == 1
-    assert np.argmax(ConfidenceVector((0.25, 0.25, 0.25, 0.25)).as_array()) == 0
-    assert np.argmax(ConfidenceVector((0.4, 0.4, 0.1, 0.1)).as_array()) == 0
+    assert np.argmax(np.array([0.1, 0.6, 0.2, 0.1])) == 1
+    assert np.argmax(np.array([0.25, 0.25, 0.25, 0.25])) == 0
+    assert np.argmax(np.array([0.4, 0.4, 0.1, 0.1])) == 0
 
 
 def test_argmax_invariant_under_monotone_rescale():
@@ -79,78 +80,98 @@ def test_max_confidence_pigeonhole_bins():
     assert idx.min() >= 3
 
 
+def _reference_row_reason(vals) -> str | None:
+    """The probability-row rule, one entry at a time: why the row is not a
+    confidence vector over k >= 2 classes, or None if it is one. The
+    reference for core's vectorized row checks and their messages."""
+    vals = [float(p) for p in vals]
+    if len(vals) < 2:
+        return "a confidence vector needs at least two classes"
+    for p in vals:
+        if not math.isfinite(p):
+            return f"non-finite entry {p!r}"
+        if p < 0.0 or p > 1.0:
+            return f"entry {p!r} outside [0, 1]"
+    total = math.fsum(vals)
+    if abs(total - 1.0) > SIMPLEX_ATOL:
+        return f"entries sum to {total!r}, not 1"
+    return None
+
+
+# Rows whose plain float sum and exact sum fall on opposite sides of the
+# 1e-9 tolerance: A is off by just over 1e-9 exactly, B by just under.
+_ROW_A = [0.1546744237306553, 0.10034343689274351, 0.0543537952962544,
+          0.4177227225641658, 0.26860158680495844, 0.004304033711222465]
+_ROW_B = [0.5610598664116091, 0.3363082748347637, 0.10263185775362717]
+
+
 def test_confidence_vector_invariants():
-    with pytest.raises(SimplexViolation):
-        ConfidenceVector((0.5, 0.6))
-    with pytest.raises(SimplexViolation):
-        ConfidenceVector((1.2, -0.2))
-    with pytest.raises(SimplexViolation):
-        ConfidenceVector((1.0,))
-    cv = ConfidenceVector((0.5, 0.5))
-    assert cv.k == 2
+    """core rejects exactly the rows the reference rule rejects, with the
+    reference's message."""
+    rows = [
+        [1.0],
+        [0.5, float("nan")],
+        [float("inf"), 0.0],
+        [0.5, float("-inf"), 0.5],
+        [-0.25, 1.25],
+        [0.5, -0.0, 1.5],
+        [0.6, 0.5],
+        [0.3, 0.3, 0.3],
+        [0.5, 0.5],
+        _ROW_A,
+        _ROW_B,
+    ]
+    reasons = [_reference_row_reason(row) for row in rows]
+    assert reasons[-2:] == ["entries sum to 0.9999999989999999, not 1", None]
+    for row, reason in zip(rows, reasons):
+        probs = np.asarray([row], dtype=float)
+        assert bool(_bad_simplex_rows(probs)[0]) == (reason is not None), row
+        if reason is not None:
+            assert _simplex_reason(probs[0]) == reason
 
 
-def test_prediction_record_validation():
-    cv = ConfidenceVector((0.5, 0.5))
-    with pytest.raises(LabelOutOfRange):
-        PredictionRecord("a", cv, 2)
-    with pytest.raises(SchemaError):
-        PredictionRecord("", cv, 0)
-    with pytest.raises(SchemaError):
-        PredictionRecord("a", cv, 0, split="dev")
-    assert PredictionRecord("a", cv, 1, split="train").label == 1
+def test_from_arrays_rejects_a_single_class():
+    with pytest.raises(SimplexViolation) as exc:
+        Dataset.from_arrays(np.ones((3, 1)), np.zeros(3, dtype=int))
+    assert str(exc.value) == "a confidence vector needs at least two classes"
 
 
 def test_dataset_invariants():
-    cv = ConfidenceVector((0.5, 0.5))
-    with pytest.raises(EmptyDataset):
-        Dataset([])
-    with pytest.raises(DuplicateId):
-        Dataset([PredictionRecord("a", cv, 0), PredictionRecord("a", cv, 1)])
-    with pytest.raises(SchemaError):
-        Dataset(
-            [
-                PredictionRecord("a", cv, 0),
-                PredictionRecord("b", ConfidenceVector((0.2, 0.3, 0.5)), 0),
-            ]
-        )
-    ds = Dataset([PredictionRecord("a", cv, 0), PredictionRecord("b", cv, 1)])
+    with pytest.raises(TypeError, match="from_arrays"):
+        Dataset()
+    with pytest.raises(EmptyDataset, match="a dataset needs at least one record"):
+        Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    with pytest.raises(DuplicateId, match="duplicate record id 'a'"):
+        Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]), ["a", "a"])
+    ds = Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]), ["a", "b"])
     assert ds.n == 2 and ds.k == 2
     assert ds.probs_matrix.shape == (2, 2)
 
-    # Both constructors share one duplicate-id rule and message.
+    # The first id seen twice is named, not the first repeat found.
     ids = ["a", "b", "a", "b"]
-    with pytest.raises(DuplicateId) as from_records:
-        Dataset([PredictionRecord(rid, cv, 0) for rid in ids])
-    with pytest.raises(DuplicateId) as from_arrays:
+    with pytest.raises(DuplicateId) as exc:
         Dataset.from_arrays(np.full((4, 2), 0.5), np.zeros(4, dtype=int), ids)
-    assert str(from_records.value) == str(from_arrays.value) == "duplicate record id 'a'"
-
-    # Every record's k is checked before any id: a k mismatch after a
-    # duplicate id is a SchemaError.
-    with pytest.raises(SchemaError, match="has k=3, expected 2"):
-        Dataset(
-            [
-                PredictionRecord("a", cv, 0),
-                PredictionRecord("a", cv, 1),
-                PredictionRecord("c", ConfidenceVector((0.2, 0.3, 0.5)), 0),
-            ]
-        )
+    assert str(exc.value) == "duplicate record id 'a'"
 
 
 def _record_path_error(probs, labels, ids=None, split=None):
-    """Error class raised by building one PredictionRecord per row and then
-    the Dataset, or None if that path accepts the input."""
+    """Error class of the per-record rules, or None if they accept the
+    input: each row's confidences, id, label and the split tag in turn, row
+    after row; then an empty input; then a repeated id."""
     ids = [f"r{i}" for i in range(len(labels))] if ids is None else ids
-    try:
-        Dataset(
-            [
-                PredictionRecord(ids[i], ConfidenceVector(tuple(probs[i])), int(labels[i]), split)
-                for i in range(len(labels))
-            ]
-        )
-    except CalibrationError as exc:
-        return type(exc)
+    for i in range(len(labels)):
+        if _reference_row_reason(probs[i]) is not None:
+            return SimplexViolation
+        if not (isinstance(ids[i], str) and ids[i]):
+            return SchemaError
+        if not 0 <= labels[i] < len(probs[i]):
+            return LabelOutOfRange
+        if split not in VALID_SPLITS:
+            return SchemaError
+    if not len(labels):
+        return EmptyDataset
+    if len(set(ids)) != len(ids):
+        return DuplicateId
     return None
 
 
@@ -194,7 +215,7 @@ def test_from_arrays_rejects_like_the_record_path(probs, labels, ids, split, err
 @pytest.mark.parametrize("k", [2, 3, 6, 9])
 def test_from_arrays_sum_tolerance_matches_fsum_rule(k):
     """Rows whose exact sum lies within a few ulp of 1 +- SIMPLEX_ATOL are
-    accepted or rejected exactly as ConfidenceVector's math.fsum rule decides,
+    accepted or rejected exactly as the row rule's math.fsum sum decides,
     where a plain floating-point sum can land on the other side."""
     rng = np.random.default_rng(k)
     outcomes = set()
@@ -222,20 +243,25 @@ def test_from_arrays_accepts_sum_within_tolerance():
 
 
 def test_from_arrays_records_round_trip():
+    """A dataset's columns, written out as one raw record per row, read back
+    through ``validate_dataset`` bit for bit."""
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(5) * 0.6, 30)
     probs[0] = [0.0, 1.0, 0.0, 0.0, 0.0]
     labels = rng.integers(0, 5, 30)
     ids = [f"q{i}" for i in range(30)]
     ds = Dataset.from_arrays(probs, labels, ids, split="val")
-    assert [r.id for r in ds.records] == ids
-    assert [r.label for r in ds.records] == labels.tolist()
-    assert [r.split for r in ds.records] == ["val"] * 30
-    assert np.array([r.confidences.probs for r in ds.records]).tobytes() == probs.tobytes()
-    back = Dataset(ds.records)
-    assert back.probs_matrix.tobytes() == ds.probs_matrix.tobytes()
-    assert back.labels_array.tobytes() == ds.labels_array.tobytes()
-    assert Dataset.from_arrays(probs, labels).records[7].id == "r7"
+    assert ds.ids == ids and ds.splits == ["val"] * 30
+    assert ds.probs_matrix.tobytes() == probs.tobytes()
+    assert ds.labels_array.tolist() == labels.tolist()
+    records = [
+        {"id": rid, "confidences": row, "label": label, "split": split}
+        for rid, row, label, split in zip(
+            ds.ids, ds.probs_matrix.tolist(), ds.labels_array.tolist(), ds.splits
+        )
+    ]
+    assert _ingest(validate_dataset, records) == _ingest(lambda rows: ds, records)
+    assert Dataset.from_arrays(probs, labels).ids[7] == "r7"
 
 
 def test_from_arrays_copies_its_input():
@@ -252,7 +278,7 @@ def test_with_probs_validates_the_new_matrix():
     with pytest.raises(SchemaError):
         ds.with_probs(np.array([[0.5, 0.5]]))
     moved = ds.with_probs(np.array([[0.4, 0.6], [0.1, 0.9]]))
-    assert [(r.id, r.label) for r in moved.records] == [("r0", 0), ("r1", 1)]
+    assert list(zip(moved.ids, moved.labels_array.tolist())) == [("r0", 0), ("r1", 1)]
 
 
 def test_validate_dataset_happy_path():
@@ -275,7 +301,7 @@ def test_validate_dataset_label_out_of_range():
 def test_validate_dataset_renormalizes_within_tolerance():
     rows = [{"id": "a", "confidences": [0.4000003, 0.3, 0.2, 0.1], "label": 0}]
     ds = validate_dataset(rows)
-    assert math.fsum(ds.records[0].confidences.probs) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(ds.probs_matrix[0].tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_dataset_rejects_bad_simplex():
@@ -303,9 +329,13 @@ def _reference_validate_dataset(raw_records):
     ``validate_dataset``'s column checks must match bit for bit. Kept as the
     rules were before ingestion became columnar, with one deliberate
     difference marked below. It raises OverflowError on an integer entry too
-    large for a float, which ``validate_dataset`` reports as a violation."""
+    large for a float, which ``validate_dataset`` reports as a violation.
+    It returns the accepted rows' columns, under a ``Dataset``'s names."""
     violations: list[Violation] = []
-    records: list[PredictionRecord] = []
+    ids: list = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    splits: list = []
     seen_ids: set[str] = set()
     k: int | None = None
 
@@ -322,7 +352,7 @@ def _reference_validate_dataset(raw_records):
             violations.append(Violation(i, "DuplicateId", f"id {rid!r} already used"))
 
         conf = row.get("confidences")
-        cv: ConfidenceVector | None = None
+        accepted: list[float] | None = None
         if not isinstance(conf, (list, tuple)) or len(conf) < 2:
             violations.append(
                 Violation(i, "SchemaError", "'confidences' must be a list of >= 2 numbers")
@@ -357,40 +387,51 @@ def _reference_validate_dataset(raw_records):
                             # Deliberate difference from the old rules: a row
                             # kept as it is with an entry in (1, 1 + SIMPLEX_ATOL]
                             # is one more per-row violation, not a bare
-                            # SimplexViolation from ConfidenceVector.
+                            # SimplexViolation from the row rule.
                             violations.append(
                                 Violation(i, "SimplexViolation", "confidence entry outside [0, 1]")
                             )
                         else:
-                            cv = ConfidenceVector(tuple(vals))
+                            reason = _reference_row_reason(vals)
+                            if reason is not None:
+                                raise SimplexViolation(reason)
+                            accepted = vals
                             if k is None:
-                                k = cv.k
-                            elif cv.k != k:
+                                k = len(vals)
+                            elif len(vals) != k:
                                 violations.append(
-                                    Violation(i, "SchemaError", f"k={cv.k} differs from {k}")
+                                    Violation(i, "SchemaError", f"k={len(vals)} differs from {k}")
                                 )
 
         label = row.get("label")
         if not isinstance(label, int) or isinstance(label, bool):
             violations.append(Violation(i, "SchemaError", "'label' must be an integer"))
-        elif cv is not None and not (0 <= label < cv.k):
+        elif accepted is not None and not (0 <= label < len(accepted)):
             violations.append(
-                Violation(i, "LabelOutOfRange", f"label {label} outside [0, {cv.k})")
+                Violation(i, "LabelOutOfRange", f"label {label} outside [0, {len(accepted)})")
             )
 
         split = row.get("split")
         if split not in VALID_SPLITS:
             violations.append(Violation(i, "SchemaError", f"unknown split {split!r}"))
 
-        if len(violations) == problems_before and cv is not None:
-            records.append(PredictionRecord(rid, cv, label, split))
+        if len(violations) == problems_before and accepted is not None:
+            ids.append(rid)
+            rows.append(accepted)
+            labels.append(label)
+            splits.append(split)
             seen_ids.add(rid)
 
     if violations:
         raise DatasetValidationError(violations)
-    if not records:
+    if not rows:
         raise DatasetValidationError([Violation(0, "SchemaError", "no records supplied")])
-    return Dataset(records)
+    return SimpleNamespace(
+        probs_matrix=np.array(rows, dtype=float),
+        labels_array=np.array(labels, dtype=np.int64),
+        ids=ids,
+        splits=splits,
+    )
 
 
 def _ingest(validate, rows):
@@ -556,13 +597,6 @@ def test_validate_dataset_sum_edges_match_per_row_reference(k):
     _assert_ingests_like_reference(rows)
     accepted = [r for r in rows if _ingest(validate_dataset, [r])[0] == "dataset"]
     assert _assert_ingests_like_reference(accepted)[0] == "dataset"
-
-
-def test_validate_dataset_builds_records_only_when_read():
-    rows = _INGEST_CASES["renormalized"] + [_row(9, (0.5, 0.25, 0.25, 0.0), 2, split="val")]
-    ds = validate_dataset(rows)
-    assert "records" not in vars(ds)
-    assert ds.records == _reference_validate_dataset(rows).records
 
 
 def test_validate_dataset_reports_huge_integer_entries_as_out_of_range():

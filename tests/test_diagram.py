@@ -14,20 +14,12 @@ def _report():
 
 def test_confidence_mode_omits_bins_below_chance():
     report = _report()
-    svg = reliability_svg(report.conf_bins, report.n, report.k, mode="confidence")
+    svg = reliability_svg(report.conf_bins, report.n, report.k)
     # Bins 1 and 2 end at or below 1/4 and cannot hold a top confidence; they
     # stay in the report data but are not drawn.
     assert report.conf_bins[0].m == 1 and report.conf_bins[1].m == 2
     bars = svg.count("fill-opacity")
     drawable = sum(1 for b in report.conf_bins if b.count > 0 and b.hi > 0.25)
-    assert bars == drawable
-
-
-def test_classwise_mode_draws_low_bins():
-    report = _report()
-    svg = reliability_svg(report.classwise_bins[0], report.n, report.k, mode="classwise")
-    bars = svg.count("fill-opacity")
-    drawable = sum(1 for b in report.classwise_bins[0] if b.count > 0)
     assert bars == drawable
 
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from calibkit.core import ConfidenceVector, Dataset, SimplexViolation
+from calibkit.core import Dataset, SimplexViolation
 from calibkit.genmodel import (
     BadParams,
     FiniteGenerativeModel,
     NoDisagreement,
     Predictor,
-    UnknownSupportPoint,
     UnreachableAccuracy,
     classify_regime,
     construct_bound_predictor,
@@ -23,6 +22,7 @@ from calibkit.genmodel import (
     verify_ece_le_tce,
 )
 from calibkit.metrics import accuracy
+from test_core import _ROW_A, _ROW_B, _reference_row_reason
 
 
 def _one_point():
@@ -57,7 +57,7 @@ def test_make_model_bad_params():
         make_model("pure-random", 4, 0)
 
 
-# Each breaks row 1 of a two-row matrix in one way ConfidenceVector rejects.
+# Each breaks row 1 of a two-row matrix in one way the row rule rejects.
 _BAD_ROWS = {
     "nan": ([np.nan, 0.5], "non-finite entry nan"),
     "negative": ([-0.25, 1.25], "entry -0.25 outside [0, 1]"),
@@ -88,23 +88,15 @@ def test_predictor_rejects_a_non_matrix():
             Predictor(["a", "b"], probs)
 
 
-# Rows whose plain float sum and exact sum fall on opposite sides of the
-# 1e-9 tolerance: A is off by just over 1e-9 exactly, B by just under.
-_ROW_A = [0.1546744237306553, 0.10034343689274351, 0.0543537952962544,
-          0.4177227225641658, 0.26860158680495844, 0.004304033711222465]
-_ROW_B = [0.5610598664116091, 0.3363082748347637, 0.10263185775362717]
-
-
 def _row_verdicts(row: np.ndarray) -> list[bool]:
-    """Whether ConfidenceVector, Dataset.from_arrays, Predictor and
+    """Whether the reference row rule, Dataset.from_arrays, Predictor and
     FiniteGenerativeModel each accept one probability row."""
     builders = [
-        lambda: ConfidenceVector(tuple(row)),
         lambda: Dataset.from_arrays(row[None, :], np.array([0])),
         lambda: Predictor(["x"], row[None, :]),
         lambda: FiniteGenerativeModel(row.size, ["x"], [1.0], row[None, :]),
     ]
-    verdicts = []
+    verdicts = [_reference_row_reason(row) is None]
     for build in builders:
         try:
             build()
@@ -176,30 +168,32 @@ def test_sample_dataset_deterministic_given_seed():
 def test_predictor_unknown_point():
     m = _one_point()
     p = Predictor(["z"], [[0.25, 0.25, 0.25, 0.25]])
-    with pytest.raises(UnknownSupportPoint):
+    with pytest.raises(BadParams):
         p.matrix_for(m.support)
     m2 = make_model("dirichlet", 4, 5, alpha=1.0, seed=6)
     subset = Predictor(m2.support[:4], m2.label_probs[:4])
-    with pytest.raises(UnknownSupportPoint):
+    with pytest.raises(BadParams):
         subset.matrix_for(m2.support)
 
 
 def test_matrix_for_aligned_support_is_the_probs_themselves(finite_cases):
     """On the support it was built on a predictor returns its own matrix;
-    a permuted and a superset predictor of the same rows realign to the same
-    bytes through the id lookup."""
+    a permuted and a superset predictor of the same rows are refused."""
     rng = np.random.default_rng(5)
     for model, predictor in finite_cases:
         aligned = predictor.matrix_for(model.support)
         assert aligned is predictor.probs
         perm = rng.permutation(model.n_support)
         permuted = Predictor([model.support[i] for i in perm], predictor.probs[perm])
-        assert permuted.matrix_for(model.support).tobytes() == aligned.tobytes()
+        if permuted.ids != model.support:
+            with pytest.raises(BadParams, match="must equal the support"):
+                permuted.matrix_for(model.support)
         extra = np.full((1, model.k), 1.0 / model.k)
         superset = Predictor(
             ["extra"] + model.support, np.vstack([extra, predictor.probs])
         )
-        assert superset.matrix_for(model.support).tobytes() == aligned.tobytes()
+        with pytest.raises(BadParams, match="must equal the support"):
+            superset.matrix_for(model.support)
 
 
 def test_tce_examples():

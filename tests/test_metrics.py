@@ -19,7 +19,6 @@ from calibkit.metrics import (
     cw_ece,
     cw_ece_arrays,
     metric_row,
-    reliability_diagram,
     win_rate,
 )
 
@@ -162,22 +161,21 @@ def test_population_gaps_group_signed_zeros_together():
 
 
 def test_reliability_modes():
+    """The reliability tables: conf-ECE's top-confidence table and cw-ECE's
+    table of each class."""
     ds = _ds([[0.8, 0.1, 0.05, 0.05]] * 4, [0, 0, 1, 2])
-    conf_rows = reliability_diagram(ds, BinningConfig(M=10), mode="confidence")
+    conf_rows = conf_ece(ds, BinningConfig(M=10))[1]
     assert conf_rows[7].count == 4 and conf_rows[7].empirical_freq == 0.5
 
     uniform = _ds([[0.25] * 4] * 4, [0, 1, 2, 3])
-    class1 = reliability_diagram(uniform, BinningConfig(M=10), mode=1)
+    class1 = cw_ece(uniform, BinningConfig(M=10))[1][1]
     occupied = [b for b in class1 if b.count]
     assert len(occupied) == 1
     assert occupied[0].mean_conf == 0.25 and occupied[0].empirical_freq == 0.25
 
     onehot = _ds([[1, 0, 0, 0]] * 3, [0, 0, 0])
-    rows = reliability_diagram(onehot, mode="confidence")
+    rows = conf_ece(onehot)[1]
     assert rows[9].count == 3 and rows[9].empirical_freq == 1.0
-
-    merged = reliability_diagram(uniform, BinningConfig(M=10), mode="classwise")
-    assert sum(b.count for b in merged) == 16
 
 
 def test_sampled_generative_predictor_is_calibrated():

@@ -15,6 +15,7 @@ from calibkit import cli
 from calibkit.core import (
     CalibrationError,
     Dataset,
+    _bad_simplex_rows,
     _row_argmax,
     _row_max,
     _row_sum,
@@ -42,6 +43,8 @@ from calibkit.metrics import (
     cw_ece_arrays,
     metric_row,
 )
+from calibkit.emcal import Q_CLAMP
+from calibkit.targetmap import build_target_matrix
 from calibkit.toylab import _tempered, _tempered_top, apply_temperature
 from test_cli import _EDGE_LINES, _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
@@ -346,7 +349,7 @@ def test_rows_at_the_tolerance_edge_get_one_verdict(data):
     verdicts = _row_verdicts(row)
     assert len(set(verdicts)) == 1, verdicts
     # Below the ingestion tolerance, validate_dataset renormalizes exactly
-    # the rows that ConfidenceVector rejects and keeps the others as given.
+    # the rows that the row rule rejects and keeps the others as given.
     ds = validate_dataset([{"id": "a", "confidences": row.tolist(), "label": 0}])
     assert (ds.probs_matrix[0].tobytes() != row.tobytes()) == (not verdicts[0])
 
@@ -413,6 +416,39 @@ def test_every_metric_lies_in_the_unit_interval(data):
         *metric_row(probs, labels, M).values(),
     ]
     assert all(0.0 <= v <= 1.0 for v in values), values
+
+
+def _order_kept(conf: list[float], out: list[float], top: int) -> bool:
+    """No pair of entries with conf[a] > conf[b] comes out with
+    out[a] < out[b], and a strict top input stays a strict top output."""
+    k = len(conf)
+    if any(conf[a] > conf[b] and out[a] < out[b] for a in range(k) for b in range(k)):
+        return False
+    tail = [j for j in range(k) if j != top]
+    strict_in = conf[top] > max(conf[j] for j in tail)
+    return not strict_in or out[top] > max(out[j] for j in tail)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_target_rows_are_simplex_rows_with_an_exact_rank_flag(data):
+    """build_target_matrix on near-ties, one-hot rows and rows with zeros,
+    at k = 2..9 and q anywhere in [Q_CLAMP, 1 - Q_CLAMP] (its ends, 1/k and
+    their neighbours included): every target passes the row rule, pins the
+    top class at q, and its rank flag equals a pairwise order check."""
+    k = data.draw(st.integers(2, 9), label="k")
+    n = data.draw(st.integers(1, 6), label="n")
+    conf = np.stack([_range_row(data.draw, k) for _ in range(n)])
+    edges = [Q_CLAMP, 1.0 - Q_CLAMP, 1.0 / k]
+    edges += [np.nextafter(e, 0.5) for e in edges] + [np.nextafter(1.0 / k, 0.0)]
+    q_value = st.one_of(st.sampled_from(edges), st.floats(Q_CLAMP, 1.0 - Q_CLAMP))
+    q = np.asarray(data.draw(st.lists(q_value, min_size=n, max_size=n), label="q"))
+    out, top, rank = build_target_matrix(conf, q)
+    assert not _bad_simplex_rows(out).any()
+    assert top.tolist() == np.argmax(conf, axis=1).tolist()
+    assert out[np.arange(n), top].tobytes() == q.tobytes()
+    for i in range(n):
+        assert bool(rank[i]) == _order_kept(conf[i].tolist(), out[i].tolist(), int(top[i]))
 
 
 # Rows of k = 3 that the simulate writer must keep apart or format exactly:

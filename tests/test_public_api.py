@@ -13,13 +13,11 @@ PUBLIC = [
     "BinningConfig",
     "CalibrationError",
     "CalibrationReport",
-    "ConfidenceVector",
     "Dataset",
     "EmConfig",
     "FiniteGenerativeModel",
     "LinearPolicy",
     "PairwisePreferenceRecord",
-    "PredictionRecord",
     "Predictor",
     "TabularPolicy",
     "ToyTask",
@@ -39,7 +37,6 @@ PUBLIC = [
     "lower_bound_constant",
     "m_step",
     "make_model",
-    "reliability_diagram",
     "run_em",
     "sample_dataset",
     "sft_loss",

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calibkit.core import ConfidenceVector, Dataset, PredictionRecord
+from calibkit.core import Dataset, validate_dataset
 from calibkit.emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, _history_row
 from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
 from calibkit.toylab import (
@@ -443,15 +443,15 @@ def test_grid_objective_matches_per_temperature_softmax(k):
 
 
 def test_apply_temperature_keeps_ids_labels_and_splits():
-    ds = Dataset(
+    ds = validate_dataset(
         [
-            PredictionRecord("x", ConfidenceVector((0.7, 0.2, 0.1)), 0, "train"),
-            PredictionRecord("y", ConfidenceVector((0.1, 0.3, 0.6)), 2, None),
-            PredictionRecord("z", ConfidenceVector((0.3, 0.4, 0.3)), 1, "test"),
+            {"id": "x", "confidences": [0.7, 0.2, 0.1], "label": 0, "split": "train"},
+            {"id": "y", "confidences": [0.1, 0.3, 0.6], "label": 2},
+            {"id": "z", "confidences": [0.3, 0.4, 0.3], "label": 1, "split": "test"},
         ]
     )
     hot = apply_temperature(ds, 3.0)
-    assert [(r.id, r.label, r.split) for r in hot.records] == [
+    assert list(zip(hot.ids, hot.labels_array.tolist(), hot.splits)) == [
         ("x", 0, "train"), ("y", 2, None), ("z", 1, "test")
     ]
     assert hot.probs_matrix.tobytes() == temperature_transform(ds.probs_matrix, 3.0).tobytes()
