@@ -575,8 +575,20 @@ def cmd_winrate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help text to stdout
+    raises its ``OSError``, which argparse swallows, so that ``run`` reports
+    it. Subparsers take this class from their parent."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calibkit",
         description="Calibration measurement, finite-support theory checks, and "
         "EM-based calibration-aware toy training.",
@@ -664,25 +676,33 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """The process entry point, for ``python -m calibkit.cli`` and the
     ``calibkit`` script: ``main``'s exit code, or argparse's, once stdout is
-    flushed. A failed flush is an I/O failure, and fd 1 then points at
-    os.devnull so that the flush at exit cannot fail again. However ``main``
-    ends, the GC heap is frozen, so the collections of interpreter teardown
-    skip it; ``main`` has closed every file it wrote."""
+    flushed. A failed flush, or help text that cannot be written, is an I/O
+    failure (``_stdout_failed``). However ``main`` ends, the GC heap is
+    frozen, so the collections of interpreter teardown skip it; ``main`` has
+    closed every file it wrote."""
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help, or a usage error
         code = exc.code
+    except OSError as exc:  # argparse could not write help text to stdout
+        code = _stdout_failed(exc)
     finally:
         gc.freeze()
     try:
         sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        code = EXIT_IO
+        code = _stdout_failed(exc)
     return code
+
+
+def _stdout_failed(exc: OSError) -> int:
+    """Report a stdout that cannot be written and point fd 1 at os.devnull,
+    so that the flush at exit cannot fail again."""
+    print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_IO
 
 
 if __name__ == "__main__":

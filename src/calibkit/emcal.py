@@ -17,12 +17,18 @@ A policy supplies (see toylab):
 - ``k``, its class count;
 - ``probs(features)``, the (n, k) confidence matrix;
 - ``combined_grad(features, fit_targets, targets, lam, divergence,
-  sft_weight=1.0, probs=None)``, the gradient of the mean combined loss.
-  ``probs`` is the policy's own ``probs(features)`` at its current weights
-  when the caller already holds it; None makes the policy compute it. The
-  loop passes each epoch's yielded matrix to that epoch's first inner
-  step, so one softmax serves the epoch's state and its first step;
-- ``descend(grad, lr)``, one step against that gradient.
+  sft_weight=1.0, probs=None, work=None)``, the gradient of the mean
+  combined loss. ``probs`` is the policy's own ``probs(features)`` at its
+  current weights when the caller already holds it; None makes the policy
+  compute it. The loop passes each epoch's yielded matrix to that epoch's
+  first inner step, so one softmax serves the epoch's state and its first
+  step. ``work`` is the loop's workspace, a stack of (n, k) buffers: slot 0
+  for the softmax, slot 1 for the gradient with respect to the logits and,
+  at lam > 0, slot 2 for the target term. A policy given one may return a
+  view of it, which the next step overwrites; without one it returns a
+  fresh array;
+- ``descend(grad, lr, work=None)``, one step against that gradient, which
+  may build the step in slot 0 of ``work``.
 
 The loop is one generator, ``_epochs``, which yields each epoch's state
 (the epoch, its confidence matrix and its mean target divergence) before
@@ -35,6 +41,13 @@ yielded one, which the first step reuses, and one per later step) and the
 row argmax of one confidence matrix twice at lam > 0 (``m_step`` and the
 target build) and never at lam = 0; the final epoch yields and takes no
 step. Each history row takes one more argmax.
+
+The generator owns the workspace for the whole run, three (n, k) buffers at
+lam > 0 and two at lam = 0, and frees it when it ends. Its gradient steps
+allocate no (n, k) array, so per epoch the loop allocates one (n, k) float
+array at lam = 0, the yielded softmax, and three at lam > 0: the softmax,
+the target matrix and the gap matrix of the mean divergence (the target
+build copies the rows that have a tail when some row has none).
 """
 
 from __future__ import annotations
@@ -155,9 +168,12 @@ def mean_ece_loss(probs: np.ndarray, targets: np.ndarray, divergence: str) -> fl
     target-weighted log-confidence (confidences floored at 1e-12).
     """
     if divergence == "mse":
-        return float(((targets - probs) ** 2).mean())
+        gap = np.subtract(targets, probs)
+        return float(np.square(gap, out=gap).mean())
     if divergence == "cross-entropy":
-        return float(-_row_sum(targets * np.log(np.maximum(probs, LOG_FLOOR))).mean())
+        logp = np.maximum(probs, LOG_FLOOR)
+        np.log(logp, out=logp)
+        return float(-_row_sum(np.multiply(targets, logp, out=logp)).mean())
     raise CalibrationError(f"unknown divergence {divergence!r}")
 
 
@@ -208,6 +224,10 @@ def _epochs(
     if fit_targets is None:
         fit_targets = _one_hot(labels, policy.k)
     targets = None
+    # The inner steps' scratch, reused for the whole run: slot 0 holds a
+    # step's softmax and then the tabular step, slot 1 the gradient with
+    # respect to the logits and, at lam > 0, slot 2 the target term.
+    work = np.empty((2 if cfg.lam == 0.0 else 3, labels.shape[0], policy.k))
 
     for epoch in range(cfg.epochs + 1):
         probs = policy.probs(features)
@@ -233,10 +253,11 @@ def _epochs(
                     sft_weight=cfg.sft_weight,
                     # The weights have not moved since the yielded softmax.
                     probs=probs if step == 0 else None,
+                    work=work,
                 )
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(epoch + 1, str(exc)) from exc
-            policy.descend(grad, cfg.learning_rate)
+            policy.descend(grad, cfg.learning_rate, work=work)
 
 
 def _history(stage, labels: np.ndarray, M: int) -> list[dict]:

@@ -56,40 +56,60 @@ def _target_rows(conf: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     n, k = conf.shape
     top = _row_argmax(conf)
-    rows = np.arange(n)
-    tail = conf.copy()
-    tail[rows, top] = -np.inf
-    max_tail = _row_max(np.where(np.isfinite(tail), tail, 0.0))
+    # Each row's largest finite entry off its top, 0.0 where it has none, a
+    # class column at a time.
+    max_tail = None
+    for j in range(k):
+        col = np.where((top != j) & np.isfinite(conf[:, j]), conf[:, j], 0.0)
+        max_tail = col if max_tail is None else np.maximum(max_tail, col, out=max_tail)
 
-    out = np.empty_like(conf)
     degenerate = max_tail <= 0.0
-    ok = ~degenerate
-    if ok.any():
-        qq = q[ok]
-        gamma = LN3 / (max_tail[ok] * (1.0 - qq))
-        t = np.tanh(gamma[:, None] * conf[ok])
-        t[np.arange(ok.sum()), top[ok]] = 0.0
-        tanh_sum = _row_sum(t)
-        tanh_max = _row_max(t)
-        alpha = (1.0 - qq) / (tanh_sum + (k - 1))
-        # The simplified coefficients can push the largest mapped tail entry to
-        # or above the pinned top when q is small. The mass constraint leaves
-        # alpha free (beta absorbs the slack), and any alpha below the critical
-        # value restores strict tail < top; take the midpoint of the feasible
-        # interval. Only possible when q exceeds the uniform tail level 1/k.
-        broken = alpha * (tanh_max + 1.0) >= qq
-        slope = tanh_max - tanh_sum / (k - 1)
-        headroom = qq * (k - 1) - (1.0 - qq)
-        fixable = broken & (slope > 0.0) & (headroom > 0.0)
-        if fixable.any():
-            alpha_max = headroom[fixable] / (slope[fixable] * (k - 1))
-            alpha[fixable] = np.minimum(0.5 * alpha_max, alpha[fixable])
-        beta = (1.0 - qq - alpha * tanh_sum) / (k - 1)
-        out[ok] = alpha[:, None] * t + beta[:, None]
     if degenerate.any():
+        ok = ~degenerate
+        out = np.empty_like(conf)
+        if ok.any():
+            out[ok] = _tanh_tail(conf[ok], q[ok], max_tail[ok], top[ok])
         out[degenerate] = (1.0 - q[degenerate, None]) / (k - 1)
-    out[rows, top] = q
+    else:
+        out = _tanh_tail(conf, q, max_tail, top)
+    out[np.arange(n), top] = q
     return out, top
+
+
+def _tanh_tail(
+    conf: np.ndarray, q: np.ndarray, max_tail: np.ndarray, top: np.ndarray
+) -> np.ndarray:
+    """The mapped rows ``alpha * tanh(gamma * conf) + beta`` of rows with a
+    positive tail max, in one new (n, k) array; the top entries are left for
+    the caller to pin. Every step past the tanh is a class-column pass or
+    works on (n,) arrays."""
+    k = conf.shape[1]
+    gamma = LN3 / (max_tail * (1.0 - q))
+    t = np.empty(conf.shape)
+    for j in range(k):
+        np.multiply(gamma, conf[:, j], out=t[:, j])
+    np.tanh(t, out=t)
+    t[np.arange(t.shape[0]), top] = 0.0
+    tanh_sum = _row_sum(t)
+    tanh_max = _row_max(t)
+    alpha = (1.0 - q) / (tanh_sum + (k - 1))
+    # The simplified coefficients can push the largest mapped tail entry to
+    # or above the pinned top when q is small. The mass constraint leaves
+    # alpha free (beta absorbs the slack), and any alpha below the critical
+    # value restores strict tail < top; take the midpoint of the feasible
+    # interval. Only possible when q exceeds the uniform tail level 1/k.
+    broken = alpha * (tanh_max + 1.0) >= q
+    slope = tanh_max - tanh_sum / (k - 1)
+    headroom = q * (k - 1) - (1.0 - q)
+    fixable = broken & (slope > 0.0) & (headroom > 0.0)
+    if fixable.any():
+        alpha_max = headroom[fixable] / (slope[fixable] * (k - 1))
+        alpha[fixable] = np.minimum(0.5 * alpha_max, alpha[fixable])
+    beta = (1.0 - q - alpha * tanh_sum) / (k - 1)
+    for j in range(k):
+        np.multiply(alpha, t[:, j], out=t[:, j])
+        t[:, j] += beta
+    return t
 
 
 def _order_isotonic(conf: np.ndarray, out: np.ndarray, top, rows) -> np.ndarray:

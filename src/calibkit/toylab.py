@@ -134,6 +134,7 @@ def _grad_wrt_logits(
     lam: float,
     divergence: str,
     sft_weight: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the mean combined loss with respect to the row logits.
 
@@ -141,34 +142,49 @@ def _grad_wrt_logits(
     training), whose softmax gradient is (p - t). The target term goes through
     the full softmax Jacobian. lam == 0 skips the target term entirely so the
     trajectory is bit-identical to fit-only training.
+
+    ``out`` is a stack of (n, k) buffers to build the gradient in, one at
+    lam == 0 and two otherwise, and the result is ``out[0]``; None allocates
+    them.
     """
     n, k = probs.shape
-    g = np.subtract(probs, soft_labels)
+    if lam == 0.0:
+        g = np.subtract(probs, soft_labels, out=None if out is None else out[0])
+        g *= sft_weight / n
+        return g
+    if targets is None:
+        raise BadParams("a positive lam needs targets")
+    dldp, term = (np.empty_like(probs), np.empty_like(probs)) if out is None else out[:2]
+    if divergence == "mse":
+        np.subtract(probs, targets, out=dldp)
+        dldp *= 2.0 / k
+    elif divergence == "cross-entropy":
+        # -targets / probs where probs > LOG_FLOOR, else 0.0, a column at a time.
+        dldp.fill(0.0)
+        for j in range(k):
+            live = probs[:, j] > LOG_FLOOR
+            np.divide(targets[:, j], probs[:, j], out=dldp[:, j], where=live)
+            np.negative(dldp[:, j], out=dldp[:, j], where=live)
+    else:
+        raise BadParams(f"unknown divergence {divergence!r}")
+    dldp /= n
+    # In the operation order of
+    # g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None]), where each
+    # product is built in ``term`` and g then overwrites dldp.
+    np.multiply(dldp, probs, out=term)
+    _by_column(np.subtract, dldp, _row_sum(term), out=dldp)
+    np.multiply(probs, lam, out=term)
+    term *= dldp
+    g = np.subtract(probs, soft_labels, out=dldp)
     g *= sft_weight / n
-    if lam != 0.0:
-        if targets is None:
-            raise BadParams("a positive lam needs targets")
-        # In place, in the operation order of
-        # g + lam * probs * (dldp - _row_sum(dldp * probs)[:, None]), with
-        # three (n, k) buffers: g, dldp and prod.
-        if divergence == "mse":
-            dldp = np.subtract(probs, targets)
-            dldp *= 2.0 / k
-        elif divergence == "cross-entropy":
-            # -targets / probs where probs > LOG_FLOOR, else 0.0.
-            live = probs > LOG_FLOOR
-            dldp = np.divide(targets, probs, out=np.zeros_like(probs), where=live)
-            np.negative(dldp, out=dldp, where=live)
-        else:
-            raise BadParams(f"unknown divergence {divergence!r}")
-        dldp /= n
-        prod = dldp * probs
-        rowsum = _row_sum(prod)
-        _by_column(np.subtract, dldp, rowsum, out=dldp)
-        np.multiply(probs, lam, out=prod)
-        prod *= dldp
-        g += prod
+    g += term
     return g
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` without an ``a``-sized mask: a NaN is both
+    the min and the max, and an infinity is one of them."""
+    return a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 class LinearPolicy:
@@ -186,29 +202,34 @@ class LinearPolicy:
     def k(self) -> int:
         return self.W.shape[1]
 
-    def probs(self, features: np.ndarray) -> np.ndarray:
+    def probs(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, k) confidences, written into ``out`` when it is given."""
         if features is None or features.shape[1] != self.W.shape[0]:
             raise DimensionMismatch("features do not match the weight matrix")
         # A huge learning rate overflows the logits. A shift that overflows is
         # -inf, which exp turns into 0; a NaN row fails the training loop's
         # finiteness check.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = features @ self.W
+            z = np.matmul(features, self.W, out=out)
             z /= self.temperature
             return _softmax_into(z, z)
 
     def combined_grad(
-        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
+        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None,
+        work=None,
     ):
         if probs is None:
-            probs = self.probs(features)
-        g = _grad_wrt_logits(probs, soft_labels, targets, lam, divergence, sft_weight)
+            probs = self.probs(features, out=None if work is None else work[0])
+        g = _grad_wrt_logits(
+            probs, soft_labels, targets, lam, divergence, sft_weight,
+            out=None if work is None else work[1:],
+        )
         grad = features.T @ g / self.temperature
         if not np.isfinite(grad).all():
             raise NonFiniteGradient("linear policy gradient is not finite")
         return grad
 
-    def descend(self, grad: np.ndarray, lr: float) -> None:
+    def descend(self, grad: np.ndarray, lr: float, work=None) -> None:
         self.W -= lr * grad
 
     def clone(self) -> "LinearPolicy":
@@ -235,28 +256,40 @@ class TabularPolicy:
     def from_probs(cls, probs: np.ndarray) -> "TabularPolicy":
         return cls(np.log(np.maximum(probs, LOG_FLOOR)))
 
-    def probs(self, features: np.ndarray | None = None) -> np.ndarray:
+    def probs(
+        self, features: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The (n, k) confidences, written into ``out`` when it is given."""
         # Non-finite logits after a huge step: see ``LinearPolicy.probs``.
         with np.errstate(over="ignore", invalid="ignore"):
-            return softmax(self.logits)
+            if out is None:
+                return softmax(self.logits)
+            return _softmax_into(self.logits, out)
 
     def combined_grad(
-        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None
+        self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None,
+        work=None,
     ):
         if probs is None:
-            probs = self.probs()
-        grad = _grad_wrt_logits(probs, soft_labels, targets, lam, divergence, sft_weight)
-        if not np.isfinite(grad).all():
+            probs = self.probs(out=None if work is None else work[0])
+        grad = _grad_wrt_logits(
+            probs, soft_labels, targets, lam, divergence, sft_weight,
+            out=None if work is None else work[1:],
+        )
+        if not _all_finite(grad):
             raise NonFiniteGradient("tabular policy gradient is not finite")
         return grad
 
-    def descend(self, grad: np.ndarray, lr: float) -> None:
+    def descend(self, grad: np.ndarray, lr: float, work=None) -> None:
         # The mean-loss gradient carries a 1/n factor per row, but the rows are
         # independent coordinates of a separable objective; stepping per record
         # keeps the learning rate scale comparable to the linear policy. A huge
         # lr gives NaN logits (inf * 0), which the next epoch reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.logits -= lr * self.logits.shape[0] * grad
+            step = np.multiply(
+                grad, lr * self.logits.shape[0], out=None if work is None else work[0]
+            )
+            self.logits -= step
 
     def clone(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())
@@ -359,10 +392,13 @@ def _tempered_top(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
 # count), then refines around the best one by golden section.
 _TEMPERATURE_GRID = (0.05, 20.0, 400)
 # fit_temperature scores its grid a chunk of temperatures at a time, and
-# each chunk tempers at most this many entries (chunk * n * k; 8 MB as one
-# tensor, which only k >= 8 builds): memory stays flat as n grows, and a
-# small split takes one pass.
-_GRID_CHUNK_ENTRIES = 2**20
+# each chunk tempers at most this many entries (chunk * n * k; 1 MB as one
+# tensor, which only k >= 8 builds; the (chunk, n) scoring arrays are no
+# larger), or one temperature's n * k entries when that is more: the
+# scratch stays near 1 MB for small splits and near three times the split's
+# (n, k) matrix for large ones, and a split of at most 327 entries takes
+# one pass.
+_GRID_CHUNK_ENTRIES = 2**17
 
 
 def fit_temperature(

@@ -126,11 +126,18 @@ def test_run_freezes_the_heap_however_main_ends(args, code, files, monkeypatch, 
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["block-buffered", "unbuffered"])
-def test_a_stdout_that_cannot_be_written_is_an_io_failure(unbuffered, files):
+@pytest.mark.parametrize(
+    "args, unbuffered",
+    [(args, unbuffered) for args in (["bounds", "--model", "MODEL"], ["--help"],
+                                     ["bounds", "--help"]) for unbuffered in (None, "1")],
+    ids=[f"{name}{buffering}" for name in ("", "help-", "bounds-help-")
+         for buffering in ("block-buffered", "unbuffered")],
+)
+def test_a_stdout_that_cannot_be_written_is_an_io_failure(args, unbuffered, files):
+    """Help text is written by argparse, which swallows the write's OSError
+    unless the parser lets it through."""
     with open("/dev/full", "wb") as full:
-        code, _, _, err = _spawn(["bounds", "--model", "MODEL"], files,
-                                 stdout=full, PYTHONUNBUFFERED=unbuffered)
+        code, _, _, err = _spawn(args, files, stdout=full, PYTHONUNBUFFERED=unbuffered)
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "[Errno 28]" in err[0]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,10 +327,10 @@ class _NanAfterSteps:
         return out
 
     def combined_grad(self, features, fit_targets, targets, lam, divergence,
-                      sft_weight=1.0, probs=None):
+                      sft_weight=1.0, probs=None, work=None):
         return np.zeros(self.k)
 
-    def descend(self, grad, lr):
+    def descend(self, grad, lr, work=None):
         self.steps += 1
 
 
@@ -378,3 +379,81 @@ def test_em_config_validation():
         with pytest.raises(BadParams):
             EmConfig(learning_rate=bad)
     assert len(dataclasses.fields(EmConfig)) == 8
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak of ``fn()``, over what was traced when it began."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_build_all_targets_scratch_is_one_target_matrix_and_row_vectors(n):
+    """The target build takes at most three (n, k) arrays, the result
+    included, plus 16 (n,) vectors: it used to trace 8 times its input."""
+    rng = np.random.default_rng(n)
+    k = 4
+    probs = rng.dirichlet(np.ones(k), n)
+    labels = rng.integers(0, k, n)
+    z = e_step(probs, 10)
+    q, _ = m_step(probs, labels, z, 10)
+    peak = _traced_peak(lambda: build_all_targets(probs, q, z))
+    assert peak <= 3 * probs.nbytes + 16 * 8 * n
+
+
+class _StepProbe:
+    """Mixed into a policy: records the tracemalloc peak from the start of
+    inner step ``first`` to the end of inner step ``last``, over the memory
+    traced when that window opened."""
+
+    first, last = 2, 5
+
+    def combined_grad(self, *args, **kwargs):
+        self.steps = getattr(self, "steps", 0) + 1
+        if self.steps == self.first:
+            tracemalloc.reset_peak()
+            self.base = tracemalloc.get_traced_memory()[0]
+        return super().combined_grad(*args, **kwargs)
+
+    def descend(self, *args, **kwargs):
+        super().descend(*args, **kwargs)
+        if self.steps == self.last:
+            self.window_peak = tracemalloc.get_traced_memory()[1] - self.base
+
+
+class _ProbedLinear(_StepProbe, LinearPolicy):
+    pass
+
+
+class _ProbedTabular(_StepProbe, TabularPolicy):
+    pass
+
+
+@pytest.mark.parametrize("lam, divergence", [(0.0, "mse"), (1.0, "mse"),
+                                             (1.0, "cross-entropy")])
+@pytest.mark.parametrize("kind", ["linear", "tabular"])
+def test_inner_steps_allocate_no_confidence_sized_array(kind, lam, divergence):
+    """Inner steps 2 to 5 of an epoch write their softmax, gradient and
+    tabular step into the loop's workspace: no step allocates an (n, k)
+    array, only (n,) row vectors and (d, k) weight-sized ones."""
+    n, k = 2000, 4
+    task = gen_toy_task(d=6, k=k, n=n, seed=41)
+    rng = np.random.default_rng(41)
+    if kind == "linear":
+        policy, features = _ProbedLinear(task.d, k, rng.standard_normal((task.d, k))), task.features
+    else:
+        policy, features = _ProbedTabular(rng.standard_normal((n, k))), None
+    cfg = EmConfig(epochs=1, lam=lam, divergence=divergence, inner_steps=6)
+    stage = _epochs(policy, task.labels, cfg, features)
+    next(stage)
+    tracemalloc.start()
+    try:
+        next(stage)
+    finally:
+        tracemalloc.stop()
+    assert policy.steps == cfg.inner_steps
+    assert policy.window_peak < n * k * 8

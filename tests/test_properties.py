@@ -1,7 +1,10 @@
 """Property tests over small random inputs; they need the ``test`` extra."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -518,3 +521,53 @@ def test_bound_theorems_hold_on_random_finite_models(data):
             assert lower_bound_constant(model, reference, pi)[1]
         except NoDisagreement:
             pass
+
+
+_FLOAT_EDGES = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan]
+
+
+def _flag(data, label, typical, edges):
+    """A flag value: one time in six an edge, which the flag's checks must
+    reject or the run must survive, else a typical value."""
+    if data.draw(st.integers(0, 5), label=f"{label} is an edge") == 0:
+        return data.draw(st.sampled_from(edges), label=label)
+    return data.draw(typical, label=label)
+
+
+_TRAIN_TOY_MODES = ("sft-only", "cft", "rcft", "ece-only", "label-smooth", "ts")
+_METRIC_LINE = re.compile(r"(before|after): +acc=(\S+) conf_ece=(\S+)")
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_train_toy_numeric_flags_exit_with_a_documented_code(data):
+    """train-toy at tiny sizes over random --lr, --lambda, --tau, --epsilon,
+    --bins, --n and --k, in every mode: the exit code is 0 to 3, a failed
+    run prints exactly one ``error:`` line, and a run that succeeds prints
+    finite metrics. Warnings are errors under pytest, so a numpy warning
+    from the training steps fails the case."""
+    mode = data.draw(st.sampled_from(_TRAIN_TOY_MODES), label="mode")
+    flags = {
+        "--lr": _flag(data, "lr", st.floats(1e-3, 50.0), _FLOAT_EDGES),
+        "--lambda": _flag(data, "lam", st.floats(0.0, 20.0), _FLOAT_EDGES),
+        "--tau": _flag(data, "tau", st.floats(1e-3, 100.0), _FLOAT_EDGES),
+        "--epsilon": _flag(data, "epsilon", st.floats(0.0, 0.99), _FLOAT_EDGES + [0.999, 1.0]),
+        "--bins": _flag(data, "bins", st.integers(1, 25), [-1, 0]),
+        "--n": _flag(data, "n", st.integers(1, 12), [-1, 0]),
+        "--k": _flag(data, "k", st.integers(2, 6), [-1, 0, 1]),
+    }
+    argv = ["train-toy", "--mode", mode, "--dim", "3", "--epochs", "3", "--em-epochs", "2",
+            *(f"{flag}={value!r}" for flag, value in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    hypothesis.event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    if code == 0:
+        assert errors == []
+        metrics = _METRIC_LINE.findall(out.getvalue())
+        assert [m[0] for m in metrics] == ["before", "after"]
+        assert all(math.isfinite(float(v)) for m in metrics for v in m[1:])
+    else:
+        assert len(errors) == 1

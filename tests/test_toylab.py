@@ -27,6 +27,7 @@ from calibkit.toylab import (
     _one_hot,
     _tempered,
 )
+from calibkit import toylab
 from calibkit.targetmap import build_target_matrix
 
 
@@ -83,6 +84,36 @@ def test_grad_single_record_softmax_nll():
     y1 = _one_hot(np.array([2]), 4)
     grad = policy.combined_grad(None, y1, None, 0.0, "mse")
     assert grad == pytest.approx(probs - y1, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [4, 9])
+@pytest.mark.parametrize("kind", ["linear", "tabular"])
+def test_a_step_in_the_loop_workspace_has_the_bits_of_a_fresh_step(kind, k):
+    """``combined_grad``, ``probs`` and ``descend`` given the EM loop's
+    workspace write into it and return what they return without one, bit
+    for bit, however stale the workspace is; without one the results are
+    fresh arrays."""
+    rng = np.random.default_rng(k)
+    n, d = 40, 5
+    X, y1 = rng.standard_normal((n, d)), _one_hot(rng.integers(0, k, n), k)
+    if kind == "linear":
+        policy, features = LinearPolicy(d, k, rng.standard_normal((d, k))), X
+    else:
+        policy, features = TabularPolicy(rng.standard_normal((n, k))), None
+    targets = build_target_matrix(policy.probs(features), np.full(n, 0.55))[0]
+    work = np.full((3, n, k), np.nan)
+    for lam, div in ((0.0, "mse"), (0.3, "mse"), (0.3, "cross-entropy")):
+        fresh = policy.combined_grad(features, y1, targets, lam, div)
+        reused = policy.combined_grad(features, y1, targets, lam, div, work=work)
+        assert fresh.tobytes() == reused.tobytes()
+        assert not np.shares_memory(fresh, work)
+        written = policy.probs(features, out=work[0])
+        assert np.shares_memory(written, work[0])
+        assert written.tobytes() == policy.probs(features).tobytes()
+    stepped = policy.clone()
+    stepped.descend(fresh, 0.5)
+    policy.descend(fresh, 0.5, work=work)
+    assert _params(policy) == _params(stepped)
 
 
 def test_grad_stationary_at_target():
@@ -459,8 +490,8 @@ def test_apply_temperature_keeps_ids_labels_and_splits():
 
 def test_fit_temperature_memory_stays_bounded():
     """At n = 2e4, k = 4 the whole 400-temperature tensor would take 256 MB;
-    the grid is scored in chunks, and the fit must peak below a quarter of
-    that."""
+    the grid is scored in chunks of at most ``_GRID_CHUNK_ENTRIES`` tempered
+    entries, and the fit must peak below four times its input matrix."""
     rng = np.random.default_rng(0)
     n, k = 20_000, 4
     ds = Dataset.from_arrays(rng.dirichlet(np.ones(k), n), rng.integers(0, k, n))
@@ -470,4 +501,19 @@ def test_fit_temperature_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400 * n * k * 8 / 4
+    assert peak < 4 * ds.probs_matrix.nbytes
+
+
+@pytest.mark.parametrize("k", [3, 4, 9])
+def test_fit_temperature_does_not_depend_on_the_grid_chunk(k, monkeypatch):
+    """Each stacked row of the grid is scored alone, so one temperature per
+    chunk, the module's chunk and the whole grid in one chunk give the same
+    bits; from k = 8 on the chunk is a (chunk, n, k) tensor."""
+    rng = np.random.default_rng(k)
+    n = 300
+    ds = Dataset.from_arrays(rng.dirichlet(np.full(k, 0.5), n), rng.integers(0, k, n))
+    fits = []
+    for entries in (1, toylab._GRID_CHUNK_ENTRIES, 2**40):
+        monkeypatch.setattr(toylab, "_GRID_CHUNK_ENTRIES", entries)
+        fits.append(tuple(float(x).hex() for x in fit_temperature(ds)))
+    assert fits[0] == fits[1] == fits[2]
