@@ -17,7 +17,6 @@ _EXPORTS = {
     "validate_dataset": "core",
     "BinStats": "metrics",
     "CalibrationReport": "metrics",
-    "PairwisePreferenceRecord": "metrics",
     "accuracy": "metrics",
     "build_report": "metrics",
     "conf_ece": "metrics",

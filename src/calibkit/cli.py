@@ -19,6 +19,7 @@ import functools
 import gc
 import importlib
 import json
+import math
 import os
 import re
 import sys
@@ -117,20 +118,6 @@ def _jsonl_values(fh):
 _ID = r'"([A-Za-z0-9_-]+)"'
 _NUM = r"(?:0|[1-9][0-9]{0,16})(?:\.[0-9]{1,40})?(?:[eE][-+]?[0-9]{1,3})?"
 _TAIL = r'"label": (0|[1-9][0-9]{0,8})(?:, "split": "(train|val|test)")?\}'
-
-
-def _line_form(readme: bool, entries: str) -> str:
-    """The pattern of one strict line whose confidence list is ``entries``."""
-    confs = rf"\[({entries})\]"
-    if readme:
-        head = f'"id": {_ID}, "confidences": {confs}'
-    else:
-        head = f'"confidences": {confs}, "id": {_ID}'
-    return rf"\{{{head}, {_TAIL}"
-
-
-_README_FORM = re.compile(_line_form(True, rf"{_NUM}(?:, {_NUM})+"))
-_SORTED_FORM = re.compile(_line_form(False, rf"{_NUM}(?:, {_NUM})+"))
 # Entries a chunk pattern spells out one by one; any more are one counted
 # repeat, which keeps a pattern for a file of many classes small to compile.
 _UNROLLED_ENTRIES = 32
@@ -140,29 +127,53 @@ _CHUNK_ROWS = 8192
 
 @functools.lru_cache(maxsize=16)
 def _chunk_form(readme: bool, k: int) -> re.Pattern:
-    """The multi-line pattern of a strict line with exactly k entries; each
-    match is one whole line, so a chunk is strict when every line matches."""
+    """The multi-line pattern of a strict line with exactly k entries, in
+    the README's key order or in sorted order; each match is one whole line
+    (its ``\\r`` included), so a chunk is strict when every line matches."""
     unrolled = min(k, _UNROLLED_ENTRIES)
     entries = ", ".join([_NUM] * unrolled)
     if k > unrolled:
         entries += f"(?:, {_NUM}){{{k - unrolled}}}"
-    return re.compile(f"^{_line_form(readme, entries)}$", re.M)
+    confs = rf"\[({entries})\]"
+    if readme:
+        head = f'"id": {_ID}, "confidences": {confs}'
+    else:
+        head = f'"confidences": {confs}, "id": {_ID}'
+    return re.compile(rf"^\{{{head}, {_TAIL}\r?$", re.M)
+
+
+def _row_entries(row: dict, k: int | None) -> list[float] | None:
+    """``float()`` of each confidence entry of a ``json.loads`` row that
+    passes the row test, else None. The test: a nonempty str id, a list of
+    exactly k entries that ``float()`` takes (at least 2 while k is
+    unknown), an int label in [0, 2**63), and an absent, null or known
+    split. Such a row's values are those ``validate_dataset`` reads."""
+    rid, conf, label = row.get("id"), row.get("confidences"), row.get("label")
+    if not (type(rid) is str and rid and type(conf) is list and type(label) is int
+            and 0 <= label < 2**63 and row.get("split") in VALID_SPLITS):
+        return None
+    if len(conf) != k if k else len(conf) < 2:
+        return None
+    try:
+        return [float(c) for c in conf]
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 class _PredictionColumns:
     """The rows of a prediction JSONL file as ``_validate_columns`` takes
     them, each row's line number, and the file's invalid-JSON messages.
 
-    The file is read ``_CHUNK_ROWS`` raw lines at a time. The first line in
-    ``_README_FORM`` or ``_SORTED_FORM`` fixes k. One regex ``split`` of a
-    chunk matches each line in the form of most of its lines, with k
-    entries and nothing around it, and these go straight into columns. The
-    lines left over are read one by one: a stripped line in either strict
-    form with k entries goes into columns, and every other nonblank line
-    through ``_json_value``. All routes give the same values. When every
-    row took a strict route, ``confs`` is one float matrix and ``labels``
-    one int64 array; otherwise both are lists of per-row values in file
-    order.
+    The file is read by two routes. ``json.loads`` reads the first lines,
+    up to the first row that passes the row test (``_row_entries``), which
+    fixes k. After that the file is read ``_CHUNK_ROWS`` raw lines at a
+    time: one regex ``split`` of a chunk matches each line in the strict
+    form of most of its lines, with k entries and nothing around it, and
+    these go straight into columns. Every other nonblank line is read by
+    ``json.loads``, and a row that passes the row test goes into the same
+    columns. When every row did, ``confs`` is one float matrix and
+    ``labels`` one int64 array; otherwise, in a file that some row fails,
+    both are lists of per-row values in file order.
     """
 
     def __init__(self, fh):
@@ -171,11 +182,12 @@ class _PredictionColumns:
         self.lines = array("q")
         self.bad_json: list[str] = []
         self._k = None
-        parsed: dict[int, object] = {}  # row index -> value of a json.loads row
+        self._failed: dict[int, object] = {}  # row index -> value of a row that fails the test
         blocks, label_blocks = [], []
         start = 1
-        for chunk in iter(lambda: list(islice(fh, _CHUNK_ROWS)), []):
-            confs, labels = self._chunk_rows(chunk, start, parsed)
+        # Until a row fixes k, a chunk is one line.
+        for chunk in iter(lambda: list(islice(fh, _CHUNK_ROWS if self._k else 1)), []):
+            confs, labels = self._chunk_rows(chunk, start)
             if confs:
                 blocks.append(_float_block(confs, self._k))
                 label_blocks.append(np.array(labels, dtype=np.int64))
@@ -183,35 +195,30 @@ class _PredictionColumns:
 
         n = len(self.lines)
         self.is_obj = np.ones(n, dtype=bool)
-        if n and not parsed:
+        if n and not self._failed:
             self.confs = np.concatenate(blocks)
             self.labels = np.concatenate(label_blocks)
             return
-        strict_confs = iter(np.concatenate(blocks).tolist() if blocks else ())
-        strict_labels = iter(np.concatenate(label_blocks).tolist() if blocks else ())
+        column_confs = iter(np.concatenate(blocks).tolist() if blocks else ())
+        column_labels = iter(np.concatenate(label_blocks).tolist() if blocks else ())
         self.confs, self.labels = [], []
         for i in range(n):
-            if i in parsed:
-                self.is_obj[i] = isinstance(parsed[i], dict)
-                row = parsed[i] if self.is_obj[i] else {}
+            if i in self._failed:
+                self.is_obj[i] = isinstance(self._failed[i], dict)
+                row = self._failed[i] if self.is_obj[i] else {}
                 self.confs.append(row.get("confidences"))
                 self.labels.append(row.get("label"))
             else:
-                self.confs.append(next(strict_confs))
-                self.labels.append(next(strict_labels))
+                self.confs.append(next(column_confs))
+                self.labels.append(next(column_labels))
 
-    def _chunk_rows(self, chunk: list[str], start: int, parsed: dict):
+    def _chunk_rows(self, chunk: list[str], start: int):
         """Put every row of ``chunk``, raw lines from line ``start`` on, into
-        columns, and each ``json.loads`` row's value into ``parsed`` under its
-        row index; return the confidence and label texts of its strict rows.
-        """
+        columns, and the value of each row that fails the row test into
+        ``_failed`` under its row index; return the confidence and label
+        texts of the other rows."""
         if self._k is None:
-            first = chunk[0].strip()
-            readme = first.startswith('{"id"')
-            m = (_README_FORM if readme else _SORTED_FORM).fullmatch(first)
-            if m is None:
-                return self._line_rows(chunk, start, parsed, [], [])
-            self._k = m.group(2 if readme else 1).count(",") + 1
+            return self._loose_rows(chunk, start, [], [])
         text = "".join(chunk)
         # The form of most lines: of the two, only a sorted-form line holds
         # this text.
@@ -240,7 +247,7 @@ class _PredictionColumns:
             lines = loose.split("\n")
             if not lines[-1]:
                 lines.pop()
-            self._line_rows(lines, ln, parsed, confs, labels)
+            self._loose_rows(lines, ln, confs, labels)
             run, ln = j, ln + len(lines)
         strict = self._matched_rows(parts, run, len(gaps) - 1, ln, readme)
         return confs + strict[0], labels + strict[1]
@@ -254,35 +261,25 @@ class _PredictionColumns:
         self.lines.extend(range(ln, ln + b - a))
         return parts[lo + (2 if readme else 1) : hi : 5], parts[lo + 3 : hi : 5]
 
-    def _line_rows(self, lines: list[str], start: int, parsed: dict, confs: list, labels: list):
-        """Read ``lines``, raw lines from line ``start`` on, one by one into
-        columns; each strict row's confidence and label texts go onto
-        ``confs`` and ``labels``, and each ``json.loads`` row's value into
-        ``parsed`` under its row index. Return ``confs, labels``."""
+    def _loose_rows(self, lines: list[str], start: int, confs: list, labels: list):
+        """Read ``lines``, raw lines from line ``start`` on, through
+        ``_json_value`` into columns. A row that passes the row test puts
+        its confidences, as ``repr`` text, and its label onto ``confs`` and
+        ``labels``; any other row's value goes into ``_failed``. Return
+        ``confs, labels``."""
         for ln, line in _jsonl_lines(lines, start):
-            m = _README_FORM.fullmatch(line)
-            if m is not None:
-                rid, conf, label, split = m.groups()
-            else:
-                m = _SORTED_FORM.fullmatch(line)
-                if m is not None:
-                    conf, rid, label, split = m.groups()
-            if m is not None:
-                if self._k is None:
-                    self._k = conf.count(",") + 1
-                if conf.count(",") + 1 == self._k:
-                    self.ids.append(rid)
-                    self.splits.append(_SPLIT_TAGS[split])
-                    self.lines.append(ln)
-                    confs.append(conf)
-                    labels.append(label)
-                    continue
             value, error = _json_value(ln, line)
             if error is not None:
                 self.bad_json.append(error)
                 continue
-            parsed[len(self.lines)] = value
             row = value if isinstance(value, dict) else {}
+            entries = _row_entries(row, self._k)
+            if entries is None:
+                self._failed[len(self.lines)] = value
+            else:
+                self._k = len(entries)
+                confs.append(", ".join(map(repr, entries)))
+                labels.append(str(row["label"]))
             self.ids.append(row.get("id"))
             self.splits.append(row.get("split"))
             self.lines.append(ln)
@@ -293,7 +290,8 @@ class _PredictionColumns:
 
 
 def _float_block(confs: list[str], k: int) -> np.ndarray:
-    """The (m, k) matrix of m strict-form confidence lists of k entries."""
+    """The (m, k) matrix of m confidence texts, each k numbers joined by
+    ``", "``."""
     tokens = ", ".join(confs).split(", ")
     return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, k)
 
@@ -371,6 +369,9 @@ def cmd_simulate(args) -> int:
     bins = BinningConfig(M=args.bins)
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
@@ -459,6 +460,9 @@ def cmd_train_toy(args) -> int:
     from . import toylab
     from .diagram import reliability_svg
     bins = BinningConfig(M=args.bins)
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )
@@ -542,36 +546,49 @@ def _run_toy_mode(args, task, bins):
     return before_report, policy, history, after_report
 
 
+def _pair_error(ln: int, obj, ids: set, chosen: array, reject: array) -> str | None:
+    """Add pair line ``ln``'s id and log-probabilities to the columns, or
+    return why the line is rejected: a missing or non-numeric log-probability,
+    ``eval``'s id rule (a nonempty str, used once), or a non-finite
+    log-probability."""
+    try:
+        c, r = float(obj["logp_chosen"]), float(obj["logp_reject"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return f"line {ln}: {exc}"
+    rid = obj.get("id")  # obj is a dict: no other JSON value takes a str key
+    if not (isinstance(rid, str) and rid):
+        return f"line {ln}: missing or empty 'id'"
+    if not (math.isfinite(c) and math.isfinite(r)):
+        return f"line {ln}: pair {rid!r} has non-finite log-probabilities"
+    if rid in ids:
+        return f"line {ln}: id {rid!r} already used"
+    ids.add(rid)
+    chosen.append(c)
+    reject.append(r)
+    return None
+
+
 def cmd_winrate(args) -> int:
-    from .metrics import NonFiniteInput, PairwisePreferenceRecord, win_rate
-    rows = []
+    from .metrics import win_rate
+    ids, chosen, reject = set(), array("d"), array("d")
     try:
         with open(args.pairs, "r", encoding="utf-8") as fh:
             for ln, obj, error in _jsonl_values(fh):
+                if error is None:
+                    error = _pair_error(ln, obj, ids, chosen, reject)
                 if error is not None:
                     print(f"error: {error}", file=sys.stderr)
-                    return EXIT_INPUT
-                try:
-                    rows.append(
-                        PairwisePreferenceRecord(
-                            id=str(obj["id"]),
-                            logp_chosen=float(obj["logp_chosen"]),
-                            logp_reject=float(obj["logp_reject"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError, OverflowError,
-                        RecursionError, NonFiniteInput) as exc:
-                    print(f"error: line {ln}: {exc}", file=sys.stderr)
                     return EXIT_INPUT
     except OSError as exc:
         print(f"error: cannot read {args.pairs}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not rows:
+    if not chosen:
         print("error: EmptyInput: no preference pairs found", file=sys.stderr)
         return EXIT_INPUT
-    rate = win_rate(rows)
-    wins = sum(1 for p in rows if p.logp_chosen > p.logp_reject)
-    print(f"pairs={len(rows)} wins={wins} win_rate={rate!r}")
+    rate = win_rate(chosen, reject)
+    # rate is wins / n rounded once, so rate * n rounds back to the count
+    # (exactly, for any n below 2**51).
+    print(f"pairs={len(chosen)} wins={round(rate * len(chosen))} win_rate={rate!r}")
     return EXIT_OK
 
 

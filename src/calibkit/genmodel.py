@@ -214,12 +214,6 @@ def labeled_accuracy(
     return float(model.weights @ (np.argmax(pred, axis=1) == labels))
 
 
-def realize_labels(model: FiniteGenerativeModel, seed: int = 0) -> np.ndarray:
-    """Draw one label per support point from its label distribution."""
-    rng = np.random.default_rng(seed)
-    return _draw_labels(model.label_probs, rng.random(model.n_support))
-
-
 def labels_matching_accuracy(
     model: FiniteGenerativeModel, target_acc: float
 ) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from .core import (
 
 
 class EmptyInput(CalibrationError):
-    pass
-
-
-class NonFiniteInput(CalibrationError):
     pass
 
 
@@ -83,19 +78,6 @@ class CalibrationReport:
                 [b.to_json_dict() for b in rows] for rows in self.classwise_bins
             ],
         }
-
-
-@dataclass(frozen=True)
-class PairwisePreferenceRecord:
-    """Log-probabilities a model assigns to the chosen and rejected response."""
-
-    id: str
-    logp_chosen: float
-    logp_reject: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.logp_chosen) and math.isfinite(self.logp_reject)):
-            raise NonFiniteInput(f"pair {self.id!r} has non-finite log-probabilities")
 
 
 def _binned_gaps(
@@ -268,13 +250,15 @@ def build_report(ds: Dataset, bins: BinningConfig = BinningConfig()) -> Calibrat
     )
 
 
-def win_rate(pairs: Sequence[PairwisePreferenceRecord]) -> float:
-    """Fraction of pairs where the chosen response is strictly more likely.
-
-    Ties count as losses.
+def win_rate(logp_chosen, logp_reject) -> float:
+    """Fraction of pairs whose chosen response is strictly more likely:
+    pair i wins when ``logp_chosen[i] > logp_reject[i]``, so ties (and NaN)
+    count as losses. Takes two aligned 1-d arrays of log-probabilities.
     """
-    if not pairs:
+    chosen = np.asarray(logp_chosen, dtype=float)
+    reject = np.asarray(logp_reject, dtype=float)
+    if chosen.ndim != 1 or chosen.shape != reject.shape:
+        raise SchemaError("logp_chosen and logp_reject must be aligned 1-d arrays")
+    if not chosen.size:
         raise EmptyInput("win_rate needs at least one pair")
-    wins = sum(1 for p in pairs if p.logp_chosen > p.logp_reject)
-    return wins / len(pairs)
-
+    return int(np.count_nonzero(chosen > reject)) / chosen.size

@@ -21,7 +21,6 @@ from calibkit.genmodel import (
     labeled_accuracy,
     make_model,
     population_accuracy,
-    realize_labels,
     lower_bound_constant,
     sample_dataset,
     tce,
@@ -40,6 +39,7 @@ from calibkit.toylab import (
     _one_hot,
 )
 from calibkit.toylab import combined_loss
+from test_genmodel import realize_labels
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

@@ -289,11 +289,12 @@ def _assert_eval_like_reference(path, *flags):
     return got
 
 
-def _strict_rows(text: str) -> bool:
-    """Whether the reader took every row of ``text`` without json.loads."""
-    with mock.patch.object(cli, "_json_value", wraps=cli._json_value) as fallback:
-        cli._PredictionColumns(io.StringIO(text))
-    return fallback.call_count == 0
+def _reader_route(text: str) -> tuple[int, bool]:
+    """The reader's ``json.loads`` calls on ``text``, and whether its
+    confidences stayed one float matrix (no row failed the row test)."""
+    with mock.patch.object(cli, "_json_value", wraps=cli._json_value) as loads:
+        cols = cli._PredictionColumns(io.StringIO(text))
+    return loads.call_count, isinstance(cols.confs, np.ndarray)
 
 
 def _canonical_lines(n, k=4, seed=0, start=0):
@@ -312,7 +313,9 @@ def _canonical_lines(n, k=4, seed=0, start=0):
 
 
 # One line each, placed between k = 2 canonical rows, and whether the
-# strict path reads it after such a row (the rest go through json.loads).
+# reader keeps its float columns after such a row: a strict line, a
+# json.loads row that passes the row test, or a line that is not JSON.
+# A row that fails the test sends the file down the list route.
 _EDGE_LINES = {
     "exponent-lower": ('{"id": "e1", "confidences": [1e-05, 0.99999], "label": 1}', True),
     "exponent-upper-signed": ('{"id": "e2", "confidences": [5E-7, 0.9999995], "label": 0}', True),
@@ -324,44 +327,60 @@ _EDGE_LINES = {
     "integer-beyond-2-53": (
         '{"id": "i3", "confidences": [9007199254740993, 0], "label": 0}', True),
     "integer-18-digits": (
-        '{"id": "i4", "confidences": [123456789012345678, 0], "label": 0}', False),
+        '{"id": "i4", "confidences": [123456789012345678, 0], "label": 0}', True),
     "integer-400-digits": (
         '{"id": "i5", "confidences": [1' + "0" * 400 + ', 0], "label": 0}', False),
-    "negative-zero-int": ('{"id": "z1", "confidences": [-0, 1], "label": 1}', False),
-    "negative-zero-float": ('{"id": "z2", "confidences": [-0.0, 1.0], "label": 1}', False),
-    "leading-zero-entry": ('{"id": "l1", "confidences": [00.5, 0.5], "label": 0}', False),
-    "leading-zero-label": ('{"id": "l2", "confidences": [0.5, 0.5], "label": 01}', False),
-    "label-10-digits": ('{"id": "l3", "confidences": [0.5, 0.5], "label": 1000000000}', False),
-    "unicode-escape-id": ('{"id": "\\u0071x", "confidences": [0.5, 0.5], "label": 0}', False),
+    "negative-zero-int": ('{"id": "z1", "confidences": [-0, 1], "label": 1}', True),
+    "negative-zero-float": ('{"id": "z2", "confidences": [-0.0, 1.0], "label": 1}', True),
+    "leading-zero-entry": ('{"id": "l1", "confidences": [00.5, 0.5], "label": 0}', True),
+    "leading-zero-label": ('{"id": "l2", "confidences": [0.5, 0.5], "label": 01}', True),
+    "label-10-digits": ('{"id": "l3", "confidences": [0.5, 0.5], "label": 1000000000}', True),
+    "unicode-escape-id": ('{"id": "\\u0071x", "confidences": [0.5, 0.5], "label": 0}', True),
     "escape-duplicates-id": ('{"id": "\\u0071s0", "confidences": [0.5, 0.5], "label": 0}',
-                             False),
+                             True),
     "duplicate-keys": (
-        '{"id": "d1", "id": "d2", "confidences": [0.5, 0.5], "label": 0}', False),
-    "reordered-keys": ('{"label": 0, "id": "o1", "confidences": [0.5, 0.5]}', False),
+        '{"id": "d1", "id": "d2", "confidences": [0.5, 0.5], "label": 0}', True),
+    "reordered-keys": ('{"label": 0, "id": "o1", "confidences": [0.5, 0.5]}', True),
     "sorted-keys": ('{"confidences": [0.5, 0.5], "id": "o2", "label": 0, "split": "val"}',
                     True),
-    "extra-key": ('{"id": "x1", "confidences": [0.5, 0.5], "label": 0, "note": 1}', False),
-    "split-null": ('{"id": "s1", "confidences": [0.5, 0.5], "label": 0, "split": null}', False),
+    "extra-key": ('{"id": "x1", "confidences": [0.5, 0.5], "label": 0, "note": 1}', True),
+    "split-null": ('{"id": "s1", "confidences": [0.5, 0.5], "label": 0, "split": null}', True),
     "split-unknown": ('{"id": "s2", "confidences": [0.5, 0.5], "label": 0, "split": "dev"}',
                       False),
-    "compact-separators": ('{"id":"c1","confidences":[0.5,0.5],"label":0}', False),
-    "tab-separators": ('{"id":\t"c2",\t"confidences":\t[0.5,\t0.5],\t"label":\t0}', False),
-    "nan-entry": ('{"id": "n1", "confidences": [NaN, 0.5], "label": 0}', False),
-    "trailing-comma": ('{"id": "t1", "confidences": [0.5, 0.5,], "label": 0}', False),
+    "compact-separators": ('{"id":"c1","confidences":[0.5,0.5],"label":0}', True),
+    "tab-separators": ('{"id":\t"c2",\t"confidences":\t[0.5,\t0.5],\t"label":\t0}', True),
+    "nan-entry": ('{"id": "n1", "confidences": [NaN, 0.5], "label": 0}', True),
+    "trailing-comma": ('{"id": "t1", "confidences": [0.5, 0.5,], "label": 0}', True),
     "other-k": ('{"id": "k3", "confidences": [0.25, 0.25, 0.5], "label": 2}', False),
     "one-entry": ('{"id": "k1", "confidences": [1.0], "label": 0}', False),
+    "no-entries": ('{"id": "k0", "confidences": [], "label": 0}', False),
     "not-an-object": ("[0.5, 0.5]", False),
     "renormalized": ('{"id": "r1", "confidences": [0.5000003, 0.5], "label": 0}', True),
     "label-out-of-range": ('{"id": "r2", "confidences": [0.5, 0.5], "label": 7}', True),
     "sum-beyond-tolerance": ('{"id": "r3", "confidences": [0.5, 0.6], "label": 0}', True),
+    "string-entries": ('{"id": "f1", "confidences": ["0.5", " 5e-1 "], "label": 0}', True),
+    "bool-entry": ('{"id": "f2", "confidences": [true, 0], "label": 0}', True),
+    "text-entry": ('{"id": "f3", "confidences": ["half", 0.5], "label": 0}', False),
+    "null-entry": ('{"id": "f4", "confidences": [null, 0.5], "label": 0}', False),
+    "empty-id": ('{"id": "", "confidences": [0.5, 0.5], "label": 0}', False),
+    "integer-id": ('{"id": 5, "confidences": [0.5, 0.5], "label": 0}', False),
+    "bool-label": ('{"id": "b1", "confidences": [0.5, 0.5], "label": false}', False),
+    "float-label": ('{"id": "b2", "confidences": [0.5, 0.5], "label": 0.0}', False),
+    "negative-label": ('{"id": "b3", "confidences": [0.5, 0.5], "label": -1}', False),
+    "label-int64-max": (
+        '{"id": "b4", "confidences": [0.5, 0.5], "label": 9223372036854775807}', True),
+    "label-beyond-int64": (
+        '{"id": "b5", "confidences": [0.5, 0.5], "label": 9223372036854775808}', False),
+    "confidences-object": ('{"id": "b6", "confidences": {"a": 0.5}, "label": 0}', False),
+    "confidences-string": ('{"id": "b7", "confidences": "01", "label": 1}', False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_EDGE_LINES))
 def test_eval_edge_lines_read_like_json_loads(name, tmp_path):
-    line, strict = _EDGE_LINES[name]
+    line, columnar = _EDGE_LINES[name]
     head, tail = _canonical_lines(3, k=2, seed=1), _canonical_lines(2, k=2, seed=2, start=3)
-    assert _strict_rows(f"{head[0]}\n{line}\n") == strict
+    assert _reader_route(f"{head[0]}\n{line}\n")[1] == columnar
     for layout in ([line] + head + tail, head + [line] + tail, head + tail + [line]):
         path = tmp_path / "edge.jsonl"
         path.write_text("\n".join(layout) + "\n", encoding="utf-8")
@@ -373,11 +392,14 @@ def test_eval_edge_lines_read_like_json_loads(name, tmp_path):
     ids=["crlf", "blank-lines", "crlf-blank-lines"],
 )
 def test_eval_line_endings_and_blank_lines_read_like_json_loads(newline, blank, tmp_path):
+    """A file object that keeps CRLF line ends (a ``StringIO``; ``open`` in
+    text mode turns them into LF) is still read by the chunk pattern:
+    json.loads reads only the first line."""
     lines = _canonical_lines(6, seed=3)
     text = newline.join(lines[:3]) + newline + blank + newline.join(lines[3:]) + newline
     path = tmp_path / "ends.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    assert _strict_rows(text)
+    assert _reader_route(text) == (1, True)
     assert _assert_eval_like_reference(path)[0] == 0
     # Out-of-range labels: the violations must name the same lines.
     path.write_bytes(text.replace('"label": ', '"label": 4').encode("utf-8"))
@@ -428,21 +450,10 @@ def test_eval_chunk_boundaries_read_like_json_loads(name, tmp_path):
     _assert_eval_like_reference(path)
 
 
-class _CountedForm:
-    """A strict-form pattern whose per-line ``fullmatch`` calls are counted."""
-
-    def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
-
-    def fullmatch(self, line):
-        self.calls += 1
-        return self.pattern.fullmatch(line)
-
-
 @pytest.mark.parametrize("sort_keys", [False, True], ids=["readme-form", "sorted-form"])
 def test_eval_matches_an_all_strict_chunk_at_once(sort_keys, tmp_path, monkeypatch):
-    """On a file of three all-strict chunks the per-line matchers run at
-    most once per chunk."""
+    """On a file of three all-strict chunks json.loads reads only the first
+    line, which fixes k."""
     chunk = 5
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
     lines = [
@@ -451,33 +462,25 @@ def test_eval_matches_an_all_strict_chunk_at_once(sort_keys, tmp_path, monkeypat
     ]
     path = tmp_path / "strict.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    forms = [_CountedForm(cli._README_FORM), _CountedForm(cli._SORTED_FORM)]
-    monkeypatch.setattr(cli, "_README_FORM", forms[0])
-    monkeypatch.setattr(cli, "_SORTED_FORM", forms[1])
-    assert _strict_rows(path.read_text(encoding="utf-8"))
-    assert sum(form.calls for form in forms) <= 3
+    assert _reader_route(path.read_text(encoding="utf-8")) == (1, True)
     assert _assert_eval_like_reference(path)[0] == 0
 
 
 def test_eval_reads_only_the_loose_lines_of_a_chunk_line_by_line(tmp_path, monkeypatch):
-    """In a chunk with a few loose lines (a blank, a compact and a
-    sorted-form line among README-form ones) the per-line matchers run on
-    the nonblank loose lines only: two calls each, plus one for the first
-    line of the file. The second chunk starts with its blank line."""
+    """In chunks with a few loose lines (a blank, a compact and a
+    sorted-form line among README-form ones) json.loads reads the first line
+    and each nonblank loose line once, and the loose rows, which all pass
+    the row test, join the float columns. The first line, which fixes k, is
+    a chunk of its own, so the third chunk starts with its blank line."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 6)
     lines = _canonical_lines(18, seed=13)
     for c in range(3):
         lines[6 * c + 2] = json.dumps(json.loads(lines[6 * c + 2]), separators=(",", ":"))
         lines[6 * c + 4] = json.dumps(json.loads(lines[6 * c + 4]), sort_keys=True)
-    lines[6] = ""
+    lines[7] = ""
     path = tmp_path / "loose.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    forms = [_CountedForm(cli._README_FORM), _CountedForm(cli._SORTED_FORM)]
-    with mock.patch.object(cli, "_README_FORM", forms[0]), \
-            mock.patch.object(cli, "_SORTED_FORM", forms[1]), \
-            open(path, encoding="utf-8") as fh:
-        cli._PredictionColumns(fh)
-    assert sum(form.calls for form in forms) == 1 + 3 * 4
+    assert _reader_route(path.read_text(encoding="utf-8")) == (1 + 3 * 2, True)
     assert _assert_eval_like_reference(path)[0] == 0
 
 
@@ -490,7 +493,7 @@ def test_eval_many_classes_read_like_json_loads(tmp_path, monkeypatch):
     lines = _canonical_lines(12, k=k, seed=10)
     path = tmp_path / "wide.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert _strict_rows(path.read_text(encoding="utf-8"))
+    assert _reader_route(path.read_text(encoding="utf-8")) == (1, True)
     assert _assert_eval_like_reference(path)[0] == 0
     lines[5] = _canonical_lines(1, k=k + 1, seed=11, start=5)[0]
     lines[9] = _canonical_lines(1, k=k - 1, seed=12, start=9)[0]
@@ -502,7 +505,7 @@ def test_eval_canonical_file_reads_like_json_loads(tmp_path):
     lines = _canonical_lines(2 * cli._CHUNK_ROWS + 17, seed=7)
     path = tmp_path / "canonical.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert _strict_rows(path.read_text(encoding="utf-8"))
+    assert _reader_route(path.read_text(encoding="utf-8")) == (1, True)
     for bins in ("10", "heuristic"):
         assert _assert_eval_like_reference(path, "--bins", bins)[0] == 0
 
@@ -524,22 +527,39 @@ def _traced_eval_peak(path) -> int:
         tracemalloc.stop()
 
 
-def test_eval_ingestion_memory_grows_linearly_with_a_small_per_row_constant(tmp_path):
+def _assert_eval_peak_grows_by_a_small_per_row_constant(tmp_path, loose_every=None):
+    """eval's traced peak on 50000 and 200000 rows of k = 4 grows linearly,
+    by less than a third of the dict reader's bytes per row. With
+    ``loose_every``, that line of every chunk is written with compact
+    separators."""
     line = '{"id": "q%d", "confidences": [%r, %r, %r, %r], "label": %d}\n'
     small, large = 50_000, 200_000
     rng = np.random.default_rng(8)
     probs, labels = rng.dirichlet(np.ones(4), large).tolist(), rng.integers(0, 4, large).tolist()
     peaks = {}
     for n in (small, large):
+        lines = [line % (i, *probs[i], labels[i]) for i in range(n)]
+        if loose_every is not None:
+            for i in range(loose_every, n, cli._CHUNK_ROWS):
+                lines[i] = lines[i].replace(", ", ",").replace(": ", ":")
         path = tmp_path / f"{n}.jsonl"
-        path.write_text(
-            "".join(line % (i, *probs[i], labels[i]) for i in range(n)), encoding="utf-8"
-        )
+        path.write_text("".join(lines), encoding="utf-8")
         peaks[n] = _traced_eval_peak(path)
     per_row = (peaks[large] - peaks[small]) / (large - small)
     # Linear growth, within 10% for container overallocation.
     assert peaks[large] <= 1.1 * peaks[small] * large / small, peaks
     assert per_row < _DICT_READER_BYTES_PER_ROW / 3, per_row
+
+
+def test_eval_ingestion_memory_grows_linearly_with_a_small_per_row_constant(tmp_path):
+    _assert_eval_peak_grows_by_a_small_per_row_constant(tmp_path)
+
+
+def test_eval_memory_per_row_stays_small_with_a_loose_line_in_every_chunk(tmp_path):
+    """A compact line that passes the row test joins the float columns, so
+    the file takes no list route: its bytes per row stay under the strict
+    file's bound."""
+    _assert_eval_peak_grows_by_a_small_per_row_constant(tmp_path, loose_every=1000)
 
 
 def test_eval_missing_file_is_io_error(tmp_path, capsys):
@@ -669,8 +689,9 @@ def test_simulate_rejects_a_non_finite_dirichlet_concentration(alpha, capsys):
     [
         (["--bins", "0"], "error: OutOfRange: bin count 0 must be >= 1"),
         (["--n", "0"], "error: --n must be >= 1"),
+        (["--seed", "-1"], "error: --seed must be >= 0"),
     ],
-    ids=["bins-0", "n-0"],
+    ids=["bins-0", "n-0", "seed-negative"],
 )
 def test_simulate_checks_its_flags_before_sampling(flags, error, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
@@ -679,6 +700,15 @@ def test_simulate_checks_its_flags_before_sampling(flags, error, monkeypatch, ca
     monkeypatch.setattr(genmodel, "make_model", unreachable)
     assert main(["simulate", "--n", "2000000", *flags]) == 2
     assert capsys.readouterr().err == error + "\n"
+
+
+def test_train_toy_checks_its_seed_before_building_the_task(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("gen_toy_task ran before --seed was checked")
+
+    monkeypatch.setattr(toylab, "gen_toy_task", unreachable)
+    assert main(["train-toy", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
 
 
 def test_simulate_formats_each_distinct_row_once_per_chunk(tmp_path, monkeypatch, capsys):
@@ -828,6 +858,48 @@ def test_winrate_non_finite_pair_names_its_line(tmp_path, capsys):
     assert main(["winrate", "--pairs", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: line 2: pair 'p2' has non-finite log-probabilities\n"
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        (['{"id": 1, "logp_chosen": -1.0, "logp_reject": -2.0}'],
+         "error: line 1: missing or empty 'id'"),
+        (['{"logp_chosen": -1.0, "logp_reject": -2.0}'], "error: line 1: missing or empty 'id'"),
+        (['{"id": "p1", "logp_chosen": -1.0, "logp_reject": -2.0}',
+          '{"id": "", "logp_chosen": -1.0, "logp_reject": -2.0}'],
+         "error: line 2: missing or empty 'id'"),
+        (['{"id": "p1", "logp_chosen": -1.0, "logp_reject": -2.0}', "",
+          '{"id": "p1", "logp_chosen": -3.0, "logp_reject": -2.0}',
+          '{"id": true, "logp_chosen": -3.0, "logp_reject": -2.0}'],
+         "error: line 3: id 'p1' already used"),
+        (['{"id": "p1", "logp_chosen": "x", "logp_reject": -2.0}'],
+         "error: line 1: could not convert string to float: 'x'"),
+        (['[1, 2]'], "error: line 1: list indices must be integers or slices, not str"),
+    ],
+    ids=["integer-id", "missing-id", "empty-id", "duplicate-id", "text-logp", "not-an-object"],
+)
+def test_winrate_stops_at_the_first_bad_line(lines, error, tmp_path, capsys):
+    """winrate applies eval's id rule: a nonempty str, used once."""
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["winrate", "--pairs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error + "\n")
+
+
+def test_winrate_counts_each_win_once(tmp_path, capsys):
+    """Ties lose; the count and the rate agree on a file of 1000 pairs."""
+    rng = np.random.default_rng(15)
+    chosen, reject = rng.integers(-3, 3, (2, 1000)).tolist()
+    path = tmp_path / "pairs.jsonl"
+    _write_jsonl(path, [
+        {"id": f"p{i}", "logp_chosen": c, "logp_reject": r}
+        for i, (c, r) in enumerate(zip(chosen, reject))
+    ])
+    assert main(["winrate", "--pairs", str(path)]) == 0
+    wins = sum(c > r for c, r in zip(chosen, reject))
+    assert capsys.readouterr().out == f"pairs=1000 wins={wins} win_rate={wins / 1000!r}\n"
 
 
 def test_winrate_empty_file_is_input_error(tmp_path, capsys):

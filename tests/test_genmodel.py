@@ -16,13 +16,20 @@ from calibkit.genmodel import (
     make_model,
     population_accuracy,
     population_cw_ece,
-    realize_labels,
     sample_dataset,
     tce,
     verify_ece_le_tce,
+    _draw_labels,
 )
 from calibkit.metrics import accuracy
 from test_core import _ROW_A, _ROW_B, _reference_row_reason
+
+
+def realize_labels(model: FiniteGenerativeModel, seed: int = 0) -> np.ndarray:
+    """One label per support point, drawn from its label distribution: a
+    seeded labeling for the theorem checks."""
+    rng = np.random.default_rng(seed)
+    return _draw_labels(model.label_probs, rng.random(model.n_support))
 
 
 def _one_point():

@@ -12,8 +12,6 @@ from calibkit.genmodel import (
 from calibkit.metrics import (
     BinStats,
     EmptyInput,
-    NonFiniteInput,
-    PairwisePreferenceRecord,
     accuracy,
     conf_ece,
     cw_ece,
@@ -186,28 +184,23 @@ def test_sampled_generative_predictor_is_calibrated():
 
 
 def test_win_rate_examples():
-    mk = lambda i, c, r: PairwisePreferenceRecord(f"p{i}", c, r)
-    assert win_rate([mk(0, -1.0, -2.0), mk(1, -0.5, -3.0)]) == 1.0
-    assert win_rate([mk(0, -1.0, -1.0), mk(1, -2.0, -2.0)]) == 0.0
-    pairs = [mk(0, -1, -2), mk(1, -1, -2), mk(2, -1, -2), mk(3, -3, -2)]
-    assert win_rate(pairs) == 0.75
+    assert win_rate(np.array([-1.0, -0.5]), np.array([-2.0, -3.0])) == 1.0
+    assert win_rate(np.array([-1.0, -2.0]), np.array([-1.0, -2.0])) == 0.0
+    assert win_rate([-1, -1, -1, -3], [-2, -2, -2, -2]) == 0.75
     with pytest.raises(EmptyInput):
-        win_rate([])
+        win_rate([], [])
 
 
 def test_win_rate_negation_without_ties():
     rng = np.random.default_rng(6)
-    pairs, flipped = [], []
-    for i in range(50):
-        a, b = rng.normal(size=2)
-        if a == b:
-            continue
-        pairs.append(PairwisePreferenceRecord(f"p{i}", a, b))
-        flipped.append(PairwisePreferenceRecord(f"p{i}", b, a))
-    assert win_rate(pairs) == pytest.approx(1.0 - win_rate(flipped), abs=1e-12)
+    a, b = rng.normal(size=(50, 2)).T
+    keep = a != b
+    a, b = a[keep], b[keep]
+    assert win_rate(a, b) == pytest.approx(1.0 - win_rate(b, a), abs=1e-12)
 
 
-def test_pair_record_rejects_non_finite():
-    with pytest.raises(NonFiniteInput):
-        PairwisePreferenceRecord("p", float("nan"), 0.0)
-
+def test_win_rate_takes_aligned_1d_arrays_and_a_nan_pair_loses():
+    assert win_rate([np.nan, 0.0, 0.0], [0.0, np.nan, -1.0]) == 1 / 3
+    for chosen, reject in (([0.0], [0.0, 1.0]), ([[0.0]], [[1.0]]), (0.0, 1.0)):
+        with pytest.raises(SchemaError):
+            win_rate(chosen, reject)

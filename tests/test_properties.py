@@ -534,6 +534,7 @@ def _flag(data, label, typical, edges):
     return data.draw(typical, label=label)
 
 
+_SEED_EDGES = [-1, 0, 2**64]
 _TRAIN_TOY_MODES = ("sft-only", "cft", "rcft", "ece-only", "label-smooth", "ts")
 _METRIC_LINE = re.compile(r"(before|after): +acc=(\S+) conf_ece=(\S+)")
 
@@ -542,7 +543,7 @@ _METRIC_LINE = re.compile(r"(before|after): +acc=(\S+) conf_ece=(\S+)")
 @hypothesis.given(st.data())
 def test_train_toy_numeric_flags_exit_with_a_documented_code(data):
     """train-toy at tiny sizes over random --lr, --lambda, --tau, --epsilon,
-    --bins, --n and --k, in every mode: the exit code is 0 to 3, a failed
+    --bins, --n, --k and --seed, in every mode: the exit code is 0 to 3, a failed
     run prints exactly one ``error:`` line, and a run that succeeds prints
     finite metrics. Warnings are errors under pytest, so a numpy warning
     from the training steps fails the case."""
@@ -555,6 +556,7 @@ def test_train_toy_numeric_flags_exit_with_a_documented_code(data):
         "--bins": _flag(data, "bins", st.integers(1, 25), [-1, 0]),
         "--n": _flag(data, "n", st.integers(1, 12), [-1, 0]),
         "--k": _flag(data, "k", st.integers(2, 6), [-1, 0, 1]),
+        "--seed": _flag(data, "seed", st.integers(0, 2**32), _SEED_EDGES),
     }
     argv = ["train-toy", "--mode", mode, "--dim", "3", "--epochs", "3", "--em-epochs", "2",
             *(f"{flag}={value!r}" for flag, value in flags.items())]
@@ -571,3 +573,19 @@ def test_train_toy_numeric_flags_exit_with_a_documented_code(data):
         assert all(math.isfinite(float(v)) for m in metrics for v in m[1:])
     else:
         assert len(errors) == 1
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+def test_simulate_seed_edges_exit_with_a_documented_code(seed):
+    """A negative --seed exits 2 with one ``error:`` line before a model is
+    built; 0 and 2**64 are seeds like any other and print finite metrics."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--n", "50", "--k", "3", "--support", "5",
+                         f"--seed={seed}"])
+    if seed < 0:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: --seed must be >= 0\n")
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        values = [line.split("=")[1] for line in out.getvalue().splitlines()]
+        assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)

@@ -17,7 +17,6 @@ PUBLIC = [
     "EmConfig",
     "FiniteGenerativeModel",
     "LinearPolicy",
-    "PairwisePreferenceRecord",
     "Predictor",
     "TabularPolicy",
     "ToyTask",
