@@ -329,7 +329,7 @@ def cmd_eval(args) -> int:
     # Checked before the input is read, so a bad --bins fails fast.
     bins = _parse_bins(args.bins)
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8", newline="\n") as fh:
             cols = _PredictionColumns(fh)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
@@ -572,7 +572,7 @@ def cmd_winrate(args) -> int:
     from .metrics import win_rate
     ids, chosen, reject = set(), array("d"), array("d")
     try:
-        with open(args.pairs, "r", encoding="utf-8") as fh:
+        with open(args.pairs, "r", encoding="utf-8", newline="\n") as fh:
             for ln, obj, error in _jsonl_values(fh):
                 if error is None:
                     error = _pair_error(ln, obj, ids, chosen, reject)
@@ -687,6 +687,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # an absurd --n, --k or --support
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -81,6 +81,12 @@ def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
     return np.maximum(idx, 1, out=idx)
 
 
+# The largest bin count. Bin ids, their stacked offsets and the lengths of
+# the per-bin arrays stay far inside int64 below it; beyond int64 numpy
+# cannot even size the arrays.
+_MAX_BINS = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class BinningConfig:
     """Bin count policy: a fixed M, or the n**(1/3) heuristic resolved at use time."""
@@ -91,6 +97,8 @@ class BinningConfig:
     def __post_init__(self):
         if self.M < 1:
             raise OutOfRange(f"bin count {self.M} must be >= 1")
+        if self.M > _MAX_BINS:
+            raise OutOfRange(f"bin count {self.M} must be <= {_MAX_BINS}")
         if self.strategy not in ("fixed", "cube-root-heuristic"):
             raise SchemaError(f"unknown binning strategy {self.strategy!r}")
 

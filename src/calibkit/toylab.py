@@ -32,8 +32,6 @@ from .emcal import (
     _epochs,
     _history,
     _one_hot,  # noqa: F401  re-exported: the acceptance suite imports it from here
-    mean_ece_loss,
-    mean_sft,
     run_em,
 )
 from .genmodel import _draw_labels
@@ -187,8 +185,24 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
+# LinearPolicy computes its two products, ``features @ W`` and
+# ``features.T @ g``, over fixed blocks of rows, each block at most this many
+# multiply-adds (rows * d * k). OpenBLAS runs a gemm of at most 65536 * 4 =
+# 2**18 of them on one thread, so no block is split across threads: the bits
+# do not depend on the BLAS thread count, and no second thread spins between
+# the small calls. At d = 32 and k = 4 a block is 2048 rows.
+_PRODUCT_BLOCK_ENTRIES = 2**18
+
+
 class LinearPolicy:
-    """Softmax of X @ W / temperature."""
+    """Softmax of X @ W / temperature.
+
+    Both products run over blocks of ``max(1, _PRODUCT_BLOCK_ENTRIES // (d *
+    k))`` rows, in order: ``probs`` fills its output a block at a time, and
+    ``combined_grad`` adds the blocks' ``features.T @ g`` into the first
+    block's product. Up to one block of rows each product is one call, bit
+    for bit; beyond it the gradient is the same sum in another order.
+    """
 
     def __init__(self, d: int, k: int, W: np.ndarray | None = None, temperature: float = 1.0):
         if not (temperature > 0.0):
@@ -202,17 +216,26 @@ class LinearPolicy:
     def k(self) -> int:
         return self.W.shape[1]
 
+    @property
+    def _block(self) -> int:
+        """The rows in one block of either product."""
+        return max(1, _PRODUCT_BLOCK_ENTRIES // self.W.size)
+
     def probs(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (n, k) confidences, written into ``out`` when it is given."""
         if features is None or features.shape[1] != self.W.shape[0]:
             raise DimensionMismatch("features do not match the weight matrix")
+        n, step = features.shape[0], self._block
+        if out is None:
+            out = np.empty((n, self.k), dtype=np.result_type(features, self.W))
         # A huge learning rate overflows the logits. A shift that overflows is
         # -inf, which exp turns into 0; a NaN row fails the training loop's
         # finiteness check.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.matmul(features, self.W, out=out)
-            z /= self.temperature
-            return _softmax_into(z, z)
+            for i in range(0, n, step):
+                np.matmul(features[i:i + step], self.W, out=out[i:i + step])
+            out /= self.temperature
+            return _softmax_into(out, out)
 
     def combined_grad(
         self, features, soft_labels, targets, lam, divergence, sft_weight=1.0, probs=None,
@@ -224,7 +247,14 @@ class LinearPolicy:
             probs, soft_labels, targets, lam, divergence, sft_weight,
             out=None if work is None else work[1:],
         )
-        grad = features.T @ g / self.temperature
+        step = self._block
+        grad = features[:step].T @ g[:step]
+        # An overflowing sum of blocks is reported by the finiteness check
+        # below, as an overflow inside one product is, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(step, features.shape[0], step):
+                grad += features[i:i + step].T @ g[i:i + step]
+        grad /= self.temperature
         if not np.isfinite(grad).all():
             raise NonFiniteGradient("linear policy gradient is not finite")
         return grad
@@ -293,20 +323,6 @@ class TabularPolicy:
 
     def clone(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())
-
-
-def combined_loss(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    targets: np.ndarray | None,
-    lam: float,
-    divergence: str = "mse",
-    sft_weight: float = 1.0,
-) -> float:
-    loss = sft_weight * mean_sft(probs, labels)
-    if lam != 0.0:
-        loss += lam * mean_ece_loss(probs, targets, divergence)
-    return float(loss)
 
 
 def label_smooth_targets(labels: np.ndarray, k: int, epsilon: float) -> np.ndarray:

@@ -38,8 +38,8 @@ from calibkit.toylab import (
     train,
     _one_hot,
 )
-from calibkit.toylab import combined_loss
 from test_genmodel import realize_labels
+from test_toylab import combined_loss
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

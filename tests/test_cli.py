@@ -125,6 +125,21 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: NonFiniteGradient: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "train-toy", "eval"])
+def test_memory_error_exits_1_with_one_error_line(command, pred_file, monkeypatch, capsys):
+    """An allocation that fails, as one for an absurd --n, --k or --support
+    would, ends in one ``error: out of memory:`` line and exit code 1."""
+    message = "Unable to allocate 8.00 EiB for an array with shape (2**60,)"
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", out_of_memory)
+    argv = [command, str(pred_file)] if command == "eval" else [command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
+
+
 def test_eval_integer_too_long_for_json_is_a_bad_line(tmp_path, capsys):
     """An integer literal over the int parser's 4300-digit limit is reported
     like any other bad JSON line."""
@@ -274,10 +289,11 @@ def _eval_run(path, *flags):
 
 def _assert_eval_like_reference(path, *flags):
     """The reader's dataset or violations, and eval's outputs, on ``path``
-    equal those of the reference reader."""
-    with open(path, encoding="utf-8") as fh:
+    equal those of the reference reader. Both read lines as ``eval`` opens
+    them, ended only at LF."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         cols = cli._PredictionColumns(fh)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         ref = _ReferenceColumns(fh)
     assert (list(cols.lines), cols.bad_json) == (ref.lines, ref.bad_json)
     if not ref.bad_json:
@@ -392,9 +408,8 @@ def test_eval_edge_lines_read_like_json_loads(name, tmp_path):
     ids=["crlf", "blank-lines", "crlf-blank-lines"],
 )
 def test_eval_line_endings_and_blank_lines_read_like_json_loads(newline, blank, tmp_path):
-    """A file object that keeps CRLF line ends (a ``StringIO``; ``open`` in
-    text mode turns them into LF) is still read by the chunk pattern:
-    json.loads reads only the first line."""
+    """CRLF line ends, which ``eval`` keeps, are still read by the chunk
+    pattern: json.loads reads only the first line."""
     lines = _canonical_lines(6, seed=3)
     text = newline.join(lines[:3]) + newline + blank + newline.join(lines[3:]) + newline
     path = tmp_path / "ends.jsonl"
@@ -404,6 +419,60 @@ def test_eval_line_endings_and_blank_lines_read_like_json_loads(newline, blank, 
     # Out-of-range labels: the violations must name the same lines.
     path.write_bytes(text.replace('"label": ', '"label": 4').encode("utf-8"))
     assert _assert_eval_like_reference(path)[0] == 2
+
+
+_CR_RECORD = '{"id": "a",\r"confidences": [0.6, 0.4], "label": 0}\n'
+
+
+def test_eval_keeps_a_record_with_a_raw_cr_whole(tmp_path, capsys):
+    """A raw CR is JSON whitespace inside a record: the record is one line,
+    as json.loads reads it, and the next record is line 2."""
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes((_CR_RECORD + '{"id": "b", "confidences": [0.3, 0.7], "label": 0}\n')
+                     .encode("utf-8"))
+    code, out, err = _assert_eval_like_reference(path)[:3]
+    assert (code, err) == (0, "")
+    assert out.startswith("n=2 k=2 M=10\naccuracy=0.5\n")
+    path.write_bytes((_CR_RECORD + '{"id": "b", "confidences": [0.3, 0.7], "label": 5}\n')
+                     .encode("utf-8"))
+    assert main(["eval", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_winrate_keeps_a_record_with_a_raw_cr_whole(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(b'{"id": "p1",\r"logp_chosen": -1.0, "logp_reject": -2.0}\n'
+                     b'{"id": "p2", "logp_chosen": -3.0, "logp_reject": -2.0}\n')
+    assert main(["winrate", "--pairs", str(path)]) == 0
+    assert capsys.readouterr() == ("pairs=2 wins=1 win_rate=0.5\n", "")
+
+
+def test_a_crlf_file_reads_like_its_lf_copy(tmp_path, capsys):
+    """eval (both reading routes: strict chunks, a compact line, a blank
+    line) and winrate give the same bytes on a CRLF file as on its LF copy;
+    a file of lone-CR line ends reads as one line of invalid JSON."""
+    lines = _canonical_lines(30, seed=8)
+    lines[12] = lines[12].replace(", ", ",")
+    lines[20:20] = [""]
+    text = "\n".join(lines) + "\n"
+    runs = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        runs.append(_eval_run(path))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    pairs = "".join(json.dumps({"id": f"p{i}", "logp_chosen": -i, "logp_reject": -2.5}) + "\n"
+                    for i in range(5))
+    outs = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "pairs.jsonl"
+        path.write_bytes(pairs.replace("\n", end).encode("utf-8"))
+        outs.append((main(["winrate", "--pairs", str(path)]), capsys.readouterr()))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(text.replace("\n", "\r").encode("utf-8"))
+    assert main(["eval", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: invalid JSON: Extra data\n"
 
 
 def _chunk_case(name):
@@ -690,8 +759,10 @@ def test_simulate_rejects_a_non_finite_dirichlet_concentration(alpha, capsys):
         (["--bins", "0"], "error: OutOfRange: bin count 0 must be >= 1"),
         (["--n", "0"], "error: --n must be >= 1"),
         (["--seed", "-1"], "error: --seed must be >= 0"),
+        (["--bins", str(2**63)],
+         f"error: OutOfRange: bin count {2**63} must be <= 2147483647"),
     ],
-    ids=["bins-0", "n-0", "seed-negative"],
+    ids=["bins-0", "n-0", "seed-negative", "bins-beyond-int64"],
 )
 def test_simulate_checks_its_flags_before_sampling(flags, error, monkeypatch, capsys):
     def unreachable(*args, **kwargs):

@@ -111,6 +111,25 @@ def test_a_failed_run_exits_with_its_code_and_one_error_line(args, code, files):
     assert not any(line.startswith("Traceback") for line in err)
 
 
+@pytest.mark.parametrize("mode", ["cft", "sft-only", "ts"])
+def test_train_toy_bytes_do_not_depend_on_the_blas_thread_count(mode, files, tmp_path):
+    """At n = 10000, past one 2048-row block of the linear policy's
+    products, stdout and every output file are the same bytes under one and
+    two OpenBLAS threads, set in the child's environment only."""
+    prefix = tmp_path / "run"
+    args = ["train-toy", "--mode", mode, "--n", "10000", "--seed", "1", "--out", str(prefix)]
+    runs = []
+    for threads in ("1", "2"):
+        code, out, _, err = _spawn(args, files, OPENBLAS_NUM_THREADS=threads)
+        assert (code, err) == (0, [])
+        outputs = sorted(tmp_path.glob("run.*"))
+        assert len(outputs) == 4
+        runs.append((out, [(p.name, p.read_bytes()) for p in outputs]))
+        for p in outputs:
+            p.unlink()
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize(
     "args, code",
     [(["--help"], 0), (["bounds"], 2), (["eval", "MISSING"], 1)],

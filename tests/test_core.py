@@ -627,6 +627,10 @@ def test_binning_config():
     assert heur.effective_bins(1) == 1
     with pytest.raises(OutOfRange):
         BinningConfig(M=0)
+    assert BinningConfig(M=2**31 - 1).M == 2**31 - 1
+    for M in (2**31, 2**63, 10**30):
+        with pytest.raises(OutOfRange, match=f"bin count {M} must be <= 2147483647"):
+            BinningConfig(M=M)
     with pytest.raises(SchemaError):
         BinningConfig(strategy="quantile")
 

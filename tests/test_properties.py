@@ -589,3 +589,63 @@ def test_simulate_seed_edges_exit_with_a_documented_code(seed):
         assert (code, err.getvalue()) == (0, "")
         values = [line.split("=")[1] for line in out.getvalue().splitlines()]
         assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
+
+
+# The edge pool of the simulate sweep. Sizes (--n, --k, --support) draw
+# no large integer: a large size would build what it asks for.
+_SIZE_EDGES = [0, -1, 5e-324, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+_EDGE_POOL = _SIZE_EDGES + [2**63, 2**64, 10**30]
+# An error line of calibkit, or of argparse (a value that is no int).
+_ERROR_LINE = re.compile(r"^(calibkit simulate: )?error: ", re.M)
+
+
+def _simulate_bytes(argv: list[str], out: Path) -> tuple:
+    """The exit code, stdout, stderr and output-file bytes of one in-process
+    ``simulate`` run that writes to the prefix ``out``; argparse's exit is
+    taken as ``run`` takes it."""
+    for suffix in (".jsonl", ".model.json"):
+        Path(f"{out}{suffix}").unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([*argv, f"--out={out}"])
+        except SystemExit as exc:
+            code = exc.code
+    files = tuple(Path(f"{out}{s}").read_bytes() if Path(f"{out}{s}").exists() else None
+                  for s in (".jsonl", ".model.json"))
+    return code, stdout.getvalue(), stderr.getvalue(), *files
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_simulate_flags_exit_with_a_documented_code(data):
+    """simulate at small sizes over random --n, --k, --support, --alpha,
+    --bins and --seed, one time in six drawn from an edge pool, for each
+    model kind: the exit code is 0 to 3, a failed run prints an ``error:``
+    line, a run that succeeds prints finite metrics, and a rerun gives the
+    same bytes. Warnings are errors under pytest."""
+    flags = {
+        "--model": data.draw(st.sampled_from(["pure-random", "deterministic", "dirichlet"]),
+                             label="model"),
+        "--n": _flag(data, "n", st.integers(1, 40), _SIZE_EDGES),
+        "--k": _flag(data, "k", st.integers(2, 5), _SIZE_EDGES),
+        "--support": _flag(data, "support", st.integers(1, 6), _SIZE_EDGES),
+        "--alpha": _flag(data, "alpha", st.floats(0.05, 20.0), _EDGE_POOL),
+        "--bins": _flag(data, "bins", st.integers(1, 25), _EDGE_POOL),
+        "--seed": _flag(data, "seed", st.integers(0, 2**32), _EDGE_POOL),
+    }
+    argv = ["simulate", *(f"{flag}={value}" for flag, value in flags.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _simulate_bytes(argv, Path(tmp) / "sim")
+        assert _simulate_bytes(argv, Path(tmp) / "sim") == first
+    code, out, err, jsonl, model = first
+    hypothesis.event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+        values = [line.split("=")[1] for line in out.splitlines()]
+        assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
+        assert json.loads(model)["k"] == flags["--k"]
+        assert len(jsonl.splitlines()) == flags["--n"]
+    else:
+        assert _ERROR_LINE.search(err) and (jsonl, model) == (None, None)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from calibkit.core import Dataset, validate_dataset
-from calibkit.emcal import EmConfig, NonFiniteGradient, NonFiniteLoss, _history_row
+from calibkit.emcal import (
+    EmConfig,
+    NonFiniteGradient,
+    NonFiniteLoss,
+    _history_row,
+    mean_ece_loss,
+    mean_sft,
+)
 from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
 from calibkit.toylab import (
     BadEpsilon,
@@ -16,7 +23,6 @@ from calibkit.toylab import (
     LinearPolicy,
     TabularPolicy,
     apply_temperature,
-    combined_loss,
     fit_temperature,
     gen_toy_task,
     label_smooth_targets,
@@ -29,6 +35,22 @@ from calibkit.toylab import (
 )
 from calibkit import toylab
 from calibkit.targetmap import build_target_matrix
+
+
+def combined_loss(
+    probs: np.ndarray,
+    labels: np.ndarray,
+    targets: np.ndarray | None,
+    lam: float,
+    divergence: str = "mse",
+    sft_weight: float = 1.0,
+) -> float:
+    """The mean combined loss whose gradient ``combined_grad`` computes: the
+    reference for the finite-difference gradient checks."""
+    loss = sft_weight * mean_sft(probs, labels)
+    if lam != 0.0:
+        loss += lam * mean_ece_loss(probs, targets, divergence)
+    return float(loss)
 
 
 def test_gen_toy_task_deterministic():
@@ -149,6 +171,72 @@ def test_grad_matches_finite_differences():
                     fd[idx] = (up - dn) / (2 * h)
                 rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert rel <= 1e-4
+
+
+def _single_products(policy, X, soft, targets, lam, div):
+    """The confidences and the gradient as one matmul each computes them."""
+    probs = softmax(X @ policy.W / policy.temperature)
+    g = toylab._grad_wrt_logits(probs, soft, targets, lam, div, 1.0)
+    return probs, X.T @ g / policy.temperature
+
+
+def _products(d, k, n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    policy = LinearPolicy(d, k, rng.standard_normal((d, k)) * 0.3, temperature=0.7)
+    soft = _one_hot(rng.integers(0, k, n), k)
+    targets = build_target_matrix(policy.probs(X), np.full(n, 0.55))[0]
+    return policy, X, soft, targets
+
+
+@pytest.mark.parametrize("n", [1, 7, 2047, 2048, 2049, 2 * 2048 + 37])
+def test_linear_products_run_in_blocks_that_keep_the_single_products(n):
+    """At d = 32 and k = 4 a block is 2048 rows: up to one block both
+    products are the single matmul bit for bit, and beyond it they stay
+    within 1e-12 of it."""
+    policy, X, soft, targets = _products(32, 4, n, seed=n)
+    assert policy._block == 2048
+    for lam, div in ((0.0, "mse"), (1.0, "mse"), (0.5, "cross-entropy")):
+        probs = policy.probs(X)
+        grad = policy.combined_grad(X, soft, targets, lam, div)
+        want_probs, want_grad = _single_products(policy, X, soft, targets, lam, div)
+        if n <= 2048:
+            assert probs.tobytes() == want_probs.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+        else:
+            np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+
+def test_linear_gradient_sums_its_blocks_in_order(monkeypatch):
+    """The block is max(1, _PRODUCT_BLOCK_ENTRIES // (d * k)) rows; the
+    gradient adds each block's product to the first block's, in row order,
+    and each confidence row is its block's product."""
+    policy, X, soft, targets = _products(5, 3, 10, seed=3)
+    for entries, block in ((45, 3), (14, 1), (150, 10)):
+        monkeypatch.setattr(toylab, "_PRODUCT_BLOCK_ENTRIES", entries)
+        assert policy._block == block
+        g = toylab._grad_wrt_logits(policy.probs(X), soft, targets, 1.0, "mse", 1.0)
+        want = X[:block].T @ g[:block]
+        for i in range(block, 10, block):
+            want += X[i:i + block].T @ g[i:i + block]
+        grad = policy.combined_grad(X, soft, targets, 1.0, "mse")
+        assert grad.tobytes() == (want / policy.temperature).tobytes()
+        want_probs = np.concatenate(
+            [softmax(X[i:i + block] @ policy.W / policy.temperature)
+             for i in range(0, 10, block)])
+        assert policy.probs(X).tobytes() == want_probs.tobytes()
+
+
+def test_linear_gradient_of_overflowing_blocks_raises_without_warnings(monkeypatch):
+    """Blocks whose sum overflows give a non-finite gradient, which is
+    reported as such; pytest turns a numpy warning into a failure."""
+    monkeypatch.setattr(toylab, "_PRODUCT_BLOCK_ENTRIES", 1)
+    X = np.full((4, 1), 1e308)
+    policy = LinearPolicy(1, 2)
+    soft = np.array([[0.0, 1.0]] * 4)
+    with pytest.raises(NonFiniteGradient):
+        policy.combined_grad(X, soft, None, 0.0, "mse", sft_weight=4.0)
 
 
 def test_fit_temperature_identity_when_calibrated():
