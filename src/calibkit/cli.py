@@ -362,6 +362,22 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_memory(flags: str, floats: int) -> None:
+    """Raise ``MemoryError``, which ``main`` reports, when ``floats`` float64
+    values, a lower bound on what the sizes ``flags`` ask for, exceed physical
+    memory. numpy cannot even size some such arrays, and ``make_model`` grows
+    its id list before any array, so nothing of that size is attempted."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such query on this platform
+        return
+    if 8 * floats > have:
+        raise MemoryError(
+            f"{flags} need at least {8 * floats} bytes, more than the {have} bytes "
+            "of physical memory"
+        )
+
+
 def cmd_simulate(args) -> int:
     from .genmodel import Predictor, make_model, sample_dataset
     from .metrics import build_report
@@ -373,6 +389,7 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
+    _check_memory("--k, --support and --n", max(args.k, 0) * (max(args.support, 0) + args.n))
     model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
     ds = sample_dataset(model, predictor, args.n, seed=args.seed)
@@ -463,6 +480,8 @@ def cmd_train_toy(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
+    d, k, n = (max(v, 0) for v in (args.dim, args.k, args.n))
+    _check_memory("--n, --dim and --k", n * d + d * k + n * k)  # X, W and the logits
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class OutOfRange(CalibrationError):
 
 
 class LabelOutOfRange(CalibrationError):
-    pass
-
-
-class DuplicateId(CalibrationError):
     pass
 
 
@@ -134,63 +130,32 @@ class Dataset:
         return ds
 
     @classmethod
-    def from_arrays(
-        cls,
-        probs: np.ndarray,
-        labels: np.ndarray,
-        ids: Sequence[str] | None = None,
-        split: str | None = None,
-    ) -> "Dataset":
-        """Build a dataset from an (n, k) confidence matrix and n labels.
+    def from_arrays(cls, probs: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """Build a dataset from an (n, k) confidence matrix and n labels, with
+        ids ``r0 .. r{n-1}`` and no split tag.
 
         The whole array is validated in one pass. Each row is checked in
         turn: its confidences against the row rule (``SimplexViolation``),
-        its id (a nonempty str, else ``SchemaError``), its label in [0, k)
-        (``LabelOutOfRange``) and the split tag (``SchemaError``); the first
-        bad row's first failing check names the error. Then zero rows raise
-        ``EmptyDataset`` and a repeated id ``DuplicateId``. ``ids`` defaults
-        to ``r0 .. r{n-1}``; ``split`` tags every row.
+        then its label in [0, k) (``LabelOutOfRange``); the first bad row's
+        first failing check names the error. Then zero rows raise
+        ``EmptyDataset``.
         """
         probs = np.array(probs, dtype=float)
         labels = np.asarray(labels, dtype=np.int64)
         if probs.ndim != 2 or labels.ndim != 1 or probs.shape[0] != labels.shape[0]:
             raise SchemaError("probs must be (n, k) aligned with labels")
         n, k = probs.shape
-        if ids is None:
-            bad_id = np.zeros(n, dtype=bool)
-        else:
-            ids = list(ids)
-            if len(ids) != n:
-                raise SchemaError(f"{len(ids)} ids for {n} rows")
-            bad_id = np.fromiter(
-                (not (isinstance(rid, str) and rid) for rid in ids), dtype=bool, count=n
-            )
         bad_simplex = _bad_simplex_rows(probs)
         bad_label = (labels < 0) | (labels >= k)
-        bad = bad_simplex | bad_id | bad_label | (split not in VALID_SPLITS)
+        bad = bad_simplex | bad_label
         if bad.any():
-            # The per-row checks run in this order, so the first bad row's
-            # first failing check names the error.
             i = int(np.argmax(bad))
             if bad_simplex[i]:
                 raise SimplexViolation(_simplex_reason(probs[i]))
-            if bad_id[i]:
-                raise SchemaError("record id must be a nonempty string")
-            if bad_label[i]:
-                raise LabelOutOfRange(f"label {labels[i]} outside [0, {k})")
-            raise SchemaError(f"unknown split tag {split!r}")
+            raise LabelOutOfRange(f"label {labels[i]} outside [0, {k})")
         if n == 0:
             raise EmptyDataset("a dataset needs at least one record")
-        if ids is None:
-            # Distinct by construction, so they skip the duplicate check.
-            ids = [f"r{i}" for i in range(n)]
-        elif len(set(ids)) != n:
-            seen: set[str] = set()
-            for rid in ids:
-                if rid in seen:
-                    raise DuplicateId(f"duplicate record id {rid!r}")
-                seen.add(rid)
-        return cls._from_columns(probs, labels, ids, [split] * n)
+        return cls._from_columns(probs, labels, [f"r{i}" for i in range(n)], [None] * n)
 
     def with_probs(self, probs: np.ndarray) -> "Dataset":
         """The same ids, labels and splits with a new (n, k) confidence matrix,

@@ -76,6 +76,7 @@ DIVERGENCES = ("mse", "cross-entropy")
 # which the tail solve cannot absorb; clamp into the open interval.
 Q_CLAMP = 1e-3
 LOG_FLOOR = 1e-12
+MIN_BIN_COUNT = 5  # the loop's M-step shrinks the accuracy of a smaller bin
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,13 @@ class EmConfig:
     lam: float = 1.0
     divergence: str = "mse"
     learning_rate: float = 0.1
-    min_bin_count: int = 5
     inner_steps: int = 50
     sft_weight: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.bins < 1 or self.min_bin_count < 1:
+        if self.epochs < 0 or self.bins < 1:
             raise BadParams(
-                f"bad EM configuration: epochs={self.epochs!r}, bins={self.bins!r}, "
-                f"min_bin_count={self.min_bin_count!r}"
+                f"bad EM configuration: epochs={self.epochs!r}, bins={self.bins!r}"
             )
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise BadParams(f"lam {self.lam!r} must be finite and >= 0")
@@ -113,13 +112,15 @@ def e_step(probs: np.ndarray, M: int) -> np.ndarray:
 
 
 def m_step(
-    probs: np.ndarray, labels: np.ndarray, z: np.ndarray, M: int, min_bin_count: int = 1
+    probs: np.ndarray, labels: np.ndarray, z: np.ndarray, M: int,
+    min_bin_count: int = MIN_BIN_COUNT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin fraction of records whose top class is the label, and the
     per-bin record counts, for the bins ``z`` in [1, M] of ``e_step``.
 
-    Bins smaller than ``min_bin_count`` use the Laplace-shrunk estimate
-    (wins + 1) / (count + 2); empty bins are NaN and skipped downstream.
+    Bins smaller than ``min_bin_count``, by default the EM loop's, use the
+    Laplace-shrunk estimate (wins + 1) / (count + 2); empty bins are NaN and
+    skipped downstream.
     """
     correct = (_row_argmax(probs) == labels).astype(float)
     counts = np.bincount(z, minlength=M + 1)[1:]
@@ -236,7 +237,7 @@ def _epochs(
         mean_ece = None
         if cfg.lam != 0.0:
             z = e_step(probs, cfg.bins)
-            q, _ = m_step(probs, labels, z, cfg.bins, cfg.min_bin_count)
+            q, _ = m_step(probs, labels, z, cfg.bins)
             targets = build_all_targets(probs, q, z)
             mean_ece = mean_ece_loss(probs, targets, cfg.divergence)
         yield epoch, probs, mean_ece

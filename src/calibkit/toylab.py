@@ -195,7 +195,7 @@ _PRODUCT_BLOCK_ENTRIES = 2**18
 
 
 class LinearPolicy:
-    """Softmax of X @ W / temperature.
+    """Softmax of X @ W.
 
     Both products run over blocks of ``max(1, _PRODUCT_BLOCK_ENTRIES // (d *
     k))`` rows, in order: ``probs`` fills its output a block at a time, and
@@ -204,13 +204,10 @@ class LinearPolicy:
     for bit; beyond it the gradient is the same sum in another order.
     """
 
-    def __init__(self, d: int, k: int, W: np.ndarray | None = None, temperature: float = 1.0):
-        if not (temperature > 0.0):
-            raise BadTemperature("temperature must be > 0")
+    def __init__(self, d: int, k: int, W: np.ndarray | None = None):
         self.W = np.zeros((d, k)) if W is None else np.array(W, dtype=float)
         if self.W.shape != (d, k):
             raise DimensionMismatch(f"W must be ({d}, {k})")
-        self.temperature = float(temperature)
 
     @property
     def k(self) -> int:
@@ -234,7 +231,6 @@ class LinearPolicy:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, n, step):
                 np.matmul(features[i:i + step], self.W, out=out[i:i + step])
-            out /= self.temperature
             return _softmax_into(out, out)
 
     def combined_grad(
@@ -254,7 +250,6 @@ class LinearPolicy:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(step, features.shape[0], step):
                 grad += features[i:i + step].T @ g[i:i + step]
-        grad /= self.temperature
         if not np.isfinite(grad).all():
             raise NonFiniteGradient("linear policy gradient is not finite")
         return grad
@@ -263,7 +258,7 @@ class LinearPolicy:
         self.W -= lr * grad
 
     def clone(self) -> "LinearPolicy":
-        return LinearPolicy(self.W.shape[0], self.W.shape[1], self.W.copy(), self.temperature)
+        return LinearPolicy(self.W.shape[0], self.W.shape[1], self.W.copy())
 
 
 class TabularPolicy:
@@ -353,43 +348,27 @@ def temperature_transform(probs: np.ndarray, T: float) -> np.ndarray:
     if not (T > 0.0):
         raise BadTemperature("temperature must be > 0")
     with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    return _tempered(logp, _row_max(logp)[:, None], T)
-
-
-def _tempered(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
-    """softmax(logp / T) over the last axis, bit for bit, given the row max
-    of logp. T > 0 is a scalar or an array that broadcasts against logp.
-
-    Division by T > 0 is monotone, so the row max of logp / T is the row max
-    of logp divided by T; the slow max reduction runs once per dataset rather
-    than once per temperature.
-    """
-    z = _tempered_exp(logp, logp_max, T)
-    z /= _row_sum(z)[..., None]
-    return z
-
-
-def _tempered_exp(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
-    """exp(logp / T - logp_max / T): the tempered softmax before its divide."""
-    z = logp / T
-    z -= logp_max / T
-    return np.exp(z, out=z)
+        z = np.log(probs)
+    z /= T
+    return _softmax_into(z, z)
 
 
 def _tempered_top(logp: np.ndarray, logp_max: np.ndarray, T) -> np.ndarray:
-    """Each row's tempered top entry, ``_tempered(logp, logp_max, T)`` at the
-    row's argmax, bit for bit.
+    """Each row's tempered top entry, ``softmax(logp / T)`` at the row's
+    argmax, bit for bit, given logp's row max; T > 0 is a scalar or an array
+    that broadcasts against logp.
 
-    The entry at the argmax is exp(0) = 1 over the row sum, so only the sum
-    is needed. For k < 8 the sum is a column pass that tempers one class
-    column at a time, the same operations in the same order, so no
-    (..., n, k) tensor exists; from k = 8 on the tensor is built and freed
-    before the reciprocal.
+    Division by T > 0 is monotone, so logp / T peaks at logp_max / T and the
+    entry there is exp(0) over the row sum. For k < 8 the sum is a column
+    pass that tempers one class column at a time, the same operations in the
+    same order, so no (..., n, k) tensor exists; from k = 8 on the tensor is
+    built and freed before the reciprocal.
     """
     k = logp.shape[-1]
     if not 0 < k < _COLUMN_PASS_K:
-        total = _row_sum(_tempered_exp(logp, logp_max, T))
+        z = logp / T
+        z -= logp_max / T
+        total = _row_sum(np.exp(z, out=z))
         return np.divide(1.0, total, out=total)
     shift = logp_max / T
     total, e = None, None
@@ -500,6 +479,11 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
+# rcft-analog's overfit stage: plain-descent epochs and their rate.
+OVERFIT_EPOCHS = 400
+OVERFIT_LR = 0.5
+
+
 def _plain_descent(epochs: int, lr: float, bins: int = 10) -> EmConfig:
     """The EM config of plain full-batch descent: lam = 0, one step per
     epoch. ``bins`` bins only the history rows; 10 is ``train``'s default."""
@@ -514,8 +498,6 @@ def train(
     lr: float = 0.05,
     epsilon: float = 0.1,
     em: EmConfig | None = None,
-    overfit_epochs: int = 400,
-    overfit_lr: float = 0.5,
     bins: int = 10,
 ):
     """Train a policy on the toy task under one of the study modes.
@@ -524,10 +506,11 @@ def train(
     one gradient step per epoch, which is plain full-batch descent on the
     (optionally smoothed) label cross-entropy. cft hands the policy to the EM
     loop with ``em``. rcft-analog first switches to a tabular policy seeded
-    from the current confidences and overfits it with plain descent, then runs
-    the EM loop with ``em``; the capacity jump stands in for a heavier fit
-    objective and pushes accuracy past the task's critical threshold. cft and
-    rcft-analog need ``em``.
+    from the current confidences and overfits it with ``OVERFIT_EPOCHS``
+    epochs of plain descent at rate ``OVERFIT_LR``, then runs the EM loop
+    with ``em``; the capacity jump stands in for a heavier fit objective and
+    pushes accuracy past the task's critical threshold. cft and rcft-analog
+    need ``em``.
 
     sft-only and label-smooth rows bin their metrics into ``bins`` bins; cft
     and rcft-analog rows, the overfit rows included, use the EM config's bins.
@@ -546,7 +529,7 @@ def train(
     if mode == "rcft-analog":
         tab = TabularPolicy.from_probs(policy.probs(task.features))
         tab, hist1 = run_em(
-            tab, task.labels, _plain_descent(overfit_epochs, overfit_lr, em.bins)
+            tab, task.labels, _plain_descent(OVERFIT_EPOCHS, OVERFIT_LR, em.bins)
         )
         stage = _epochs(tab, task.labels, em)
         next(stage)  # epoch 0 is the overfit stage's last state: hist1 ends with its row
@@ -566,7 +549,7 @@ def task_dataset(task: ToyTask, policy) -> Dataset:
 # acceptance suite so published numbers are reproducible. The CLI defaults
 # differ: `train-toy --mode rcft` uses its --lr (0.5) as the EM rate where the
 # study uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8) where the
-# study runs ece_only_epochs.
+# study runs ece_only_epochs. Both overfit with OVERFIT_EPOCHS at OVERFIT_LR.
 STUDY = {
     "d": 32,
     "k": 4,
@@ -576,8 +559,6 @@ STUDY = {
     "sft_lr": 0.5,
     "em_epochs": 8,
     "em_lr": 0.5,
-    "rcft_overfit_epochs": 400,
-    "rcft_overfit_lr": 0.5,
     "rcft_em_lr": 0.1,
     "ece_only_epochs": 12,
     "bins": 10,
@@ -622,10 +603,7 @@ def tradeoff_study(seed: int = 42) -> dict:
         epochs=STUDY["em_epochs"], bins=STUDY["bins"], lam=1.0,
         learning_rate=STUDY["rcft_em_lr"],
     )
-    rcft_pol, rcft_hist = train(
-        sft.clone(), task, mode="rcft-analog", em=rcft_cfg,
-        overfit_epochs=STUDY["rcft_overfit_epochs"], overfit_lr=STUDY["rcft_overfit_lr"],
-    )
+    rcft_pol, rcft_hist = train(sft.clone(), task, mode="rcft-analog", em=rcft_cfg)
     out["rcft"] = endpoint(rcft_pol)
     out["rcft_history"] = rcft_hist
 

@@ -140,6 +140,37 @@ def test_memory_error_exits_1_with_one_error_line(command, pred_file, monkeypatc
     assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
 
 
+_HUGE = str(2**64)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["simulate", "--n", _HUGE, "--k", "3", "--support", "3"], id="simulate-n"),
+        pytest.param(["simulate", "--k", _HUGE, "--support", "2", "--n", "5"], id="simulate-k"),
+        pytest.param(["simulate", "--support", _HUGE, "--n", "5"], id="simulate-support"),
+        pytest.param(["train-toy", "--n", _HUGE], id="train-toy-n"),
+        pytest.param(["train-toy", "--dim", _HUGE], id="train-toy-dim"),
+        pytest.param(["train-toy", "--k", _HUGE], id="train-toy-k"),
+    ],
+)
+def test_sizes_beyond_physical_memory_exit_1_before_building_anything(argv, monkeypatch, capsys):
+    """Sizes whose float64 arrays alone exceed physical memory end in one
+    ``error: out of memory:`` line naming the flags, before the model or the
+    task is built: numpy could not size some of them, and ``make_model``
+    would grow its id list without bound."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built something for sizes beyond physical memory")
+
+    monkeypatch.setattr(genmodel, "make_model", must_not_run)
+    monkeypatch.setattr(toylab, "gen_toy_task", must_not_run)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    flags = "--k, --support and --n" if argv[0] == "simulate" else "--n, --dim and --k"
+    assert out == "" and err.startswith(f"error: out of memory: {flags} need at least ")
+    assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+
+
 def test_eval_integer_too_long_for_json_is_a_bad_line(tmp_path, capsys):
     """An integer literal over the int parser's 4300-digit limit is reported
     like any other bad JSON line."""

@@ -12,7 +12,6 @@ from calibkit.core import (
     CalibrationError,
     Dataset,
     DatasetValidationError,
-    DuplicateId,
     EmptyDataset,
     LabelOutOfRange,
     OutOfRange,
@@ -141,37 +140,23 @@ def test_dataset_invariants():
         Dataset()
     with pytest.raises(EmptyDataset, match="a dataset needs at least one record"):
         Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    with pytest.raises(DuplicateId, match="duplicate record id 'a'"):
-        Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]), ["a", "a"])
-    ds = Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]), ["a", "b"])
+    ds = Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]))
     assert ds.n == 2 and ds.k == 2
     assert ds.probs_matrix.shape == (2, 2)
-
-    # The first id seen twice is named, not the first repeat found.
-    ids = ["a", "b", "a", "b"]
-    with pytest.raises(DuplicateId) as exc:
-        Dataset.from_arrays(np.full((4, 2), 0.5), np.zeros(4, dtype=int), ids)
-    assert str(exc.value) == "duplicate record id 'a'"
+    assert ds.ids == ["r0", "r1"] and ds.splits == [None, None]
 
 
-def _record_path_error(probs, labels, ids=None, split=None):
+def _record_path_error(probs, labels):
     """Error class of the per-record rules, or None if they accept the
-    input: each row's confidences, id, label and the split tag in turn, row
-    after row; then an empty input; then a repeated id."""
-    ids = [f"r{i}" for i in range(len(labels))] if ids is None else ids
+    input: each row's confidences and label in turn, row after row; then an
+    empty input."""
     for i in range(len(labels)):
         if _reference_row_reason(probs[i]) is not None:
             return SimplexViolation
-        if not (isinstance(ids[i], str) and ids[i]):
-            return SchemaError
         if not 0 <= labels[i] < len(probs[i]):
             return LabelOutOfRange
-        if split not in VALID_SPLITS:
-            return SchemaError
     if not len(labels):
         return EmptyDataset
-    if len(set(ids)) != len(ids):
-        return DuplicateId
     return None
 
 
@@ -179,37 +164,30 @@ _GOOD = [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]
 
 
 @pytest.mark.parametrize(
-    "probs, labels, ids, split, error",
+    "probs, labels, error",
     [
-        pytest.param(_GOOD[:1] + [[float("nan"), 0.5]] + _GOOD[1:], [0, 1, 0, 1], None, None,
+        pytest.param(_GOOD[:1] + [[float("nan"), 0.5]] + _GOOD[1:], [0, 1, 0, 1],
                      SimplexViolation, id="nan"),
-        pytest.param(_GOOD + [[-0.25, 1.25]], [0, 1, 0, 1], None, None,
-                     SimplexViolation, id="negative-entry"),
-        pytest.param(_GOOD + [[1.0 + 1e-10, 0.0]], [0, 1, 0, 1], None, None,
-                     SimplexViolation, id="entry-above-one"),
-        pytest.param(_GOOD + [[0.5, 0.5 + 3 * SIMPLEX_ATOL]], [0, 1, 0, 1], None, None,
-                     SimplexViolation, id="sum-off"),
-        pytest.param(_GOOD, [0, 2, 0], None, None, LabelOutOfRange, id="label-above-k"),
-        pytest.param(_GOOD, [0, 1, -1], None, None, LabelOutOfRange, id="negative-label"),
-        pytest.param(_GOOD, [0, 1, 0], ["a", "b", "a"], None, DuplicateId, id="duplicate-ids"),
-        pytest.param(_GOOD, [0, 1, 0], ["a", "", "c"], None, SchemaError, id="empty-id"),
-        pytest.param([[1.0], [1.0]], [0, 0], None, None, SimplexViolation, id="k-equals-1"),
-        pytest.param(np.zeros((0, 4)), [], None, None, EmptyDataset, id="zero-rows"),
-        pytest.param(_GOOD, [0, 1, 0], None, "dev", SchemaError, id="bad-split"),
-        pytest.param([[0.5, 0.5], [0.5, 0.7]], [0, 5], None, None,
-                     SimplexViolation, id="first-failing-check-wins"),
-        pytest.param([[0.5, 0.5], [0.5, 0.5]], [0, 5], ["a", "a"], None,
-                     LabelOutOfRange, id="row-checks-before-duplicates"),
-        pytest.param([[0.5, 0.5], [0.5, 0.5]], [0, 5], None, "dev",
-                     SchemaError, id="bad-split-fails-the-first-row"),
+        pytest.param(_GOOD + [[-0.25, 1.25]], [0, 1, 0, 1], SimplexViolation,
+                     id="negative-entry"),
+        pytest.param(_GOOD + [[1.0 + 1e-10, 0.0]], [0, 1, 0, 1], SimplexViolation,
+                     id="entry-above-one"),
+        pytest.param(_GOOD + [[0.5, 0.5 + 3 * SIMPLEX_ATOL]], [0, 1, 0, 1], SimplexViolation,
+                     id="sum-off"),
+        pytest.param(_GOOD, [0, 2, 0], LabelOutOfRange, id="label-above-k"),
+        pytest.param(_GOOD, [0, 1, -1], LabelOutOfRange, id="negative-label"),
+        pytest.param([[1.0], [1.0]], [0, 0], SimplexViolation, id="k-equals-1"),
+        pytest.param(np.zeros((0, 4)), [], EmptyDataset, id="zero-rows"),
+        pytest.param([[0.5, 0.5], [0.5, 0.7]], [0, 5], SimplexViolation,
+                     id="first-failing-check-wins"),
     ],
 )
-def test_from_arrays_rejects_like_the_record_path(probs, labels, ids, split, error):
+def test_from_arrays_rejects_like_the_record_path(probs, labels, error):
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    assert _record_path_error(probs, labels, ids, split) is error
+    assert _record_path_error(probs, labels) is error
     with pytest.raises(error):
-        Dataset.from_arrays(probs, labels, ids, split)
+        Dataset.from_arrays(probs, labels)
 
 
 @pytest.mark.parametrize("k", [2, 3, 6, 9])
@@ -249,9 +227,8 @@ def test_from_arrays_records_round_trip():
     probs = rng.dirichlet(np.ones(5) * 0.6, 30)
     probs[0] = [0.0, 1.0, 0.0, 0.0, 0.0]
     labels = rng.integers(0, 5, 30)
-    ids = [f"q{i}" for i in range(30)]
-    ds = Dataset.from_arrays(probs, labels, ids, split="val")
-    assert ds.ids == ids and ds.splits == ["val"] * 30
+    ds = Dataset.from_arrays(probs, labels)
+    assert ds.ids == [f"r{i}" for i in range(30)] and ds.splits == [None] * 30
     assert ds.probs_matrix.tobytes() == probs.tobytes()
     assert ds.labels_array.tolist() == labels.tolist()
     records = [
@@ -261,7 +238,6 @@ def test_from_arrays_records_round_trip():
         )
     ]
     assert _ingest(validate_dataset, records) == _ingest(lambda rows: ds, records)
-    assert Dataset.from_arrays(probs, labels).ids[7] == "r7"
 
 
 def test_from_arrays_copies_its_input():

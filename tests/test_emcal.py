@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ from calibkit.core import BadParams, CalibrationError, OutOfRange
 from calibkit.emcal import (
     EmConfig,
     LOG_FLOOR,
+    MIN_BIN_COUNT,
     NonFiniteLoss,
     Q_CLAMP,
     _epochs,
@@ -119,6 +119,9 @@ def test_m_step_plain_and_laplace():
     z1 = e_step(one, 10)
     q1, _ = m_step(one, np.array([0]), z1, 10, min_bin_count=5)
     assert q1[8] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    # The default is the EM loop's minimum bin count, 5.
+    assert MIN_BIN_COUNT == 5
+    assert m_step(one, np.array([0]), z1, 10)[0].tobytes() == q1.tobytes()
 
     assert np.isnan(q[0])
 
@@ -339,7 +342,7 @@ def test_epochs_and_run_em_report_the_epoch_of_non_finite_confidences(lam):
     """Draining the loop and running it with history rows stop at the same
     epoch: with one step per epoch, confidences turn NaN at epoch 3."""
     labels = np.array([0, 1, 2, 0])
-    cfg = EmConfig(epochs=6, lam=lam, inner_steps=1, min_bin_count=1)
+    cfg = EmConfig(epochs=6, lam=lam, inner_steps=1)
     seen = []
     with pytest.raises(NonFiniteLoss) as drained:
         for epoch, _, _ in _epochs(_NanAfterSteps(3), labels, cfg):
@@ -369,7 +372,7 @@ def test_em_config_validation():
         EmConfig(bins=0)
     with pytest.raises(BadParams):
         EmConfig(learning_rate=0.0)
-    for kwargs in ({"epochs": -1}, {"min_bin_count": 0}, {"inner_steps": 0}):
+    for kwargs in ({"epochs": -1}, {"inner_steps": 0}):
         with pytest.raises(BadParams):
             EmConfig(**kwargs)
     # NaN compares false with everything, so each bound is checked as finite.
@@ -378,7 +381,6 @@ def test_em_config_validation():
             EmConfig(lam=bad)
         with pytest.raises(BadParams):
             EmConfig(learning_rate=bad)
-    assert len(dataclasses.fields(EmConfig)) == 8
 
 
 def _traced_peak(fn):

@@ -48,7 +48,7 @@ from calibkit.metrics import (
 )
 from calibkit.emcal import Q_CLAMP
 from calibkit.targetmap import build_target_matrix
-from calibkit.toylab import _tempered, _tempered_top, apply_temperature
+from calibkit.toylab import _tempered_top, apply_temperature, softmax, temperature_transform
 from test_cli import _EDGE_LINES, _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
 from test_genmodel import _row_verdicts
@@ -314,7 +314,8 @@ def test_tempered_top_equals_the_full_softmax_entry(data):
     """The tempered top taken as 1 / row sum equals the tempered softmax's
     entry at the source argmax, on near-ties, one-hot rows (whose log holds
     -inf), k = 2 and k >= 8 (the tensor path), at the grid's ends T = 0.05
-    and T = 20, one temperature at a time and stacked."""
+    and T = 20, one temperature at a time and stacked. The tempered matrix
+    itself is softmax(logp / T) bit for bit."""
     k = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), label="k")
     n = data.draw(st.integers(1, 6), label="n")
     probs = np.stack([_tie_row(data.draw, k) for _ in range(n)])
@@ -326,10 +327,11 @@ def test_tempered_top_equals_the_full_softmax_entry(data):
     logp_max = _row_max(logp)[:, None]
     rows, top = np.arange(n), _row_argmax(probs)
     for T in (0.05, 20.0):
-        full = _tempered(logp, logp_max, T)[rows, top]
-        assert _tempered_top(logp, logp_max, T).tobytes() == full.tobytes()
+        tempered = softmax(logp / T)
+        assert temperature_transform(probs, T).tobytes() == tempered.tobytes()
+        assert _tempered_top(logp, logp_max, T).tobytes() == tempered[rows, top].tobytes()
     grid = np.array([0.05, 1.0, 20.0])[:, None, None]
-    full = _tempered(logp, logp_max, grid)[:, rows, top]
+    full = softmax(logp / grid)[:, rows, top]
     assert _tempered_top(logp, logp_max, grid).tobytes() == full.tobytes()
 
 
@@ -554,8 +556,8 @@ def test_train_toy_numeric_flags_exit_with_a_documented_code(data):
         "--tau": _flag(data, "tau", st.floats(1e-3, 100.0), _FLOAT_EDGES),
         "--epsilon": _flag(data, "epsilon", st.floats(0.0, 0.99), _FLOAT_EDGES + [0.999, 1.0]),
         "--bins": _flag(data, "bins", st.integers(1, 25), [-1, 0]),
-        "--n": _flag(data, "n", st.integers(1, 12), [-1, 0]),
-        "--k": _flag(data, "k", st.integers(2, 6), [-1, 0, 1]),
+        "--n": _flag(data, "n", st.integers(1, 12), [-1, 0, 2**64]),
+        "--k": _flag(data, "k", st.integers(2, 6), [-1, 0, 1, 2**64]),
         "--seed": _flag(data, "seed", st.integers(0, 2**32), _SEED_EDGES),
     }
     argv = ["train-toy", "--mode", mode, "--dim", "3", "--epochs", "3", "--em-epochs", "2",
@@ -591,29 +593,49 @@ def test_simulate_seed_edges_exit_with_a_documented_code(seed):
         assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
 
 
-# The edge pool of the simulate sweep. Sizes (--n, --k, --support) draw
-# no large integer: a large size would build what it asks for.
-_SIZE_EDGES = [0, -1, 5e-324, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan]
-_EDGE_POOL = _SIZE_EDGES + [2**63, 2**64, 10**30]
+# The edge pool of the CLI sweeps. A size beyond int64 asks for more than
+# physical memory, which the CLI rejects before it builds anything.
+_EDGE_POOL = [0, -1, 5e-324, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan,
+              2**63, 2**64, 10**30]
 # An error line of calibkit, or of argparse (a value that is no int).
-_ERROR_LINE = re.compile(r"^(calibkit simulate: )?error: ", re.M)
+_ERROR_LINE = re.compile(r"^(calibkit [a-z-]+: )?error: ", re.M)
 
 
-def _simulate_bytes(argv: list[str], out: Path) -> tuple:
-    """The exit code, stdout, stderr and output-file bytes of one in-process
-    ``simulate`` run that writes to the prefix ``out``; argparse's exit is
-    taken as ``run`` takes it."""
-    for suffix in (".jsonl", ".model.json"):
-        Path(f"{out}{suffix}").unlink(missing_ok=True)
+def _cli_bytes(argv: list[str], outputs: list[Path]) -> tuple:
+    """The exit code, stdout, stderr and the bytes of each output file (None
+    if not written) of one in-process CLI run; argparse's exit is taken as
+    ``run`` takes it."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = cli.main([*argv, f"--out={out}"])
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    files = tuple(Path(f"{out}{s}").read_bytes() if Path(f"{out}{s}").exists() else None
-                  for s in (".jsonl", ".model.json"))
+    files = tuple(path.read_bytes() if path.exists() else None for path in outputs)
     return code, stdout.getvalue(), stderr.getvalue(), *files
+
+
+def _run_twice(argv: list[str], outputs: list[Path]) -> tuple:
+    """``_cli_bytes`` of a run, checked against a rerun's bytes and against
+    the exit-code contract: the code is 0 to 3, and a failed run prints an
+    ``error:`` line."""
+    first = _cli_bytes(argv, outputs)
+    assert _cli_bytes(argv, outputs) == first
+    code, _, err = first[:3]
+    hypothesis.event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or _ERROR_LINE.search(err)
+    return first
+
+
+def _finite_json(data: bytes):
+    """The JSON value of ``data``, which must hold no NaN or infinity."""
+    def reject(name):
+        raise AssertionError(f"non-finite {name} in JSON output")
+
+    return json.loads(data, parse_constant=reject)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
@@ -627,20 +649,19 @@ def test_simulate_flags_exit_with_a_documented_code(data):
     flags = {
         "--model": data.draw(st.sampled_from(["pure-random", "deterministic", "dirichlet"]),
                              label="model"),
-        "--n": _flag(data, "n", st.integers(1, 40), _SIZE_EDGES),
-        "--k": _flag(data, "k", st.integers(2, 5), _SIZE_EDGES),
-        "--support": _flag(data, "support", st.integers(1, 6), _SIZE_EDGES),
+        "--n": _flag(data, "n", st.integers(1, 40), _EDGE_POOL),
+        "--k": _flag(data, "k", st.integers(2, 5), _EDGE_POOL),
+        "--support": _flag(data, "support", st.integers(1, 6), _EDGE_POOL),
         "--alpha": _flag(data, "alpha", st.floats(0.05, 20.0), _EDGE_POOL),
         "--bins": _flag(data, "bins", st.integers(1, 25), _EDGE_POOL),
         "--seed": _flag(data, "seed", st.integers(0, 2**32), _EDGE_POOL),
     }
     argv = ["simulate", *(f"{flag}={value}" for flag, value in flags.items())]
     with tempfile.TemporaryDirectory() as tmp:
-        first = _simulate_bytes(argv, Path(tmp) / "sim")
-        assert _simulate_bytes(argv, Path(tmp) / "sim") == first
-    code, out, err, jsonl, model = first
-    hypothesis.event(f"exit {code}")
-    assert code in (0, 1, 2, 3)
+        prefix = Path(tmp) / "sim"
+        code, out, err, jsonl, model = _run_twice(
+            [*argv, f"--out={prefix}"], [Path(f"{prefix}.jsonl"), Path(f"{prefix}.model.json")]
+        )
     if code == 0:
         assert err == ""
         values = [line.split("=")[1] for line in out.splitlines()]
@@ -648,4 +669,99 @@ def test_simulate_flags_exit_with_a_documented_code(data):
         assert json.loads(model)["k"] == flags["--k"]
         assert len(jsonl.splitlines()) == flags["--n"]
     else:
-        assert _ERROR_LINE.search(err) and (jsonl, model) == (None, None)
+        assert (jsonl, model) == (None, None)
+
+
+_BOUNDS_LINE = re.compile(
+    r"target=\S+ achieved=(\S+) tce=(\S+) envelope=(\S+) regime=(calibratable|non-calibratable)$"
+)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_bounds_flags_exit_with_a_documented_code(data):
+    """bounds on a small random model over random --acc-star and --acc-grid
+    values, one time in six drawn from the edge pool: the exit-code contract
+    and rerun bytes of ``_run_twice``, and a run that succeeds prints finite
+    values and writes a CSV row of finite values for each target."""
+    model = _sweep_model(data.draw)
+    acc_star = _flag(data, "acc star", st.floats(0.0, 1.0), _EDGE_POOL)
+    grid = data.draw(st.lists(st.floats(0.0, 1.0), max_size=3), label="grid")
+    grid = [_flag(data, "target", st.just(t), _EDGE_POOL) for t in grid]
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, csv_path = Path(tmp) / "m.model.json", Path(tmp) / "c.csv"
+        model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+        argv = ["bounds", f"--model={model_path}", f"--acc-star={acc_star}",
+                f"--acc-grid={','.join(map(str, grid))}", f"--out={csv_path}"]
+        code, out, err, csv = _run_twice(argv, [csv_path])
+    if code == 0:
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == len(grid)
+        for line in lines:
+            values = _BOUNDS_LINE.match(line).groups()[:3]
+            assert all(math.isfinite(float(v)) for v in values)
+        rows = csv.decode().splitlines()
+        assert len(rows) == len(grid) + 1
+        for row in rows[1:]:
+            fields = row.split(",")
+            assert len(fields) == 7 and fields[6] in ("true", "false")
+            assert all(math.isfinite(float(v)) for v in fields[:6] if v)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_eval_bins_exit_with_a_documented_code(data):
+    """eval of a small valid file over random --bins values, one time in six
+    drawn from the edge pool or a word: the exit-code contract and rerun
+    bytes of ``_run_twice``, and a run that succeeds prints finite metrics
+    and writes a report of finite values and an SVG."""
+    k = data.draw(st.integers(2, 4), label="k")
+    n = data.draw(st.integers(1, 8), label="n")
+    probs = _rows(data.draw, n, k)
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="labels")
+    bins = _flag(data, "bins", st.integers(1, 25), _EDGE_POOL + ["heuristic", "ten", ""])
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, report, plot = Path(tmp) / "p.jsonl", Path(tmp) / "r.json", Path(tmp) / "s.svg"
+        pred.write_text("".join(
+            json.dumps({"id": f"r{i}", "confidences": row, "label": label}) + "\n"
+            for i, (row, label) in enumerate(zip(probs.tolist(), labels))
+        ), encoding="utf-8")
+        argv = ["eval", str(pred), f"--bins={bins}", f"--report={report}", f"--plot={plot}"]
+        code, out, err, report_bytes, svg = _run_twice(argv, [report, plot])
+    if code == 0:
+        assert err == ""
+        head, *metrics = out.splitlines()
+        assert head.startswith(f"n={n} k={k} M=")
+        assert [m.split("=")[0] for m in metrics] == ["accuracy", "conf_ece", "cw_ece"]
+        assert all(math.isfinite(float(m.split("=")[1])) for m in metrics)
+        assert _finite_json(report_bytes)["n"] == n
+        assert svg.startswith(b"<svg")
+    else:
+        assert (report_bytes, svg) == (None, None)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_winrate_pairs_exit_with_a_documented_code(data):
+    """winrate over a file of up to four pairs whose log-probabilities are
+    random, one time in six drawn from the edge pool, and whose ids are
+    sometimes empty, repeated or no string: the exit-code contract and rerun
+    bytes of ``_run_twice``, and a run that succeeds prints the pair count
+    and a finite win rate in [0, 1]."""
+    rows = []
+    for i in range(data.draw(st.integers(0, 4), label="pairs")):
+        rows.append({
+            "id": _flag(data, "id", st.just(f"p{i}"), ["", "p0", 7]),
+            "logp_chosen": _flag(data, "chosen", st.floats(-50.0, 0.0), _EDGE_POOL),
+            "logp_reject": _flag(data, "reject", st.floats(-50.0, 0.0), _EDGE_POOL),
+        })
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = Path(tmp) / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        code, out, err = _run_twice(["winrate", f"--pairs={pairs}"], [])
+    if code == 0:
+        assert err == ""
+        match = re.fullmatch(r"pairs=(\d+) wins=(\d+) win_rate=(\S+)\n", out)
+        assert int(match[1]) == len(rows) and int(match[2]) <= len(rows)
+        assert 0.0 <= float(match[3]) <= 1.0

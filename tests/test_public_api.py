@@ -1,8 +1,13 @@
 """The package's public surface, pinned: adding or removing a name from
-``calibkit.__all__`` has to update this list on purpose."""
+``calibkit.__all__``, or a parameter or field of a public name, has to
+update the lists here on purpose."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,52 @@ PUBLIC = [
 ]
 
 
+# The parameter names of each public callable and the fields of each public
+# dataclass, in order; a dotted key is a method. The error class has none.
+KNOBS = {
+    "BinStats": ("m", "lo", "hi", "count", "mean_conf", "empirical_freq"),
+    "BinningConfig": ("M", "strategy"),
+    "CalibrationReport": (
+        "n", "k", "M", "accuracy", "conf_ece", "cw_ece", "conf_bins", "classwise_bins"
+    ),
+    "Dataset.from_arrays": ("probs", "labels"),
+    "Dataset.with_probs": ("self", "probs"),
+    "EmConfig": (
+        "epochs", "bins", "lam", "divergence", "learning_rate", "inner_steps", "sft_weight"
+    ),
+    "FiniteGenerativeModel": ("k", "support", "weights", "label_probs"),
+    "LinearPolicy": ("d", "k", "W"),
+    "Predictor": ("ids", "probs"),
+    "TabularPolicy": ("logits",),
+    "ToyTask": ("features", "labels", "k", "teacher_weights", "teacher_temperature"),
+    "accuracy": ("ds",),
+    "apply_temperature": ("ds", "T"),
+    "build_all_targets": ("probs", "q", "z"),
+    "build_report": ("ds", "bins"),
+    "classify_regime": ("acc", "acc_star"),
+    "conf_ece": ("ds", "bins"),
+    "construct_bound_predictor": ("model", "labels", "target_acc"),
+    "cw_ece": ("ds", "bins"),
+    "e_step": ("probs", "M"),
+    "ece_loss": ("target", "conf", "divergence"),
+    "fit_temperature": ("ds_val", "bins"),
+    "gen_toy_task": ("d", "k", "n", "teacher_temperature", "seed"),
+    "label_smooth_targets": ("labels", "k", "epsilon"),
+    "lower_bound_constant": ("model", "pi_star", "pi"),
+    "m_step": ("probs", "labels", "z", "M", "min_bin_count"),
+    "make_model": ("kind", "k", "n_support", "alpha", "seed"),
+    "run_em": ("policy", "labels", "cfg", "features", "fit_targets"),
+    "sample_dataset": ("model", "predictor", "n", "seed"),
+    "sft_loss": ("conf", "label"),
+    "tce": ("model", "predictor"),
+    "tradeoff_study": ("seed",),
+    "train": ("policy", "task", "mode", "epochs", "lr", "epsilon", "em", "bins"),
+    "validate_dataset": ("raw_records",),
+    "verify_ece_le_tce": ("model", "predictor"),
+    "win_rate": ("logp_chosen", "logp_reject"),
+}
+
+
 def test_public_names_are_pinned():
     assert sorted(calibkit.__all__) == PUBLIC
     assert len(set(calibkit.__all__)) == len(calibkit.__all__)
@@ -78,3 +129,43 @@ def test_star_import_binds_exactly_the_public_names():
 def test_an_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         calibkit.no_such_name
+
+
+def _knobs(obj) -> tuple:
+    if dataclasses.is_dataclass(obj):
+        return tuple(field.name for field in dataclasses.fields(obj))
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_parameters_and_fields_are_pinned():
+    assert {key.split(".")[0] for key in KNOBS} == set(PUBLIC) - {"CalibrationError"}
+    for key, knobs in KNOBS.items():
+        obj = calibkit
+        for part in key.split("."):
+            obj = getattr(obj, part)
+        assert _knobs(obj) == knobs, key
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that a module's import statements bind and that no other
+    name in the module reads; an import line marked ``# noqa`` is a
+    deliberate re-export."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(calibkit.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -31,7 +31,6 @@ from calibkit.toylab import (
     temperature_transform,
     train,
     _one_hot,
-    _tempered,
 )
 from calibkit import toylab
 from calibkit.targetmap import build_target_matrix
@@ -90,7 +89,9 @@ def test_forward_tabular_hand_softmax():
 
 def test_forward_high_temperature_uniform():
     task = gen_toy_task(d=8, k=4, n=20, seed=3)
-    policy = LinearPolicy(task.d, task.k, W=np.ones((8, 4)), temperature=1e9)
+    # Tiny weights act as a huge temperature: every logit is near 0.
+    W = np.random.default_rng(3).standard_normal((8, 4)) * 1e-9
+    policy = LinearPolicy(task.d, task.k, W=W)
     assert np.allclose(policy.probs(task.features), 0.25, atol=1e-6)
 
 
@@ -175,15 +176,15 @@ def test_grad_matches_finite_differences():
 
 def _single_products(policy, X, soft, targets, lam, div):
     """The confidences and the gradient as one matmul each computes them."""
-    probs = softmax(X @ policy.W / policy.temperature)
+    probs = softmax(X @ policy.W)
     g = toylab._grad_wrt_logits(probs, soft, targets, lam, div, 1.0)
-    return probs, X.T @ g / policy.temperature
+    return probs, X.T @ g
 
 
 def _products(d, k, n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    policy = LinearPolicy(d, k, rng.standard_normal((d, k)) * 0.3, temperature=0.7)
+    policy = LinearPolicy(d, k, rng.standard_normal((d, k)) * 0.3)
     soft = _one_hot(rng.integers(0, k, n), k)
     targets = build_target_matrix(policy.probs(X), np.full(n, 0.55))[0]
     return policy, X, soft, targets
@@ -221,10 +222,9 @@ def test_linear_gradient_sums_its_blocks_in_order(monkeypatch):
         for i in range(block, 10, block):
             want += X[i:i + block].T @ g[i:i + block]
         grad = policy.combined_grad(X, soft, targets, 1.0, "mse")
-        assert grad.tobytes() == (want / policy.temperature).tobytes()
+        assert grad.tobytes() == want.tobytes()
         want_probs = np.concatenate(
-            [softmax(X[i:i + block] @ policy.W / policy.temperature)
-             for i in range(0, 10, block)])
+            [softmax(X[i:i + block] @ policy.W) for i in range(0, 10, block)])
         assert policy.probs(X).tobytes() == want_probs.tobytes()
 
 
@@ -353,15 +353,6 @@ def test_train_plain_descent_rejects_bad_lr_and_epochs(mode):
     assert [row["epoch"] for row in history] == [0]
 
 
-def test_train_rcft_rejects_bad_overfit_lr_and_epochs():
-    task = gen_toy_task(d=4, k=3, n=30, seed=14)
-    em = EmConfig(epochs=1, learning_rate=0.1)
-    for kwargs in ({"overfit_lr": -0.5}, {"overfit_lr": 0.0}, {"overfit_lr": math.nan},
-                   {"overfit_epochs": -1}):
-        with pytest.raises(BadParams):
-            train(LinearPolicy(task.d, task.k), task, mode="rcft-analog", em=em, **kwargs)
-
-
 def test_bad_params_is_one_class():
     from calibkit import core, genmodel
 
@@ -414,18 +405,21 @@ def test_plain_descent_matches_reference_loop_bitwise(k, epochs, mode, kind):
 
 @pytest.mark.parametrize("k", [2, 4, 9])
 @pytest.mark.parametrize("overfit_epochs", [0, 7])
-def test_rcft_analog_overfit_stage_matches_reference_loop_bitwise(k, overfit_epochs):
+def test_rcft_analog_overfit_stage_matches_reference_loop_bitwise(
+    k, overfit_epochs, monkeypatch
+):
+    monkeypatch.setattr(toylab, "OVERFIT_EPOCHS", overfit_epochs)
     task = gen_toy_task(d=5, k=k, n=60, seed=30 + k)
     policy = LinearPolicy(task.d, k, np.random.default_rng(k).standard_normal((task.d, k)))
     tab = TabularPolicy.from_probs(policy.probs(task.features))
     ref, ref_hist = _reference_gd_train(
-        tab, None, task.labels, _one_hot(task.labels, k), overfit_epochs, 0.5, 7
+        tab, None, task.labels, _one_hot(task.labels, k), overfit_epochs,
+        toylab.OVERFIT_LR, 7,
     )
     # With zero EM epochs the EM stage adds no row and leaves the logits alone.
     got, hist = train(
         policy, task, mode="rcft-analog",
         em=EmConfig(epochs=0, bins=7, lam=1.0, learning_rate=0.1),
-        overfit_epochs=overfit_epochs, overfit_lr=0.5,
     )
     assert _params(got) == _params(ref)
     assert hist == ref_hist
@@ -480,22 +474,23 @@ def test_train_cft_delegates_to_em():
     assert history[-1]["conf_ece"] < before
 
 
-def test_train_rcft_analog_shapes():
+def test_train_rcft_analog_shapes(monkeypatch):
+    monkeypatch.setattr(toylab, "OVERFIT_EPOCHS", 150)
     task = gen_toy_task(d=8, k=4, n=300, seed=11)
     policy = LinearPolicy(task.d, task.k)
     policy, _ = train(policy, task, mode="sft-only", epochs=60, lr=0.5)
     out, history = train(
         policy, task, mode="rcft-analog",
         em=EmConfig(epochs=3, lam=1.0, learning_rate=0.1),
-        overfit_epochs=150, overfit_lr=0.5,
     )
     assert isinstance(out, TabularPolicy)
     epochs = [row["epoch"] for row in history]
     assert epochs == sorted(epochs)
 
 
-def test_train_rcft_analog_overfit_rows_use_the_em_bins():
+def test_train_rcft_analog_overfit_rows_use_the_em_bins(monkeypatch):
     """The plain-descent rows before the EM stage bin like the EM rows."""
+    monkeypatch.setattr(toylab, "OVERFIT_EPOCHS", 2)
     task = gen_toy_task(d=8, k=4, n=300, seed=11)
     policy = LinearPolicy(task.d, task.k)
     policy, _ = train(policy, task, mode="sft-only", epochs=30, lr=0.5)
@@ -503,7 +498,6 @@ def test_train_rcft_analog_overfit_rows_use_the_em_bins():
     _, history = train(
         policy, task, mode="rcft-analog",
         em=EmConfig(epochs=1, bins=7, lam=1.0, learning_rate=0.1),
-        overfit_epochs=2, overfit_lr=0.5,
     )
     correct = start.argmax(axis=1) == task.labels
     assert history[0]["conf_ece"] == binned_ece(start.max(axis=1), correct, 7)
@@ -551,8 +545,7 @@ def test_grid_objective_matches_per_temperature_softmax(k):
     grid = np.geomspace(0.05, 20.0, 400)
     top = probs.argmax(axis=1)
     correct = top == labels
-    tops = _tempered(logp, logp.max(axis=1, keepdims=True), grid[:, None, None])
-    tops = tops[:, np.arange(n), top]
+    tops = toylab._tempered_top(logp, logp.max(axis=1, keepdims=True), grid[:, None, None])
     scores = _binned_gaps(tops, np.broadcast_to(correct, tops.shape), 10)[0]
     assert softmax(logp[25:26] / 20.0)[0, 0] == softmax(logp[25:26] / 20.0)[0, 1]
     for g, T in enumerate(grid):
