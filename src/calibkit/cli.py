@@ -299,26 +299,26 @@ def _float_block(confs: list[str], k: int) -> np.ndarray:
 def _prediction_lines(ds):
     """Yield a sampled dataset's JSONL lines, ``_CHUNK_ROWS`` rows per
     string, as ``json.dumps(row, sort_keys=True)`` writes them: ``repr`` of
-    a float is ``float.__repr__``, which json uses too, and the ids
-    ``sample_dataset`` gives (``r0``, ``r1``, ...) need no escaping.
+    a float is ``float.__repr__``, which json uses too. Row i's id is
+    ``r{i}``, which needs no escaping.
 
     Each distinct confidence row is formatted once per chunk: a model of s
     support points gives at most s distinct rows. Rows are grouped by their
     bytes, so -0.0 and 0.0 stay apart as ``repr`` keeps them apart."""
     k = ds.k
     # One head per distinct row; float reprs hold no newline to split on.
-    head = '{"confidences": [' + ", ".join(["%s"] * k) + '], "id": "\n'
-    line = '%s%s", "label": %d}\n'
+    head = '{"confidences": [' + ", ".join(["%s"] * k) + '], "id": "r\n'
+    line = '%s%d", "label": %d}\n'
     for start in range(0, ds.n, _CHUNK_ROWS):
         probs = np.ascontiguousarray(ds.probs_matrix[start:start + _CHUNK_ROWS])
         keys = probs.view(np.dtype((np.void, 8 * k))).ravel()
         uniq, inverse = np.unique(keys, return_inverse=True)
         reprs = tuple(map(repr, uniq.view(float).tolist()))
         heads = np.array((head * len(uniq) % reprs).split("\n")[:-1], dtype=object)
-        # Each line's format arguments: its row's head, the id and the label.
+        # Each line's format arguments: its row's head, its index and the label.
         args = np.empty((len(probs), 3), dtype=object)
         args[:, 0] = heads[inverse]
-        args[:, 1] = ds.ids[start:start + _CHUNK_ROWS]
+        args[:, 1] = range(start, start + len(probs))
         args[:, 2] = ds.labels_array[start:start + _CHUNK_ROWS].tolist()
         yield line * len(probs) % tuple(args.ravel().tolist())
 
@@ -345,8 +345,9 @@ def cmd_eval(args) -> int:
         ds = cols.validate()
     except DatasetValidationError as exc:
         for v in exc.violations:
-            ln = cols.lines[v.index] if v.index < len(cols.lines) else v.index + 1
-            print(f"error: line {ln}: {v.kind}: {v.message}", file=sys.stderr)
+            # An input with no records has no line to name.
+            where = f"line {cols.lines[v.index]}: " if cols.lines else ""
+            print(f"error: {where}{v.kind}: {v.message}", file=sys.stderr)
         return EXIT_INPUT
 
     report = build_report(ds, bins)
@@ -362,18 +363,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _check_memory(flags: str, floats: int) -> None:
-    """Raise ``MemoryError``, which ``main`` reports, when ``floats`` float64
-    values, a lower bound on what the sizes ``flags`` ask for, exceed physical
-    memory. numpy cannot even size some such arrays, and ``make_model`` grows
-    its id list before any array, so nothing of that size is attempted."""
+def _check_memory(flags: str, nbytes: int) -> None:
+    """Raise ``MemoryError``, which ``main`` reports, when ``nbytes``, a lower
+    bound on what the sizes ``flags`` ask for, exceed physical memory. numpy
+    cannot even size some such arrays, and ``make_model`` grows its id list
+    before any array, so nothing of that size is attempted."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
         return
-    if 8 * floats > have:
+    if nbytes > have:
         raise MemoryError(
-            f"{flags} need at least {8 * floats} bytes, more than the {have} bytes "
+            f"{flags} need at least {nbytes} bytes, more than the {have} bytes "
             "of physical memory"
         )
 
@@ -389,7 +390,13 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
-    _check_memory("--k, --support and --n", max(args.k, 0) * (max(args.support, 0) + args.n))
+    k, support = max(args.k, 0), max(args.support, 0)
+    # The float64 label rows and confidences, and make_model's support ids:
+    # a list slot and an "x{i}" str of at least sys.getsizeof("x0") bytes each.
+    _check_memory(
+        "--k, --support and --n",
+        8 * k * (support + args.n) + (8 + sys.getsizeof("x0")) * support,
+    )
     model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
     ds = sample_dataset(model, predictor, args.n, seed=args.seed)
@@ -481,7 +488,7 @@ def cmd_train_toy(args) -> int:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     d, k, n = (max(v, 0) for v in (args.dim, args.k, args.n))
-    _check_memory("--n, --dim and --k", n * d + d * k + n * k)  # X, W and the logits
+    _check_memory("--n, --dim and --k", 8 * (n * d + d * k + n * k))  # X, W and the logits
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )

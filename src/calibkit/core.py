@@ -107,66 +107,56 @@ class BinningConfig:
 class Dataset:
     """An ordered collection of labeled rows sharing one class count.
 
-    The data are four columns: ``probs_matrix`` (n, k), ``labels_array``,
-    ``ids`` (unique) and ``splits``. A dataset is built only by
-    ``from_arrays``, ``with_probs`` and ``validate_dataset``, each of which
-    validates its columns as arrays.
+    The data are two columns: ``probs_matrix`` (n, k) and ``labels_array``.
+    A dataset is built only by ``from_arrays`` and ``validate_dataset``, each
+    of which validates its columns as arrays.
     """
 
     def __init__(self):
-        raise TypeError("build a Dataset with from_arrays, with_probs or validate_dataset")
+        raise TypeError("build a Dataset with from_arrays or validate_dataset")
 
     @classmethod
-    def _from_columns(
-        cls,
-        probs: np.ndarray,
-        labels: np.ndarray,
-        ids: list[str],
-        splits: list[str | None],
-    ) -> "Dataset":
+    def _from_columns(cls, probs: np.ndarray, labels: np.ndarray) -> "Dataset":
         ds = cls.__new__(cls)
-        ds.probs_matrix, ds.labels_array, ds.ids, ds.splits = probs, labels, ids, splits
+        ds.probs_matrix, ds.labels_array = probs, labels
         ds.n, ds.k = probs.shape
         return ds
 
     @classmethod
     def from_arrays(cls, probs: np.ndarray, labels: np.ndarray) -> "Dataset":
-        """Build a dataset from an (n, k) confidence matrix and n labels, with
-        ids ``r0 .. r{n-1}`` and no split tag.
+        """Build a dataset from an (n, k) confidence matrix and n labels.
 
         The whole array is validated in one pass. Each row is checked in
         turn: its confidences against the row rule (``SimplexViolation``),
-        then its label in [0, k) (``LabelOutOfRange``); the first bad row's
-        first failing check names the error. Then zero rows raise
-        ``EmptyDataset``.
+        then its label against ingestion's rule, an integer and not a bool
+        (``SchemaError``), then its label in [0, k) (``LabelOutOfRange``);
+        the first bad row's first failing check names the error. Then zero
+        rows raise ``EmptyDataset``.
         """
         probs = np.array(probs, dtype=float)
-        labels = np.asarray(labels, dtype=np.int64)
-        if probs.ndim != 2 or labels.ndim != 1 or probs.shape[0] != labels.shape[0]:
+        arr = np.asarray(labels)
+        if probs.ndim != 2 or arr.ndim != 1 or probs.shape[0] != arr.shape[0]:
             raise SchemaError("probs must be (n, k) aligned with labels")
+        if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
+            labels = arr.astype(np.int64, copy=False)
+        else:
+            # Each label's own value for the integer rule: numpy's common
+            # type would make [7, 0.5] two floats.
+            labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+        label_col, is_int = _label_column(labels)
         n, k = probs.shape
         bad_simplex = _bad_simplex_rows(probs)
-        bad_label = (labels < 0) | (labels >= k)
-        bad = bad_simplex | bad_label
+        bad = bad_simplex | ~is_int | (label_col < 0) | (label_col >= k)
         if bad.any():
             i = int(np.argmax(bad))
             if bad_simplex[i]:
                 raise SimplexViolation(_simplex_reason(probs[i]))
+            if not is_int[i]:
+                raise SchemaError(f"label {labels[i]!r} is not an integer")
             raise LabelOutOfRange(f"label {labels[i]} outside [0, {k})")
         if n == 0:
             raise EmptyDataset("a dataset needs at least one record")
-        return cls._from_columns(probs, labels, [f"r{i}" for i in range(n)], [None] * n)
-
-    def with_probs(self, probs: np.ndarray) -> "Dataset":
-        """The same ids, labels and splits with a new (n, k) confidence matrix,
-        validated row by row as in ``from_arrays``."""
-        probs = np.array(probs, dtype=float)
-        if probs.shape != (self.n, self.k):
-            raise SchemaError(f"probs must be ({self.n}, {self.k})")
-        bad = _bad_simplex_rows(probs)
-        if bad.any():
-            raise SimplexViolation(_simplex_reason(probs[int(np.argmax(bad))]))
-        return self._from_columns(probs, self.labels_array, self.ids, self.splits)
+        return cls._from_columns(probs, label_col)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -321,7 +311,8 @@ def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     """Build a Dataset from raw dict rows, collecting all violations.
 
     Rows are validated as columns: one pass gathers the ids, confidences,
-    labels and splits, and array masks decide every check.
+    labels and splits, and array masks decide every check. The dataset keeps
+    only the confidences and labels.
 
     Confidence entries are whatever ``float()`` accepts; an integer too large
     for a float is an entry outside [0, 1]. Confidence vectors whose sum is
@@ -353,7 +344,8 @@ def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray
     holds each row's raw confidences, or is one (n, k >= 2) float matrix when
     every row has k float entries; such a matrix is renormalized in place and
     becomes the dataset's. ``is_obj`` is False for a row that is not
-    an object; its other values must be None.
+    an object; its other values must be None. The ids and splits are checked
+    and then dropped.
     """
     n = len(ids)
     conf = _ConfidenceColumns(confs)
@@ -419,7 +411,7 @@ def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray
         raise DatasetValidationError(violations)
     if not n:
         raise DatasetValidationError([Violation(0, "SchemaError", "no records supplied")])
-    return Dataset._from_columns(conf.probs[conf.k], label_col, ids, splits)
+    return Dataset._from_columns(conf.probs[conf.k], label_col)
 
 
 # Outcome of the confidence checks for one row; the first that fails is reported.

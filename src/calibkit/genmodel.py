@@ -184,9 +184,7 @@ def sample_dataset(
     n: int,
     seed: int = 0,
 ) -> Dataset:
-    """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences.
-
-    Rows are ids ``r0 .. r{n-1}``."""
+    """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences."""
     if n < 1:
         raise BadParams("n must be >= 1")
     pred = predictor.matrix_for(model.support)

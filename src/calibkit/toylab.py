@@ -341,7 +341,7 @@ def apply_temperature(ds: Dataset, T: float) -> Dataset:
     near-tie that tempering rounds into an exact tie goes to the lower index:
     ``[0.5 - ulp, 0.5 + ulp]`` with label 1 is wrong at T = 13 and T = 20.
     """
-    return ds.with_probs(temperature_transform(ds.probs_matrix, T))
+    return Dataset.from_arrays(temperature_transform(ds.probs_matrix, T), ds.labels_array)
 
 
 def temperature_transform(probs: np.ndarray, T: float) -> np.ndarray:

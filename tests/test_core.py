@@ -142,17 +142,18 @@ def test_dataset_invariants():
         Dataset.from_arrays(np.zeros((0, 2)), np.zeros(0, dtype=int))
     ds = Dataset.from_arrays(np.full((2, 2), 0.5), np.array([0, 1]))
     assert ds.n == 2 and ds.k == 2
-    assert ds.probs_matrix.shape == (2, 2)
-    assert ds.ids == ["r0", "r1"] and ds.splits == [None, None]
+    assert ds.probs_matrix.shape == (2, 2) and ds.labels_array.tolist() == [0, 1]
 
 
 def _record_path_error(probs, labels):
     """Error class of the per-record rules, or None if they accept the
-    input: each row's confidences and label in turn, row after row; then an
-    empty input."""
+    input: each row's confidences, its label's type (an integer, not a bool)
+    and its label's range in turn, row after row; then an empty input."""
     for i in range(len(labels)):
         if _reference_row_reason(probs[i]) is not None:
             return SimplexViolation
+        if not isinstance(labels[i], int) or isinstance(labels[i], bool):
+            return SchemaError
         if not 0 <= labels[i] < len(probs[i]):
             return LabelOutOfRange
     if not len(labels):
@@ -180,11 +181,21 @@ _GOOD = [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]
         pytest.param(np.zeros((0, 4)), [], EmptyDataset, id="zero-rows"),
         pytest.param([[0.5, 0.5], [0.5, 0.7]], [0, 5], SimplexViolation,
                      id="first-failing-check-wins"),
+        pytest.param(_GOOD[:2], [0.9, 1.7], SchemaError, id="float-labels"),
+        pytest.param(_GOOD[:2], [0, 1.0], SchemaError, id="integral-float-label"),
+        pytest.param(_GOOD[:2], ["1", "0"], SchemaError, id="str-labels"),
+        pytest.param(_GOOD[:2], [True, False], SchemaError, id="bool-labels"),
+        pytest.param(_GOOD[:2], [0, float("nan")], SchemaError, id="nan-label"),
+        pytest.param(_GOOD[:2], [0, None], SchemaError, id="none-label"),
+        pytest.param(_GOOD[:2], [0, 2**70], LabelOutOfRange, id="label-beyond-int64"),
+        pytest.param([[0.5, 0.7]] + _GOOD[:1], [0.5, 0], SimplexViolation,
+                     id="confidences-before-label-type"),
+        pytest.param(_GOOD[:2], [0.5, 7], SchemaError, id="label-type-before-range"),
+        pytest.param(_GOOD[:2], [7, 0.5], LabelOutOfRange, id="earlier-row-wins"),
     ],
 )
 def test_from_arrays_rejects_like_the_record_path(probs, labels, error):
     probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
     assert _record_path_error(probs, labels) is error
     with pytest.raises(error):
         Dataset.from_arrays(probs, labels)
@@ -228,14 +239,11 @@ def test_from_arrays_records_round_trip():
     probs[0] = [0.0, 1.0, 0.0, 0.0, 0.0]
     labels = rng.integers(0, 5, 30)
     ds = Dataset.from_arrays(probs, labels)
-    assert ds.ids == [f"r{i}" for i in range(30)] and ds.splits == [None] * 30
     assert ds.probs_matrix.tobytes() == probs.tobytes()
     assert ds.labels_array.tolist() == labels.tolist()
     records = [
-        {"id": rid, "confidences": row, "label": label, "split": split}
-        for rid, row, label, split in zip(
-            ds.ids, ds.probs_matrix.tolist(), ds.labels_array.tolist(), ds.splits
-        )
+        {"id": f"r{i}", "confidences": row, "label": label}
+        for i, (row, label) in enumerate(zip(ds.probs_matrix.tolist(), ds.labels_array.tolist()))
     ]
     assert _ingest(validate_dataset, records) == _ingest(lambda rows: ds, records)
 
@@ -247,14 +255,38 @@ def test_from_arrays_copies_its_input():
     assert ds.probs_matrix[0].tolist() == [0.5, 0.5]
 
 
-def test_with_probs_validates_the_new_matrix():
-    ds = Dataset.from_arrays(np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([0, 1]))
-    with pytest.raises(SimplexViolation):
-        ds.with_probs(np.array([[0.5, 0.5], [0.2, 0.9]]))
-    with pytest.raises(SchemaError):
-        ds.with_probs(np.array([[0.5, 0.5]]))
-    moved = ds.with_probs(np.array([[0.4, 0.6], [0.1, 0.9]]))
-    assert list(zip(moved.ids, moved.labels_array.tolist())) == [("r0", 0), ("r1", 1)]
+def test_from_arrays_keeps_one_copy_of_the_matrix_and_no_per_row_object():
+    """At n = 1e5, k = 4 a dataset holds its 3.2 MB matrix copy and the
+    caller's int64 labels: 100000 id strs would outweigh the matrix."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    n, k = 100_000, 4
+    probs, labels = rng.dirichlet(np.ones(k), n), rng.integers(0, k, n)
+    tracemalloc.start()
+    try:
+        ds = Dataset.from_arrays(probs, labels)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.labels_array is labels
+    assert probs.nbytes <= kept < probs.nbytes + 4096
+    assert peak < 2 * probs.nbytes
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 1], np.array([0, 1], dtype=np.int32), np.array([0, 1], dtype=np.uint64)]
+)
+def test_from_arrays_takes_any_integer_labels_as_int64(labels):
+    ds = Dataset.from_arrays(np.full((2, 2), 0.5), labels)
+    assert ds.labels_array.dtype == np.int64 and ds.labels_array.tolist() == [0, 1]
+
+
+def test_from_arrays_names_a_label_that_is_not_an_integer():
+    with pytest.raises(SchemaError, match=r"^label 0\.9 is not an integer$"):
+        Dataset.from_arrays(np.full((2, 2), 0.5), [0.9, 1.7])
+    with pytest.raises(SchemaError, match=r"^label True is not an integer$"):
+        Dataset.from_arrays(np.full((2, 2), 0.5), [True, False])
 
 
 def test_validate_dataset_happy_path():
@@ -308,10 +340,8 @@ def _reference_validate_dataset(raw_records):
     large for a float, which ``validate_dataset`` reports as a violation.
     It returns the accepted rows' columns, under a ``Dataset``'s names."""
     violations: list[Violation] = []
-    ids: list = []
     rows: list[list[float]] = []
     labels: list[int] = []
-    splits: list = []
     seen_ids: set[str] = set()
     k: int | None = None
 
@@ -392,10 +422,8 @@ def _reference_validate_dataset(raw_records):
             violations.append(Violation(i, "SchemaError", f"unknown split {split!r}"))
 
         if len(violations) == problems_before and accepted is not None:
-            ids.append(rid)
             rows.append(accepted)
             labels.append(label)
-            splits.append(split)
             seen_ids.add(rid)
 
     if violations:
@@ -405,8 +433,6 @@ def _reference_validate_dataset(raw_records):
     return SimpleNamespace(
         probs_matrix=np.array(rows, dtype=float),
         labels_array=np.array(labels, dtype=np.int64),
-        ids=ids,
-        splits=splits,
     )
 
 
@@ -425,8 +451,6 @@ def _ingest(validate, rows):
         ds.probs_matrix.tobytes(),
         ds.labels_array.dtype,
         ds.labels_array.tobytes(),
-        ds.ids,
-        ds.splits,
     )
 
 

@@ -62,7 +62,6 @@ KNOBS = {
         "n", "k", "M", "accuracy", "conf_ece", "cw_ece", "conf_bins", "classwise_bins"
     ),
     "Dataset.from_arrays": ("probs", "labels"),
-    "Dataset.with_probs": ("self", "probs"),
     "EmConfig": (
         "epochs", "bins", "lam", "divergence", "learning_rate", "inner_steps", "sft_weight"
     ),
@@ -144,6 +143,32 @@ def test_public_parameters_and_fields_are_pinned():
         for part in key.split("."):
             obj = getattr(obj, part)
         assert _knobs(obj) == knobs, key
+
+
+def test_a_dataset_is_its_confidence_matrix_and_labels():
+    """Every way to build a ``Dataset`` gives the same four instance
+    attributes; ids and splits are checked on the way in and not kept."""
+    import numpy as np
+
+    probs, labels = np.full((2, 2), 0.5), np.array([0, 1])
+    records = [
+        {"id": "a", "confidences": [0.5, 0.5], "label": 0, "split": "train"},
+        {"id": "b", "confidences": [0.5, 0.5], "label": 1},
+    ]
+    model = calibkit.make_model("dirichlet", 3, 5, seed=1)
+    task = calibkit.gen_toy_task(d=3, k=2, n=4, seed=1)
+    built = [
+        calibkit.Dataset.from_arrays(probs, labels),
+        calibkit.validate_dataset(records),
+        calibkit.apply_temperature(calibkit.Dataset.from_arrays(probs, labels), 2.0),
+        calibkit.sample_dataset(model, calibkit.Predictor.from_model(model), 6),
+        importlib.import_module("calibkit.toylab").task_dataset(task, calibkit.LinearPolicy(3, 2)),
+    ]
+    for ds in built:
+        assert set(vars(ds)) == {"probs_matrix", "labels_array", "n", "k"}
+        assert ds.labels_array.dtype == np.int64 and ds.probs_matrix.shape == (ds.n, ds.k)
+    for gone in ("with_probs", "ids", "splits"):
+        assert not hasattr(calibkit.Dataset, gone)
 
 
 def _unused_imports(source: str) -> list[str]:
