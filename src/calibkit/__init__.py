@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 
 # Each public name and the module that defines it.
 _EXPORTS = {
-    "BinningConfig": "core",
     "CalibrationError": "core",
     "Dataset": "core",
     "validate_dataset": "core",
-    "BinStats": "metrics",
     "CalibrationReport": "metrics",
     "accuracy": "metrics",
     "build_report": "metrics",

@@ -32,11 +32,11 @@ import numpy as np
 from .core import (
     VALID_SPLITS,
     BadParams,
-    BinningConfig,
     CalibrationError,
     DatasetValidationError,
     NonFiniteGradient,
     NonFiniteLoss,
+    _check_bins,
     _validate_columns,
 )
 
@@ -71,13 +71,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_bins(text: str) -> BinningConfig:
+def _parse_bins(text: str) -> int | None:
+    """``eval --bins``: a checked bin count, or None for 'heuristic'."""
     if text == "heuristic":
-        return BinningConfig(strategy="cube-root-heuristic")
+        return None
     try:
-        return BinningConfig(M=int(text))
+        M = int(text)
     except ValueError as exc:
         raise BadParams(f"--bins must be an integer or 'heuristic', got {text!r}") from exc
+    _check_bins(M)
+    return M
 
 
 def _jsonl_lines(lines, start: int = 1):
@@ -327,7 +330,7 @@ def cmd_eval(args) -> int:
     from .diagram import reliability_svg
     from .metrics import build_report
     # Checked before the input is read, so a bad --bins fails fast.
-    bins = _parse_bins(args.bins)
+    M = _parse_bins(args.bins)
     try:
         with open(args.input, "r", encoding="utf-8", newline="\n") as fh:
             cols = _PredictionColumns(fh)
@@ -350,7 +353,10 @@ def cmd_eval(args) -> int:
             print(f"error: {where}{v.kind}: {v.message}", file=sys.stderr)
         return EXIT_INPUT
 
-    report = build_report(ds, bins)
+    if M is None:  # 'heuristic': the cube-root rule
+        M = max(1, round(ds.n ** (1 / 3)))
+    _check_bin_memory(ds.k, M, bool(args.report))
+    report = build_report(ds, M)
     print(f"n={report.n} k={report.k} M={report.M}")
     print(f"accuracy={report.accuracy!r}")
     print(f"conf_ece={report.conf_ece!r}")
@@ -379,11 +385,22 @@ def _check_memory(flags: str, nbytes: int) -> None:
         )
 
 
+def _check_bin_memory(k: int, M: int, report: bool) -> None:
+    """``_check_memory`` for the (k + 1) * M bins of one report: the five
+    8-byte bin arrays that ``_gap_tables`` holds at once and, when the report
+    JSON is written, each bin's list slot and row dict."""
+    from .metrics import _bin_rows
+    per_bin = 40
+    if report:
+        per_bin += 8 + sys.getsizeof(_bin_rows(*np.zeros((3, 1)))[0])
+    _check_memory("--bins", per_bin * (k + 1) * M)
+
+
 def cmd_simulate(args) -> int:
     from .genmodel import Predictor, make_model, sample_dataset
     from .metrics import build_report
     # Checked before the model is built and sampled, so bad flags fail fast.
-    bins = BinningConfig(M=args.bins)
+    _check_bins(args.bins)
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_INPUT
@@ -397,10 +414,11 @@ def cmd_simulate(args) -> int:
         "--k, --support and --n",
         8 * k * (support + args.n) + (8 + sys.getsizeof("x0")) * support,
     )
+    _check_bin_memory(k, args.bins, False)
     model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
     ds = sample_dataset(model, predictor, args.n, seed=args.seed)
-    report = build_report(ds, bins)
+    report = build_report(ds, args.bins)
     print(f"accuracy={report.accuracy!r}")
     print(f"conf_ece={report.conf_ece!r}")
     print(f"cw_ece={report.cw_ece!r}")
@@ -413,8 +431,8 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     from .genmodel import (
         FiniteGenerativeModel, NoDisagreement, Predictor, UnreachableAccuracy,
-        classify_regime, construct_bound_predictor, labeled_accuracy,
-        labels_matching_accuracy, lower_bound_constant, tce, verify_ece_le_tce,
+        classify_regime, construct_bound_predictor, labels_matching_accuracy,
+        lower_bound_constant, verify_ece_le_tce,
     )
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
@@ -436,7 +454,6 @@ def cmd_bounds(args) -> int:
 
     labels = labels_matching_accuracy(model, args.acc_star)
     reference = Predictor.from_model(model)
-    a_star = labeled_accuracy(model, reference, labels)
     unreachable = 0
     rows = ["target_acc,achieved_acc,tce,envelope_2gap,C,cwece_pop,holds"]
     for target in grid:
@@ -447,16 +464,15 @@ def cmd_bounds(args) -> int:
             rows.append(f"{target!r},,,,,,unreachable")
             print(f"warning: target {target}: {exc}", file=sys.stderr)
             continue
-        t = tce(model, built.predictor)
-        envelope = 2.0 * abs(a_star - built.achieved_acc)
-        cw, _, cw_holds = verify_ece_le_tce(model, built.predictor)
+        cw, t, cw_holds = verify_ece_le_tce(model, built.predictor)
+        envelope = 2.0 * abs(built.reference_acc - built.achieved_acc)
         try:
             c, c_holds = lower_bound_constant(model, reference, built.predictor)
             c_text = repr(c)
         except NoDisagreement:
             c_holds, c_text = True, ""
         holds = (t <= envelope + 1e-12) and cw_holds and c_holds
-        regime = classify_regime(built.achieved_acc, a_star)
+        regime = classify_regime(built.achieved_acc, built.reference_acc)
         rows.append(
             f"{target!r},{built.achieved_acc!r},{t!r},{envelope!r},"
             f"{c_text},{cw!r},{str(holds).lower()}"
@@ -473,26 +489,27 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _toy_report(task, policy, bins):
+def _toy_report(task, policy, M: int):
     from . import toylab
     from .metrics import build_report
     ds = toylab.task_dataset(task, policy)
-    return ds, build_report(ds, bins)
+    return ds, build_report(ds, M)
 
 
 def cmd_train_toy(args) -> int:
     from . import toylab
     from .diagram import reliability_svg
-    bins = BinningConfig(M=args.bins)
+    _check_bins(args.bins)
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     d, k, n = (max(v, 0) for v in (args.dim, args.k, args.n))
     _check_memory("--n, --dim and --k", 8 * (n * d + d * k + n * k))  # X, W and the logits
+    _check_bin_memory(k, args.bins, bool(args.out))
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )
-    before_report, policy, history, after_report = _run_toy_mode(args, task, bins)
+    before_report, policy, history, after_report = _run_toy_mode(args, task)
 
     print(f"mode={args.mode}")
     print(f"before: acc={before_report.accuracy!r} conf_ece={before_report.conf_ece!r}")
@@ -523,21 +540,21 @@ def _sft_baseline(args, task):
     return policy
 
 
-def _run_toy_mode(args, task, bins):
+def _run_toy_mode(args, task):
     """Run one training mode; cft/rcft/ts continue from a fresh sft baseline."""
     from . import toylab
     from .emcal import EmConfig, run_em
     from .metrics import build_report
     if args.mode in ("sft-only", "label-smooth"):
         policy = toylab.LinearPolicy(task.d, task.k)
-        before_ds, before_report = _toy_report(task, policy, bins)
+        before_ds, before_report = _toy_report(task, policy, args.bins)
         policy, history = toylab.train(
             policy, task, mode=args.mode, epochs=args.epochs, lr=args.lr,
             epsilon=args.epsilon, bins=args.bins,
         )
     elif args.mode == "ece-only":
         policy = toylab.TabularPolicy.zeros(task.n, task.k)
-        before_ds, before_report = _toy_report(task, policy, bins)
+        before_ds, before_report = _toy_report(task, policy, args.bins)
         cfg = EmConfig(
             epochs=args.em_epochs, bins=args.bins, lam=1.0, sft_weight=0.0,
             divergence=args.divergence, learning_rate=args.lr,
@@ -545,13 +562,13 @@ def _run_toy_mode(args, task, bins):
         policy, history = run_em(policy, task.labels, cfg, features=None)
     elif args.mode == "ts":
         base = _sft_baseline(args, task)
-        before_ds, before_report = _toy_report(task, base, bins)
-        t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, bins)
+        before_ds, before_report = _toy_report(task, base, args.bins)
+        t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, args.bins)
         warning = toylab._grid_edge_warning(t_star)
         if warning is not None:
             print(f"warning: {warning}", file=sys.stderr)
         transformed = toylab.apply_temperature(before_ds, t_star)
-        after_report = build_report(transformed, bins)
+        after_report = build_report(transformed, args.bins)
         history = [{"temperature": t_star, "ece_before": ece_b, "ece_after": ece_a}]
         return before_report, base, history, after_report
     elif args.mode in ("cft", "rcft"):
@@ -562,13 +579,13 @@ def _run_toy_mode(args, task, bins):
             divergence=args.divergence, learning_rate=args.lr,
         )
         base = _sft_baseline(args, task)
-        before_ds, before_report = _toy_report(task, base, bins)
+        before_ds, before_report = _toy_report(task, base, args.bins)
         mode = "cft" if args.mode == "cft" else "rcft-analog"
         policy, history = toylab.train(base, task, mode=mode, em=cfg)
     else:
         raise BadParams(f"unknown mode {args.mode!r}")
 
-    _, after_report = _toy_report(task, policy, bins)
+    _, after_report = _toy_report(task, policy, args.bins)
     return before_report, policy, history, after_report
 
 

@@ -1,5 +1,6 @@
 """Core types: the columnar dataset of labeled confidence rows, its
-validation, the error classes, and the shared equal-width binning convention.
+validation, the error classes, and the shared equal-width binning convention
+and its bin-count rule.
 
 A confidence row is a probability vector over k >= 2 classes: its entries
 are finite, lie in [0, 1] and have an exact (``math.fsum``) sum within
@@ -83,25 +84,12 @@ def bin_index_array(values: np.ndarray, M: int) -> np.ndarray:
 _MAX_BINS = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class BinningConfig:
-    """Bin count policy: a fixed M, or the n**(1/3) heuristic resolved at use time."""
-
-    M: int = 10
-    strategy: str = "fixed"
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise OutOfRange(f"bin count {self.M} must be >= 1")
-        if self.M > _MAX_BINS:
-            raise OutOfRange(f"bin count {self.M} must be <= {_MAX_BINS}")
-        if self.strategy not in ("fixed", "cube-root-heuristic"):
-            raise SchemaError(f"unknown binning strategy {self.strategy!r}")
-
-    def effective_bins(self, n: int) -> int:
-        if self.strategy == "cube-root-heuristic":
-            return max(1, round(n ** (1.0 / 3.0)))
-        return self.M
+def _check_bins(M: int) -> None:
+    """The one bin-count rule: raise ``OutOfRange`` unless 1 <= M <= _MAX_BINS."""
+    if M < 1:
+        raise OutOfRange(f"bin count {M} must be >= 1")
+    if M > _MAX_BINS:
+        raise OutOfRange(f"bin count {M} must be <= {_MAX_BINS}")
 
 
 class Dataset:
@@ -131,10 +119,14 @@ class Dataset:
         then its label against ingestion's rule, an integer and not a bool
         (``SchemaError``), then its label in [0, k) (``LabelOutOfRange``);
         the first bad row's first failing check names the error. Then zero
-        rows raise ``EmptyDataset``.
+        rows raise ``EmptyDataset``. Ragged rows or labels, or an entry
+        that is not a number, raise ``SchemaError`` first.
         """
-        probs = np.array(probs, dtype=float)
-        arr = np.asarray(labels)
+        try:
+            probs = np.array(probs, dtype=float)
+            arr = np.asarray(labels)
+        except ValueError as exc:  # numpy's "inhomogeneous shape", or a non-numeric entry
+            raise SchemaError(f"probs must be (n, k) aligned with labels: {exc}") from exc
         if probs.ndim != 2 or arr.ndim != 1 or probs.shape[0] != arr.shape[0]:
             raise SchemaError("probs must be (n, k) aligned with labels")
         if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):

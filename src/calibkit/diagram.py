@@ -5,7 +5,7 @@ density. No plotting dependency, byte-stable output for identical input.
 
 from __future__ import annotations
 
-from .metrics import BinStats
+from .metrics import Table
 
 _W, _H = 480, 400
 _ML, _MR, _MT, _MB = 56, 16, 28, 44
@@ -24,14 +24,18 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def reliability_svg(bins: list[BinStats], n: int, k: int) -> str:
-    """Render one top-confidence reliability table as an SVG string.
+def reliability_svg(bins: Table, n: int, k: int) -> str:
+    """Render one top-confidence reliability table, the (M,) arrays
+    ``(counts, mean_conf, freq)``, as an SVG string.
 
     Bins lying entirely below 1/k are omitted from the drawing (the top
     class can never score below 1/k), though they remain in the report data.
     """
-    drawable = [b for b in bins if b.hi > 1.0 / k + 1e-12]
-    max_count = max((b.count for b in drawable), default=0)
+    counts, freq = bins[0].tolist(), bins[2].tolist()
+    M = len(counts)
+    # Bin m covers ((m-1)/M, m/M]; its edges are computed as the report's are.
+    drawable = [m for m in range(1, M + 1) if m / M > 1.0 / k + 1e-12]
+    max_count = max((counts[m - 1] for m in drawable), default=0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -63,12 +67,13 @@ def reliability_svg(bins: list[BinStats], n: int, k: int) -> str:
             f'font-family="sans-serif" font-size="10">{v:.1f}</text>'
         )
     # Frequency bars, opacity proportional to within-plot sample density.
-    for b in drawable:
-        if b.count == 0:
+    for m in drawable:
+        count = counts[m - 1]
+        if count == 0:
             continue
-        opacity = b.count / max_count if max_count else 0.0
-        x0, x1 = _fx(b.lo), _fx(b.hi)
-        y0, y1 = _fy(b.empirical_freq), _fy(0.0)
+        opacity = count / max_count if max_count else 0.0
+        x0, x1 = _fx((m - 1) / M), _fx(m / M)
+        y0, y1 = _fy(freq[m - 1]), _fy(0.0)
         parts.append(
             f'<rect x="{_fmt(x0 + 1)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0 - 2)}" '
             f'height="{_fmt(y1 - y0)}" fill="#e8a33d" '

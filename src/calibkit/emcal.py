@@ -62,6 +62,7 @@ from .core import (
     CalibrationError,
     NonFiniteGradient,
     NonFiniteLoss,
+    _check_bins,
     _row_argmax,
     _row_max,
     _row_sum,
@@ -90,10 +91,9 @@ class EmConfig:
     sft_weight: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.bins < 1:
-            raise BadParams(
-                f"bad EM configuration: epochs={self.epochs!r}, bins={self.bins!r}"
-            )
+        if self.epochs < 0:
+            raise BadParams(f"bad EM configuration: epochs={self.epochs!r}")
+        _check_bins(self.bins)
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise BadParams(f"lam {self.lam!r} must be finite and >= 0")
         # A negative rate would ascend, and a zero rate would train nothing.
@@ -112,22 +112,21 @@ def e_step(probs: np.ndarray, M: int) -> np.ndarray:
 
 
 def m_step(
-    probs: np.ndarray, labels: np.ndarray, z: np.ndarray, M: int,
-    min_bin_count: int = MIN_BIN_COUNT,
+    probs: np.ndarray, labels: np.ndarray, z: np.ndarray, M: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin fraction of records whose top class is the label, and the
     per-bin record counts, for the bins ``z`` in [1, M] of ``e_step``.
 
-    Bins smaller than ``min_bin_count``, by default the EM loop's, use the
-    Laplace-shrunk estimate (wins + 1) / (count + 2); empty bins are NaN and
-    skipped downstream.
+    Bins of fewer than ``MIN_BIN_COUNT`` records use the Laplace-shrunk
+    estimate (wins + 1) / (count + 2); empty bins are NaN and skipped
+    downstream.
     """
     correct = (_row_argmax(probs) == labels).astype(float)
     counts = np.bincount(z, minlength=M + 1)[1:]
     wins = np.bincount(z, weights=correct, minlength=M + 1)[1:]
     q = np.full(M, np.nan)
     occupied = counts > 0
-    small = occupied & (counts < min_bin_count)
+    small = occupied & (counts < MIN_BIN_COUNT)
     plain = occupied & ~small
     q[plain] = wins[plain] / counts[plain]
     q[small] = (wins[small] + 1.0) / (counts[small] + 2.0)

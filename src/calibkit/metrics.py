@@ -5,7 +5,10 @@ The two sample estimators stratify records into equal-width probability bins:
 conf-ECE bins by the top confidence and compares bin accuracy against bin mean
 confidence; cw-ECE bins every record per class by that class's probability and
 compares the class frequency against the mean class probability, averaged over
-classes. Empty bins appear in the tables with count 0 and contribute nothing.
+classes. A reliability table is the three arrays ``(counts, mean_conf,
+freq)`` over the M bins, each (M,) for one stratification or (k, M) for the
+k classes; bin m covers ((m-1)/M, m/M]. Empty bins appear in the tables with
+count 0 and contribute nothing.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BinningConfig,
     CalibrationError,
     Dataset,
     SchemaError,
+    _check_bins,
     _row_argmax,
     _row_max,
     bin_index_array,
@@ -30,26 +33,20 @@ class EmptyInput(CalibrationError):
     pass
 
 
-@dataclass(frozen=True)
-class BinStats:
-    """One reliability-table row for the bin ((m-1)/M, m/M]."""
+# A reliability table: per-bin counts, mean confidences and event rates.
+Table = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    m: int
-    lo: float
-    hi: float
-    count: int
-    mean_conf: float
-    empirical_freq: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "lo": self.lo,
-            "hi": self.hi,
-            "count": self.count,
-            "mean_conf": self.mean_conf,
-            "empirical_freq": self.empirical_freq,
-        }
+def _bin_rows(counts: np.ndarray, mean_conf: np.ndarray, freq: np.ndarray) -> list[dict]:
+    """The report rows of one stratification's (M,) table."""
+    M = len(counts)
+    return [
+        {"m": m, "lo": (m - 1) / M, "hi": m / M, "count": c, "mean_conf": mc,
+         "empirical_freq": f}
+        for m, c, mc, f in zip(
+            range(1, M + 1), counts.tolist(), mean_conf.tolist(), freq.tolist()
+        )
+    ]
 
 
 @dataclass
@@ -62,8 +59,8 @@ class CalibrationReport:
     accuracy: float
     conf_ece: float
     cw_ece: float
-    conf_bins: list[BinStats]
-    classwise_bins: list[list[BinStats]]
+    conf_bins: Table  # (M,) arrays
+    classwise_bins: Table  # (k, M) arrays
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,10 +70,8 @@ class CalibrationReport:
             "accuracy": self.accuracy,
             "conf_ece": self.conf_ece,
             "cw_ece": self.cw_ece,
-            "conf_bins": [b.to_json_dict() for b in self.conf_bins],
-            "classwise_bins": [
-                [b.to_json_dict() for b in rows] for rows in self.classwise_bins
-            ],
+            "conf_bins": _bin_rows(*self.conf_bins),
+            "classwise_bins": [_bin_rows(*rows) for rows in zip(*self.classwise_bins)],
         }
 
 
@@ -126,22 +121,6 @@ def binned_ece(values: np.ndarray, events: np.ndarray, M: int) -> float:
     return _binned_gaps(values, events, M)[0]
 
 
-def _table(counts: np.ndarray, mean_conf: np.ndarray, freq: np.ndarray) -> list[BinStats]:
-    """The M-row reliability table of one stratification's bin arrays."""
-    M = counts.shape[0]
-    return [
-        BinStats(
-            m=m,
-            lo=(m - 1) / M,
-            hi=m / M,
-            count=int(counts[m - 1]),
-            mean_conf=float(mean_conf[m - 1]),
-            empirical_freq=float(freq[m - 1]),
-        )
-        for m in range(1, M + 1)
-    ]
-
-
 def _classwise_gaps(probs: np.ndarray, labels: np.ndarray, M: int):
     """cw-ECE and the (k, M) bin arrays: one pass over the k class columns
     of the row-major matrix.
@@ -185,19 +164,15 @@ def accuracy_arrays(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(_row_argmax(probs) == labels))
 
 
-def conf_ece_arrays(
-    probs: np.ndarray, labels: np.ndarray, M: int
-) -> tuple[float, list[BinStats]]:
+def conf_ece_arrays(probs: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, Table]:
     correct = _row_argmax(probs) == labels
-    ece, *arrays = _binned_gaps(_row_max(probs), correct, M)
-    return ece, _table(*arrays)
+    ece, *table = _binned_gaps(_row_max(probs), correct, M)
+    return ece, tuple(table)
 
 
-def cw_ece_arrays(
-    probs: np.ndarray, labels: np.ndarray, M: int
-) -> tuple[float, list[list[BinStats]]]:
-    cw, counts, mean_conf, freq = _classwise_gaps(probs, labels, M)
-    return cw, [_table(*rows) for rows in zip(counts, mean_conf, freq)]
+def cw_ece_arrays(probs: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, Table]:
+    cw, *tables = _classwise_gaps(probs, labels, M)
+    return cw, tuple(tables)
 
 
 def metric_row(probs: np.ndarray, labels: np.ndarray, M: int) -> dict:
@@ -219,23 +194,21 @@ def accuracy(ds: Dataset) -> float:
     return accuracy_arrays(ds.probs_matrix, ds.labels_array)
 
 
-def conf_ece(
-    ds: Dataset, bins: BinningConfig = BinningConfig()
-) -> tuple[float, list[BinStats]]:
-    """Top-confidence calibration error and its reliability table."""
-    return conf_ece_arrays(ds.probs_matrix, ds.labels_array, bins.effective_bins(ds.n))
+def conf_ece(ds: Dataset, M: int = 10) -> tuple[float, Table]:
+    """Top-confidence calibration error and its (M,) reliability table."""
+    _check_bins(M)
+    return conf_ece_arrays(ds.probs_matrix, ds.labels_array, M)
 
 
-def cw_ece(
-    ds: Dataset, bins: BinningConfig = BinningConfig()
-) -> tuple[float, list[list[BinStats]]]:
-    """Classwise calibration error and the per-class reliability tables."""
-    return cw_ece_arrays(ds.probs_matrix, ds.labels_array, bins.effective_bins(ds.n))
+def cw_ece(ds: Dataset, M: int = 10) -> tuple[float, Table]:
+    """Classwise calibration error and the (k, M) per-class reliability tables."""
+    _check_bins(M)
+    return cw_ece_arrays(ds.probs_matrix, ds.labels_array, M)
 
 
-def build_report(ds: Dataset, bins: BinningConfig = BinningConfig()) -> CalibrationReport:
-    """Compute every standard metric on the dataset at one bin resolution."""
-    M = bins.effective_bins(ds.n)
+def build_report(ds: Dataset, M: int = 10) -> CalibrationReport:
+    """Compute every standard metric on the dataset at M bins."""
+    _check_bins(M)
     conf, conf_table = conf_ece_arrays(ds.probs_matrix, ds.labels_array, M)
     cw, cw_tables = cw_ece_arrays(ds.probs_matrix, ds.labels_array, M)
     return CalibrationReport(

@@ -18,9 +18,9 @@ import numpy as np
 from .core import (
     _COLUMN_PASS_K,
     BadParams,
-    BinningConfig,
     CalibrationError,
     Dataset,
+    _check_bins,
     _row_argmax,
     _row_max,
     _row_sum,
@@ -396,17 +396,15 @@ _TEMPERATURE_GRID = (0.05, 20.0, 400)
 _GRID_CHUNK_ENTRIES = 2**17
 
 
-def fit_temperature(
-    ds_val: Dataset, bins: BinningConfig = BinningConfig()
-) -> tuple[float, float, float]:
+def fit_temperature(ds_val: Dataset, M: int = 10) -> tuple[float, float, float]:
     """Search a log-spaced temperature grid, ``_TEMPERATURE_GRID`` (plus
     golden-section refinement), for the value minimizing conf-ECE on the
-    given split.
+    given split at M bins.
 
     T = 1 is always a candidate, so the fitted temperature never increases
     conf-ECE here; when nothing beats the identity, (1.0, e, e) is returned.
     """
-    M = bins.effective_bins(ds_val.n)
+    _check_bins(M)
     probs, labels = ds_val.probs_matrix, ds_val.labels_array
     with np.errstate(divide="ignore"):
         logp = np.log(probs)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from calibkit.core import BinningConfig, Dataset
+from calibkit.core import Dataset
 from calibkit.cli import main
 from calibkit.emcal import EmConfig, ece_loss, run_em, sft_loss
 from calibkit.genmodel import (
@@ -64,8 +64,8 @@ def test_criterion_01_generative_models_are_calibrated():
         start = time.perf_counter()
         model = make_model(kind, 4, 50, alpha=alpha or 1.0, seed=100 + i)
         ds = sample_dataset(model, Predictor.from_model(model), 100000, seed=200 + i)
-        conf, _ = conf_ece(ds, BinningConfig(M=10))
-        cw, _ = cw_ece(ds, BinningConfig(M=10))
+        conf, _ = conf_ece(ds, 10)
+        cw, _ = cw_ece(ds, 10)
         elapsed = time.perf_counter() - start
         worst = max(worst, conf, cw)
         assert elapsed < 10.0, f"{kind}(alpha={alpha}) took {elapsed:.1f}s"
@@ -224,11 +224,11 @@ def test_criterion_07_hand_computed_fixtures():
     ds = Dataset.from_arrays(
         np.array([[0.8, 0.1, 0.05, 0.05]] * 4), np.array([0, 0, 1, 2])
     )
-    ece, _ = conf_ece(ds, BinningConfig(M=10))
+    ece, _ = conf_ece(ds, 10)
     assert abs(ece - 0.3) < 1e-12
 
     ds2 = Dataset.from_arrays(np.array([[1.0, 0, 0, 0]] * 4), np.array([0, 1, 2, 3]))
-    cw, _ = cw_ece(ds2, BinningConfig(M=10))
+    cw, _ = cw_ece(ds2, 10)
     assert abs(cw - 0.375) < 1e-12
 
     assert abs(ece_loss([1, 0, 0, 0], [0.25] * 4, "mse") - 0.1875) < 1e-12

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 from operator import methodcaller
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from calibkit import cli, emcal, genmodel, toylab
+from calibkit import cli, emcal, genmodel, metrics, toylab
 from calibkit.cli import main
 from calibkit.core import validate_dataset
 from calibkit.emcal import NonFiniteGradient
@@ -197,6 +198,61 @@ def test_simulate_charges_each_support_id_against_physical_memory(monkeypatch, c
     )
     with pytest.raises(_Reached):
         main(["simulate", "--support", str(10**7), "--k", "4", "--n", "5"])
+
+
+# Physical memory of 8 GiB, as os.sysconf reports it.
+_PHYS_8_GIB = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "train-toy"])
+def test_bins_beyond_physical_memory_exit_1_before_building_a_report(
+        command, pred_file, monkeypatch, capsys):
+    """The largest bin count, 2**31 - 1, passes the bin-count rule, but the
+    (k + 1) * M bins of a k = 4 report need 40 bytes each at least: one
+    ``error: out of memory:`` line, before any report, model or task."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built something for a bin count beyond physical memory")
+
+    monkeypatch.setattr(cli.os, "sysconf", _PHYS_8_GIB.__getitem__)
+    for module, name in ((metrics, "build_report"), (genmodel, "make_model"),
+                         (toylab, "gen_toy_task")):
+        monkeypatch.setattr(module, name, must_not_run)
+    argv = [command, str(pred_file)] if command == "eval" else [command, "--n", "5"]
+    assert main([*argv, "--bins", str(2**31 - 1)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: out of memory: --bins need at least {40 * 5 * (2**31 - 1)} bytes, "
+        f"more than the {2**33} bytes of physical memory\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "train-toy"])
+def test_a_written_report_charges_each_bin_row_against_physical_memory(
+        command, pred_file, tmp_path, monkeypatch, capsys):
+    """At 10**7 bins a k = 4 report's arrays need 2 GB, which 8 GiB holds;
+    writing its JSON adds a list slot and a row dict per bin, more than
+    8 GiB in all, so that run stops before the report is built."""
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli.os, "sysconf", _PHYS_8_GIB.__getitem__)
+    monkeypatch.setattr(metrics, "build_report", reached)
+    monkeypatch.setattr(toylab, "gen_toy_task", reached)
+    argv = [command, str(pred_file)] if command == "eval" else [command]
+    argv += ["--bins", str(10**7)]
+    with pytest.raises(_Reached):
+        main(argv)
+    out = ["--report", str(tmp_path / "r.json")] if command == "eval" else [
+        "--out", str(tmp_path / "run")]
+    assert main(argv + out) == 1
+    row = {"m": 1, "lo": 0.0, "hi": 0.1, "count": 0, "mean_conf": 0.0, "empirical_freq": 0.0}
+    need = (40 + 8 + sys.getsizeof(row)) * 5 * 10**7
+    assert capsys.readouterr() == (
+        "",
+        f"error: out of memory: --bins need at least {need} bytes, "
+        f"more than the {2**33} bytes of physical memory\n",
+    )
+    assert not list(tmp_path.glob("r*.json"))
 
 
 def test_eval_integer_too_long_for_json_is_a_bad_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -8,7 +9,6 @@ from calibkit.core import (
     INGEST_SIMPLEX_ATOL,
     SIMPLEX_ATOL,
     VALID_SPLITS,
-    BinningConfig,
     CalibrationError,
     Dataset,
     DatasetValidationError,
@@ -19,6 +19,7 @@ from calibkit.core import (
     SimplexViolation,
     Violation,
     _bad_simplex_rows,
+    _check_bins,
     _row_max,
     _row_sum,
     _simplex_reason,
@@ -147,8 +148,12 @@ def test_dataset_invariants():
 
 def _record_path_error(probs, labels):
     """Error class of the per-record rules, or None if they accept the
-    input: each row's confidences, its label's type (an integer, not a bool)
-    and its label's range in turn, row after row; then an empty input."""
+    input: rows of more than one length (a length that differs from the
+    first accepted row's, or below 2, is a schema error); then each row's
+    confidences, its label's type (an integer, not a bool) and its label's
+    range in turn, row after row; then an empty input."""
+    if len({len(row) for row in probs}) > 1:
+        return SchemaError
     for i in range(len(labels)):
         if _reference_row_reason(probs[i]) is not None:
             return SimplexViolation
@@ -192,10 +197,13 @@ _GOOD = [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]
                      id="confidences-before-label-type"),
         pytest.param(_GOOD[:2], [0.5, 7], SchemaError, id="label-type-before-range"),
         pytest.param(_GOOD[:2], [7, 0.5], LabelOutOfRange, id="earlier-row-wins"),
+        pytest.param([[0.5, 0.5], [1.0]], [0, 0], SchemaError, id="ragged-probs"),
+        pytest.param(_GOOD[:2], [0, [1]], SchemaError, id="ragged-labels"),
     ],
 )
 def test_from_arrays_rejects_like_the_record_path(probs, labels, error):
-    probs = np.asarray(probs, dtype=float)
+    if len({len(row) for row in probs}) < 2:
+        probs = np.asarray(probs, dtype=float)
     assert _record_path_error(probs, labels) is error
     with pytest.raises(error):
         Dataset.from_arrays(probs, labels)
@@ -619,20 +627,28 @@ def test_validate_dataset_reports_huge_integer_entries_as_out_of_range():
     ]
 
 
-def test_binning_config():
-    assert BinningConfig(M=10).effective_bins(12345) == 10
-    heur = BinningConfig(strategy="cube-root-heuristic")
-    assert heur.effective_bins(3000) == 14
-    assert heur.effective_bins(1000) == 10
-    assert heur.effective_bins(1) == 1
-    with pytest.raises(OutOfRange):
-        BinningConfig(M=0)
-    assert BinningConfig(M=2**31 - 1).M == 2**31 - 1
+def test_check_bins_bounds():
+    for M in (1, 10, 2**31 - 1):
+        _check_bins(M)
+    for M in (0, -1, -(2**63)):
+        with pytest.raises(OutOfRange, match=f"^bin count {M} must be >= 1$"):
+            _check_bins(M)
     for M in (2**31, 2**63, 10**30):
-        with pytest.raises(OutOfRange, match=f"bin count {M} must be <= 2147483647"):
-            BinningConfig(M=M)
-    with pytest.raises(SchemaError):
-        BinningConfig(strategy="quantile")
+        with pytest.raises(OutOfRange, match=f"^bin count {M} must be <= 2147483647$"):
+            _check_bins(M)
+
+
+@pytest.mark.parametrize("n, M", [(1, 1), (1000, 10), (3000, 14)])
+def test_eval_bins_heuristic_is_the_cube_root_of_n(n, M, tmp_path, capsys):
+    from calibkit.cli import main
+
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"r{i}", "confidences": [0.75, 0.25], "label": i % 2}) + "\n"
+        for i in range(n)
+    ), encoding="utf-8")
+    assert main(["eval", str(path), "--bins", "heuristic"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"n={n} k=2 M={M}"
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:

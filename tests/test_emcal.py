@@ -108,20 +108,19 @@ def test_e_step_rejects_a_nan_row():
 
 
 def test_m_step_plain_and_laplace():
-    probs = np.array([[0.8, 0.2, 0.0, 0.0]] * 4)
-    labels = np.array([0, 0, 1, 1])
+    # A bin of MIN_BIN_COUNT = 5 or more records takes its plain accuracy.
+    assert MIN_BIN_COUNT == 5
+    probs = np.array([[0.8, 0.2, 0.0, 0.0]] * 6)
+    labels = np.array([0, 0, 0, 1, 1, 1])
     z = e_step(probs, 10)
-    q, counts = m_step(probs, labels, z, 10, min_bin_count=1)
+    q, counts = m_step(probs, labels, z, 10)
     assert q[7] == 0.5
-    assert counts[7] == 4
+    assert counts[7] == 6
 
     one = np.array([[0.9, 0.1, 0.0, 0.0]])
     z1 = e_step(one, 10)
-    q1, _ = m_step(one, np.array([0]), z1, 10, min_bin_count=5)
+    q1, _ = m_step(one, np.array([0]), z1, 10)
     assert q1[8] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    # The default is the EM loop's minimum bin count, 5.
-    assert MIN_BIN_COUNT == 5
-    assert m_step(one, np.array([0]), z1, 10)[0].tobytes() == q1.tobytes()
 
     assert np.isnan(q[0])
 
@@ -131,7 +130,7 @@ def test_build_all_targets_composition():
     probs = np.array([[0.7, 0.2, 0.06, 0.04]] * 5)
     labels = np.array([0, 0, 0, 1, 1])
     z = e_step(probs, 10)
-    q, _ = m_step(probs, labels, z, 10, min_bin_count=1)
+    q, _ = m_step(probs, labels, z, 10)
     targets = build_all_targets(probs, q, z)
     assert targets.shape == (5, 4)
     assert targets[0, 0] == pytest.approx(0.6, abs=1e-15)
@@ -153,19 +152,19 @@ def test_build_all_targets_equals_build_target_matrix(k):
     probs[20:30] = 1.0 / k
     labels = rng.integers(0, k, 500)
     z = e_step(probs, 10)
-    q, _ = m_step(probs, labels, z, 10, min_bin_count=5)
+    q, _ = m_step(probs, labels, z, 10)
     expected = build_target_matrix(probs, np.clip(q[z - 1], Q_CLAMP, 1.0 - Q_CLAMP))[0]
     assert build_all_targets(probs, q, z).tobytes() == expected.tobytes()
 
 
 def test_build_all_targets_clamps_extreme_bins():
-    probs = np.array([[0.9, 0.05, 0.03, 0.02]] * 3)
+    probs = np.array([[0.9, 0.05, 0.03, 0.02]] * 5)
     z = e_step(probs, 10)
-    perfect, _ = m_step(probs, np.zeros(3, dtype=np.int64), z, 10, min_bin_count=1)
+    perfect, _ = m_step(probs, np.zeros(5, dtype=np.int64), z, 10)
     targets = build_all_targets(probs, perfect, z)
     assert targets[0, 0] == pytest.approx(0.999, abs=1e-12)
 
-    hopeless, _ = m_step(probs, np.ones(3, dtype=np.int64), z, 10, min_bin_count=1)
+    hopeless, _ = m_step(probs, np.ones(5, dtype=np.int64), z, 10)
     targets = build_all_targets(probs, hopeless, z)
     assert targets[0, 0] == pytest.approx(0.001, abs=1e-12)
 
@@ -227,12 +226,14 @@ def test_em_reproduces_conf_ece_bin_table():
     policy, _ = train(policy, task, mode="sft-only", epochs=40, lr=0.5)
     probs = policy.probs(task.features)
     z = e_step(probs, 10)
-    q, counts = m_step(probs, task.labels, z, 10, min_bin_count=1)
-    _, bins = conf_ece_arrays(probs, task.labels, 10)
-    for b in bins:
-        if b.count:
-            assert q[b.m - 1] == pytest.approx(b.empirical_freq, abs=1e-12)
-            assert counts[b.m - 1] == b.count
+    q, counts = m_step(probs, task.labels, z, 10)
+    _, (table_counts, _, freq) = conf_ece_arrays(probs, task.labels, 10)
+    assert counts.tolist() == table_counts.tolist()
+    # Bins of at least MIN_BIN_COUNT records take the plain estimate.
+    plain = np.flatnonzero(counts >= MIN_BIN_COUNT)
+    assert plain.size >= 3
+    for i in plain.tolist():
+        assert q[i] == pytest.approx(freq[i], abs=1e-12)
 
 
 def test_e_step_pure_function_of_policy():
@@ -368,8 +369,9 @@ def test_combined_grad_rejects_non_finite_targets():
 def test_em_config_validation():
     with pytest.raises(BadParams):
         EmConfig(divergence="kl")
-    with pytest.raises(BadParams):
-        EmConfig(bins=0)
+    for bins in (0, 2**31, 2**40):
+        with pytest.raises(OutOfRange, match=f"bin count {bins} must be"):
+            EmConfig(bins=bins)
     with pytest.raises(BadParams):
         EmConfig(learning_rate=0.0)
     for kwargs in ({"epochs": -1}, {"inner_steps": 0}):

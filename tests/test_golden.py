@@ -143,6 +143,19 @@ def _edge_matrix(n: int, k: int, M: int, seed: int) -> tuple[np.ndarray, np.ndar
     return probs, rng.integers(0, k, n)
 
 
+def _recorded_table(counts, mean_conf, freq) -> str:
+    """One (M,) reliability table as the digest was recorded: the repr of a
+    list of per-bin records, each with the bin's edges (m - 1) / M and m / M."""
+    M = len(counts)
+    return "[" + ", ".join(
+        f"BinStats(m={m}, lo={(m - 1) / M!r}, hi={m / M!r}, count={c!r}, "
+        f"mean_conf={mc!r}, empirical_freq={f!r})"
+        for m, c, mc, f in zip(
+            range(1, M + 1), counts.tolist(), mean_conf.tolist(), freq.tolist()
+        )
+    ) + "]"
+
+
 def test_metric_kernels_digest():
     """metric_row values and the conf-ECE and cw-ECE tables on 1e5 rows with
     entries on the bin edges, exact zeros and one-hot rows, at k = 4 (column
@@ -152,6 +165,9 @@ def test_metric_kernels_digest():
         probs, labels = _edge_matrix(100_000, k, 10, seed=k)
         for M in (10, 5):
             parts.append(repr(metric_row(probs, labels, M)))
-            parts.append(repr(conf_ece_arrays(probs, labels, M)))
-            parts.append(repr(cw_ece_arrays(probs, labels, M)))
+            conf, table = conf_ece_arrays(probs, labels, M)
+            parts.append(f"({conf!r}, {_recorded_table(*table)})")
+            cw, tables = cw_ece_arrays(probs, labels, M)
+            rows = ", ".join(_recorded_table(*class_table) for class_table in zip(*tables))
+            parts.append(f"({cw!r}, [{rows}])")
     assert _digest("\n".join(parts)) == GOLDEN["metric-kernels"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calibkit.core import BinningConfig, Dataset, SchemaError, bin_index_array
+from calibkit.core import Dataset, OutOfRange, SchemaError, bin_index_array
 from calibkit.genmodel import (
     FiniteGenerativeModel,
     Predictor,
@@ -10,9 +10,9 @@ from calibkit.genmodel import (
     sample_dataset,
 )
 from calibkit.metrics import (
-    BinStats,
     EmptyInput,
     accuracy,
+    build_report,
     conf_ece,
     cw_ece,
     cw_ece_arrays,
@@ -43,20 +43,19 @@ def test_accuracy_uniform_tie_break():
 
 def test_conf_ece_single_bin_fixture():
     ds = _ds([[0.8, 0.1, 0.05, 0.05]] * 4, [0, 0, 1, 2])
-    ece, bins = conf_ece(ds, BinningConfig(M=10))
+    ece, (counts, mean_conf, freq) = conf_ece(ds, 10)
     assert abs(ece - 0.3) < 1e-12
-    row = bins[7]
-    assert (row.m, row.count) == (8, 4)
-    assert row.mean_conf == pytest.approx(0.8, abs=1e-15)
-    assert row.empirical_freq == 0.5
-    assert sum(b.count for b in bins) == 4
+    assert counts[7] == 4
+    assert mean_conf[7] == pytest.approx(0.8, abs=1e-15)
+    assert freq[7] == 0.5
+    assert counts.sum() == 4
 
 
 def test_conf_ece_one_hot_correct_is_zero():
     ds = _ds([[1, 0, 0, 0]] * 5, [0] * 5)
-    ece, bins = conf_ece(ds)
+    ece, (counts, _, freq) = conf_ece(ds)
     assert ece == 0.0
-    assert bins[9].count == 5 and bins[9].empirical_freq == 1.0
+    assert counts[9] == 5 and freq[9] == 1.0
 
 
 def test_conf_ece_permutation_invariant():
@@ -82,24 +81,24 @@ def test_metrics_split_recombine_identical():
 
 def test_cw_ece_uniform_balanced_is_zero():
     ds = _ds([[0.25] * 4] * 4, [0, 1, 2, 3])
-    val, tables = cw_ece(ds, BinningConfig(M=10))
+    val, tables = cw_ece(ds, 10)
     assert val == 0.0
-    assert len(tables) == 4 and all(len(t) == 10 for t in tables)
+    assert all(t.shape == (4, 10) for t in tables)
 
 
 def test_cw_ece_collapsed_predictor_fixture():
     ds = _ds([[1.0, 0.0, 0.0, 0.0]] * 4, [0, 1, 2, 3])
-    val, tables = cw_ece(ds, BinningConfig(M=10))
+    val, (counts, mean_conf, freq) = cw_ece(ds, 10)
     assert abs(val - 0.375) < 1e-12
-    assert tables[0][9].count == 4 and tables[0][9].empirical_freq == 0.25
-    assert tables[1][0].count == 4 and tables[1][0].mean_conf == 0.0
+    assert counts[0, 9] == 4 and freq[0, 9] == 0.25
+    assert counts[1, 0] == 4 and mean_conf[1, 0] == 0.0
 
 
 def _reference_cw_ece(probs, labels, M):
     """cw-ECE and its tables from one 1-D binning pass per class, summed in
     class order: the per-class loop the stacked kernel replaced."""
     n, k = probs.shape
-    total, tables = 0.0, []
+    total, tables = 0.0, ([], [], [])
     for j in range(k):
         values, events = probs[:, j], (labels == j).astype(float)
         idx = bin_index_array(values, M)
@@ -110,12 +109,9 @@ def _reference_cw_ece(probs, labels, M):
         mean_conf = np.divide(val_sums, counts, out=np.zeros(M), where=occupied)
         freq = np.divide(evt_sums, counts, out=np.zeros(M), where=occupied)
         total += float((np.abs(freq - mean_conf) * counts).sum() / n)
-        tables.append([
-            BinStats(m, (m - 1) / M, m / M, int(counts[m - 1]),
-                     float(mean_conf[m - 1]), float(freq[m - 1]))
-            for m in range(1, M + 1)
-        ])
-    return total / k, tables
+        for table, row in zip(tables, (counts, mean_conf, freq)):
+            table.append(row)
+    return total / k, tuple(np.stack(t) for t in tables)
 
 
 @pytest.mark.parametrize("M", [1, 10, 13])
@@ -129,7 +125,10 @@ def test_stacked_cw_ece_equals_per_class_loop(k, M):
     probs[5:10, :2] = [0.3, 0.7]
     labels = rng.integers(0, k, n)
     expected = _reference_cw_ece(probs, labels, M)
-    assert cw_ece_arrays(probs, labels, M) == expected
+    got = cw_ece_arrays(probs, labels, M)
+    assert got[0] == expected[0]
+    for table, want in zip(got[1], expected[1]):
+        assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
     assert metric_row(probs, labels, M)["cw_ece"] == expected[0]
 
 
@@ -162,18 +161,26 @@ def test_reliability_modes():
     """The reliability tables: conf-ECE's top-confidence table and cw-ECE's
     table of each class."""
     ds = _ds([[0.8, 0.1, 0.05, 0.05]] * 4, [0, 0, 1, 2])
-    conf_rows = conf_ece(ds, BinningConfig(M=10))[1]
-    assert conf_rows[7].count == 4 and conf_rows[7].empirical_freq == 0.5
+    counts, _, freq = conf_ece(ds, 10)[1]
+    assert counts[7] == 4 and freq[7] == 0.5
 
     uniform = _ds([[0.25] * 4] * 4, [0, 1, 2, 3])
-    class1 = cw_ece(uniform, BinningConfig(M=10))[1][1]
-    occupied = [b for b in class1 if b.count]
-    assert len(occupied) == 1
-    assert occupied[0].mean_conf == 0.25 and occupied[0].empirical_freq == 0.25
+    counts, mean_conf, freq = (table[1] for table in cw_ece(uniform, 10)[1])
+    occupied = np.flatnonzero(counts)
+    assert occupied.tolist() == [2]
+    assert mean_conf[2] == 0.25 and freq[2] == 0.25
 
     onehot = _ds([[1, 0, 0, 0]] * 3, [0, 0, 0])
-    rows = conf_ece(onehot)[1]
-    assert rows[9].count == 3 and rows[9].empirical_freq == 1.0
+    counts, _, freq = conf_ece(onehot)[1]
+    assert counts[9] == 3 and freq[9] == 1.0
+
+
+@pytest.mark.parametrize("M", [0, -1, 2**31])
+def test_dataset_metrics_take_a_checked_int_bin_count(M):
+    ds = _ds([[0.8, 0.2]] * 2, [0, 1])
+    for metric in (conf_ece, cw_ece, build_report):
+        with pytest.raises(OutOfRange, match=f"bin count {M} must be"):
+            metric(ds, M)
 
 
 def test_sampled_generative_predictor_is_calibrated():

@@ -14,8 +14,6 @@ import pytest
 import calibkit
 
 PUBLIC = [
-    "BinStats",
-    "BinningConfig",
     "CalibrationError",
     "CalibrationReport",
     "Dataset",
@@ -56,8 +54,6 @@ PUBLIC = [
 # The parameter names of each public callable and the fields of each public
 # dataclass, in order; a dotted key is a method. The error class has none.
 KNOBS = {
-    "BinStats": ("m", "lo", "hi", "count", "mean_conf", "empirical_freq"),
-    "BinningConfig": ("M", "strategy"),
     "CalibrationReport": (
         "n", "k", "M", "accuracy", "conf_ece", "cw_ece", "conf_bins", "classwise_bins"
     ),
@@ -73,18 +69,18 @@ KNOBS = {
     "accuracy": ("ds",),
     "apply_temperature": ("ds", "T"),
     "build_all_targets": ("probs", "q", "z"),
-    "build_report": ("ds", "bins"),
+    "build_report": ("ds", "M"),
     "classify_regime": ("acc", "acc_star"),
-    "conf_ece": ("ds", "bins"),
+    "conf_ece": ("ds", "M"),
     "construct_bound_predictor": ("model", "labels", "target_acc"),
-    "cw_ece": ("ds", "bins"),
+    "cw_ece": ("ds", "M"),
     "e_step": ("probs", "M"),
     "ece_loss": ("target", "conf", "divergence"),
-    "fit_temperature": ("ds_val", "bins"),
+    "fit_temperature": ("ds_val", "M"),
     "gen_toy_task": ("d", "k", "n", "teacher_temperature", "seed"),
     "label_smooth_targets": ("labels", "k", "epsilon"),
     "lower_bound_constant": ("model", "pi_star", "pi"),
-    "m_step": ("probs", "labels", "z", "M", "min_bin_count"),
+    "m_step": ("probs", "labels", "z", "M"),
     "make_model": ("kind", "k", "n_support", "alpha", "seed"),
     "run_em": ("policy", "labels", "cfg", "features", "fit_targets"),
     "sample_dataset": ("model", "predictor", "n", "seed"),
