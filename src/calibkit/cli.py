@@ -30,14 +30,15 @@ from itertools import islice
 import numpy as np
 
 from .core import (
-    VALID_SPLITS,
     BadParams,
     CalibrationError,
     DatasetValidationError,
     NonFiniteGradient,
     NonFiniteLoss,
+    _accept,
     _check_bins,
-    _validate_columns,
+    _row_entries,
+    _violations,
 )
 
 EXIT_OK = 0
@@ -117,14 +118,13 @@ def _jsonl_values(fh):
 # take JSON's unsigned grammar. An integer entry has at most 17 digits:
 # far below float overflow and the int parser's digit limit, where
 # ``float()`` of the text and the integer ``json.loads`` reads part ways.
-# Each form's groups are id, confidences, label and split, in line order.
+# Each form's groups are id, confidences and label, in line order.
 _ID = r'"([A-Za-z0-9_-]+)"'
 _NUM = r"(?:0|[1-9][0-9]{0,16})(?:\.[0-9]{1,40})?(?:[eE][-+]?[0-9]{1,3})?"
-_TAIL = r'"label": (0|[1-9][0-9]{0,8})(?:, "split": "(train|val|test)")?\}'
+_TAIL = r'"label": (0|[1-9][0-9]{0,8})(?:, "split": "(?:train|val|test)")?\}'
 # Entries a chunk pattern spells out one by one; any more are one counted
 # repeat, which keeps a pattern for a file of many classes small to compile.
 _UNROLLED_ENTRIES = 32
-_SPLIT_TAGS = {s: s for s in VALID_SPLITS}
 _CHUNK_ROWS = 8192
 
 
@@ -145,47 +145,28 @@ def _chunk_form(readme: bool, k: int) -> re.Pattern:
     return re.compile(rf"^\{{{head}, {_TAIL}\r?$", re.M)
 
 
-def _row_entries(row: dict, k: int | None) -> list[float] | None:
-    """``float()`` of each confidence entry of a ``json.loads`` row that
-    passes the row test, else None. The test: a nonempty str id, a list of
-    exactly k entries that ``float()`` takes (at least 2 while k is
-    unknown), an int label in [0, 2**63), and an absent, null or known
-    split. Such a row's values are those ``validate_dataset`` reads."""
-    rid, conf, label = row.get("id"), row.get("confidences"), row.get("label")
-    if not (type(rid) is str and rid and type(conf) is list and type(label) is int
-            and 0 <= label < 2**63 and row.get("split") in VALID_SPLITS):
-        return None
-    if len(conf) != k if k else len(conf) < 2:
-        return None
-    try:
-        return [float(c) for c in conf]
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 class _PredictionColumns:
-    """The rows of a prediction JSONL file as ``_validate_columns`` takes
-    them, each row's line number, and the file's invalid-JSON messages.
+    """The rows of a prediction JSONL file, each row's line number, and the
+    file's invalid-JSON messages.
 
     The file is read by two routes. ``json.loads`` reads the first lines,
-    up to the first row that passes the row test (``_row_entries``), which
-    fixes k. After that the file is read ``_CHUNK_ROWS`` raw lines at a
-    time: one regex ``split`` of a chunk matches each line in the strict
+    up to the first row that passes the row test (``core._row_entries``),
+    which fixes k. After that the file is read ``_CHUNK_ROWS`` raw lines at
+    a time: one regex ``split`` of a chunk matches each line in the strict
     form of most of its lines, with k entries and nothing around it, and
     these go straight into columns. Every other nonblank line is read by
     ``json.loads``, and a row that passes the row test goes into the same
-    columns. When every row did, ``confs`` is one float matrix and
-    ``labels`` one int64 array; otherwise, in a file that some row fails,
-    both are lists of per-row values in file order.
+    columns: ``ids``, the float matrix ``confs`` and the int64 ``labels``.
+    The value of a row that fails it is kept in ``failed`` under its row
+    index.
     """
 
     def __init__(self, fh):
-        self.ids: list = []
-        self.splits: list = []
+        self.ids: list[str] = []
         self.lines = array("q")
         self.bad_json: list[str] = []
+        self.failed: dict[int, object] = {}
         self._k = None
-        self._failed: dict[int, object] = {}  # row index -> value of a row that fails the test
         blocks, label_blocks = [], []
         start = 1
         # Until a row fixes k, a chunk is one line.
@@ -195,30 +176,13 @@ class _PredictionColumns:
                 blocks.append(_float_block(confs, self._k))
                 label_blocks.append(np.array(labels, dtype=np.int64))
             start += len(chunk)
-
-        n = len(self.lines)
-        self.is_obj = np.ones(n, dtype=bool)
-        if n and not self._failed:
-            self.confs = np.concatenate(blocks)
-            self.labels = np.concatenate(label_blocks)
-            return
-        column_confs = iter(np.concatenate(blocks).tolist() if blocks else ())
-        column_labels = iter(np.concatenate(label_blocks).tolist() if blocks else ())
-        self.confs, self.labels = [], []
-        for i in range(n):
-            if i in self._failed:
-                self.is_obj[i] = isinstance(self._failed[i], dict)
-                row = self._failed[i] if self.is_obj[i] else {}
-                self.confs.append(row.get("confidences"))
-                self.labels.append(row.get("label"))
-            else:
-                self.confs.append(next(column_confs))
-                self.labels.append(next(column_labels))
+        self.confs = np.concatenate(blocks) if blocks else np.empty((0, 0))
+        self.labels = np.concatenate(label_blocks) if blocks else np.empty(0, dtype=np.int64)
 
     def _chunk_rows(self, chunk: list[str], start: int):
         """Put every row of ``chunk``, raw lines from line ``start`` on, into
         columns, and the value of each row that fails the row test into
-        ``_failed`` under its row index; return the confidence and label
+        ``failed`` under its row index; return the confidence and label
         texts of the other rows."""
         if self._k is None:
             return self._loose_rows(chunk, start, [], [])
@@ -227,9 +191,9 @@ class _PredictionColumns:
         # this text.
         readme = 2 * text.count('{"confidences"') < len(chunk)
         # A flat list: the text before the first match, then each match's
-        # four groups and the text after it. Unlike findall, no per-row tuple.
+        # three groups and the text after it. Unlike findall, no per-row tuple.
         parts = _chunk_form(readme, self._k).split(text)
-        if len(parts) == 5 * len(chunk) + 1:
+        if len(parts) == 4 * len(chunk) + 1:
             return self._matched_rows(parts, 0, len(chunk), start, readme)
         # Some lines did not match. Each run of matched lines is still taken
         # from the list; the loose lines between runs are read line by line.
@@ -237,7 +201,7 @@ class _PredictionColumns:
         # before it, and its loose lines end with their own.
         confs: list[str] = []
         labels: list[str] = []
-        gaps = parts[::5]
+        gaps = parts[::4]
         run, ln = 0, start  # the first match of the current run, and its line
         for j, gap in enumerate(gaps):
             loose = gap[1:] if j else gap
@@ -258,38 +222,53 @@ class _PredictionColumns:
     def _matched_rows(self, parts: list[str], a: int, b: int, ln: int, readme: bool):
         """Put matches ``a`` to ``b - 1`` of a chunk ``split``, on lines
         ``ln`` on, into columns; return their confidence and label texts."""
-        lo, hi = 5 * a, 5 * b
-        self.ids.extend(parts[lo + (1 if readme else 2) : hi : 5])
-        self.splits.extend(map(_SPLIT_TAGS.__getitem__, parts[lo + 4 : hi : 5]))
+        lo, hi = 4 * a, 4 * b
+        self.ids.extend(parts[lo + (1 if readme else 2) : hi : 4])
         self.lines.extend(range(ln, ln + b - a))
-        return parts[lo + (2 if readme else 1) : hi : 5], parts[lo + 3 : hi : 5]
+        return parts[lo + (2 if readme else 1) : hi : 4], parts[lo + 3 : hi : 4]
 
     def _loose_rows(self, lines: list[str], start: int, confs: list, labels: list):
         """Read ``lines``, raw lines from line ``start`` on, through
         ``_json_value`` into columns. A row that passes the row test puts
-        its confidences, as ``repr`` text, and its label onto ``confs`` and
-        ``labels``; any other row's value goes into ``_failed``. Return
-        ``confs, labels``."""
+        its id onto ``ids`` and its confidences, as ``repr`` text, and its
+        label onto ``confs`` and ``labels``; any other row's value goes into
+        ``failed``. Return ``confs, labels``."""
         for ln, line in _jsonl_lines(lines, start):
             value, error = _json_value(ln, line)
             if error is not None:
                 self.bad_json.append(error)
                 continue
-            row = value if isinstance(value, dict) else {}
-            entries = _row_entries(row, self._k)
+            entries = _row_entries(value, self._k)
             if entries is None:
-                self._failed[len(self.lines)] = value
+                self.failed[len(self.lines)] = value
             else:
                 self._k = len(entries)
+                self.ids.append(value["id"])
                 confs.append(", ".join(map(repr, entries)))
-                labels.append(str(row["label"]))
-            self.ids.append(row.get("id"))
-            self.splits.append(row.get("split"))
+                labels.append(str(value["label"]))
             self.lines.append(ln)
         return confs, labels
 
+    def _rows(self):
+        """Each row in file order: the value of a row that failed the row
+        test, or a dict rebuilt from the row's entry in the columns."""
+        passed = zip(self.ids, self.confs.tolist(), self.labels.tolist())
+        for i in range(len(self.lines)):
+            if i in self.failed:
+                yield self.failed[i]
+            else:
+                rid, conf, label = next(passed)
+                yield {"id": rid, "confidences": conf, "label": label}
+
     def validate(self):
-        return _validate_columns(self.ids, self.confs, self.labels, self.splits, self.is_obj)
+        """The dataset, or ``DatasetValidationError`` naming every violation.
+        A ``json.loads`` row that fails the row test breaks a rule of the
+        walk: json makes no tuple, str subclass or int subclass."""
+        if self.lines and not self.failed:
+            ds = _accept(self.ids, self.confs, self.labels)
+            if ds is not None:
+                return ds
+        raise DatasetValidationError(_violations(self._rows()))
 
 
 def _float_block(confs: list[str], k: int) -> np.ndarray:
@@ -591,14 +570,23 @@ def _run_toy_mode(args, task):
 
 def _pair_error(ln: int, obj, ids: set, chosen: array, reject: array) -> str | None:
     """Add pair line ``ln``'s id and log-probabilities to the columns, or
-    return why the line is rejected: a missing or non-numeric log-probability,
-    ``eval``'s id rule (a nonempty str, used once), or a non-finite
-    log-probability."""
-    try:
-        c, r = float(obj["logp_chosen"]), float(obj["logp_reject"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        return f"line {ln}: {exc}"
-    rid = obj.get("id")  # obj is a dict: no other JSON value takes a str key
+    return why the line is rejected: not an object, a missing or non-numeric
+    log-probability, ``eval``'s id rule (a nonempty str, used once), or a
+    non-finite log-probability."""
+    if not isinstance(obj, dict):
+        return f"line {ln}: record is not an object"
+    logps = []
+    for key in ("logp_chosen", "logp_reject"):
+        if key not in obj:
+            return f"line {ln}: missing {key!r}"
+        try:
+            logps.append(float(obj[key]))
+        except TypeError:
+            return f"line {ln}: {key!r} is not a number"
+        except (ValueError, OverflowError) as exc:
+            return f"line {ln}: {exc}"
+    c, r = logps
+    rid = obj.get("id")
     if not (isinstance(rid, str) and rid):
         return f"line {ln}: missing or empty 'id'"
     if not (math.isfinite(c) and math.isfinite(r)):

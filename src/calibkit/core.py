@@ -22,7 +22,6 @@ SIMPLEX_ATOL = 1e-9
 INGEST_SIMPLEX_ATOL = 1e-6
 
 VALID_SPLITS = (None, "train", "val", "test")
-_SPLIT_SET = frozenset(VALID_SPLITS)
 
 
 class CalibrationError(Exception):
@@ -130,12 +129,13 @@ class Dataset:
         if probs.ndim != 2 or arr.ndim != 1 or probs.shape[0] != arr.shape[0]:
             raise SchemaError("probs must be (n, k) aligned with labels")
         if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
-            labels = arr.astype(np.int64, copy=False)
+            labels = label_col = arr.astype(np.int64, copy=False)
+            is_int = np.ones(len(labels), dtype=bool)
         else:
             # Each label's own value for the integer rule: numpy's common
             # type would make [7, 0.5] two floats.
             labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
-        label_col, is_int = _label_column(labels)
+            label_col, is_int = _label_column(labels)
         n, k = probs.shape
         bad_simplex = _bad_simplex_rows(probs)
         bad = bad_simplex | ~is_int | (label_col < 0) | (label_col >= k)
@@ -302,9 +302,10 @@ class DatasetValidationError(CalibrationError):
 def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     """Build a Dataset from raw dict rows, collecting all violations.
 
-    Rows are validated as columns: one pass gathers the ids, confidences,
-    labels and splits, and array masks decide every check. The dataset keeps
-    only the confidences and labels.
+    When every row passes the row test (``_row_entries``), their columns meet
+    the accept check (``_accept``), which builds the dataset: only the
+    confidences and labels. Any other input, or one the check rejects, goes
+    to the per-row walk (``_violations``), which states every violation.
 
     Confidence entries are whatever ``float()`` accepts; an integer too large
     for a float is an entry outside [0, 1]. Confidence vectors whose sum is
@@ -315,232 +316,172 @@ def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
     order.
     """
     rows = list(raw_records)
-    n = len(rows)
-    is_obj = np.fromiter((isinstance(r, dict) for r in rows), dtype=bool, count=n)
-    if not is_obj.all():
-        rows = [r if ok else {} for r, ok in zip(rows, is_obj)]
-    return _validate_columns(
-        [r.get("id") for r in rows],
-        [r.get("confidences") for r in rows],
-        [r.get("label") for r in rows],
-        [r.get("split") for r in rows],
-        is_obj,
-    )
-
-
-def _validate_columns(ids: list, confs, labels, splits: list, is_obj: np.ndarray) -> Dataset:
-    """``validate_dataset``'s checks over the columns of n raw rows.
-
-    ``ids``, ``splits`` and ``labels`` hold each row's raw value (None where
-    the key is missing); ``labels`` may instead be an int64 array. ``confs``
-    holds each row's raw confidences, or is one (n, k >= 2) float matrix when
-    every row has k float entries; such a matrix is renormalized in place and
-    becomes the dataset's. ``is_obj`` is False for a row that is not
-    an object; its other values must be None. The ids and splits are checked
-    and then dropped.
-    """
-    n = len(ids)
-    conf = _ConfidenceColumns(confs)
-    built = (conf.code == _CONF_OK) | (conf.code == _CONF_K)
-    label_col, label_int = _label_column(labels)
-    bad_label_type = ~label_int
-    bad_label_range = label_int & built & ((label_col < 0) | (label_col >= conf.lengths))
-    # Columns with only valid splits, or only nonempty str ids (the reader's
-    # strict rows), need no per-row pass.
-    try:
-        splits_ok = set(splits) <= _SPLIT_SET
-    except TypeError:  # an unhashable split
-        splits_ok = False
-    if splits_ok:
-        bad_split = np.zeros(n, dtype=bool)
-    else:
-        bad_split = np.fromiter((s not in VALID_SPLITS for s in splits), dtype=bool, count=n)
-    id_set = set(ids) if set(map(type, ids)) <= {str} else None
-    if id_set is not None and "" not in id_set:
-        bad_id = np.zeros(n, dtype=bool)
-    else:
-        bad_id = np.fromiter(
-            (not (isinstance(rid, str) and rid) for rid in ids), dtype=bool, count=n
-        )
-    # Every check but the duplicate one; among rows with one id, the first
-    # that passes them all is accepted and every later one is a duplicate.
-    clean = is_obj & (conf.code == _CONF_OK) & ~bad_label_type & ~bad_label_range & ~bad_split
-    duplicate = np.zeros(n, dtype=bool)
-    # id_set is None when some id is not exactly a str: a str subclass such
-    # as np.str_ passes the per-row check, so its set is built here.
-    if bad_id.any() or len(set(ids) if id_set is None else id_set) != n:
-        first: dict[str, int] = {}
-        for i in np.flatnonzero(clean & ~bad_id).tolist():
-            first.setdefault(ids[i], i)
-        for i in np.flatnonzero(~bad_id).tolist():
-            duplicate[i] = first.get(ids[i], i) < i
-
-    bad = ~is_obj | bad_id | duplicate | (conf.code != _CONF_OK)
-    bad |= bad_label_type | bad_label_range | bad_split
-    violations: list[Violation] = []
-    for i in np.flatnonzero(bad).tolist():
-        if not is_obj[i]:
-            violations.append(Violation(i, "SchemaError", "record is not an object"))
-            continue
-        if bad_id[i]:
-            violations.append(Violation(i, "SchemaError", "missing or empty 'id'"))
-        elif duplicate[i]:
-            violations.append(Violation(i, "DuplicateId", f"id {ids[i]!r} already used"))
-        if conf.code[i] != _CONF_OK:
-            violations.append(Violation(i, *conf.violation(i)))
-        if bad_label_type[i]:
-            violations.append(Violation(i, "SchemaError", "'label' must be an integer"))
-        elif bad_label_range[i]:
-            violations.append(
-                Violation(
-                    i, "LabelOutOfRange", f"label {labels[i]} outside [0, {conf.lengths[i]})"
-                )
-            )
-        if bad_split[i]:
-            violations.append(Violation(i, "SchemaError", f"unknown split {splits[i]!r}"))
-
+    ids, confs, labels = [], [], []
+    for row in rows:
+        entries = _row_entries(row, len(confs[0]) if confs else None)
+        if entries is None:
+            break
+        ids.append(row["id"])
+        confs.append(entries)
+        labels.append(row["label"])
+    if rows and len(ids) == len(rows):
+        ds = _accept(ids, np.array(confs), np.array(labels, dtype=np.int64))
+        if ds is not None:
+            return ds
+    violations = _violations(rows)
     if violations:
         raise DatasetValidationError(violations)
-    if not n:
-        raise DatasetValidationError([Violation(0, "SchemaError", "no records supplied")])
-    return Dataset._from_columns(conf.probs[conf.k], label_col)
+    # Valid rows that only the strict row test turns away: tuple
+    # confidences, a str subclass id, an int subclass label.
+    ds = _accept(
+        [row["id"] for row in rows],
+        np.array([[float(c) for c in row["confidences"]] for row in rows]),
+        np.array([row["label"] for row in rows], dtype=np.int64),
+    )
+    assert ds is not None, "the row walk and the accept check disagree"
+    return ds
 
 
-# Outcome of the confidence checks for one row; the first that fails is reported.
-_CONF_OK, _CONF_SHAPE, _CONF_NON_NUMERIC, _CONF_NON_FINITE, _CONF_RANGE, _CONF_SUM, _CONF_K = (
-    range(7)
-)
-_CONF_MESSAGES = {
-    _CONF_SHAPE: ("SchemaError", "'confidences' must be a list of >= 2 numbers"),
-    _CONF_NON_NUMERIC: ("SchemaError", "non-numeric confidence entry"),
-    _CONF_NON_FINITE: ("SimplexViolation", "non-finite confidence"),
-    _CONF_RANGE: ("SimplexViolation", "confidence entry outside [0, 1]"),
-}
+def _row_entries(row, k: int | None) -> list[float] | None:
+    """The row test of ingestion: ``float()`` of each confidence entry of a
+    row that passes it, else None. A row passes when it is a dict with a
+    nonempty str id, a list of exactly k entries that ``float()`` takes (at
+    least 2 while k is unknown), an int label in [0, 2**63), and an absent,
+    null or known split."""
+    if not isinstance(row, dict):
+        return None
+    rid, conf, label = row.get("id"), row.get("confidences"), row.get("label")
+    if not (type(rid) is str and rid and type(conf) is list and type(label) is int
+            and 0 <= label < 2**63 and row.get("split") in VALID_SPLITS):
+        return None
+    if len(conf) != k if k else len(conf) < 2:
+        return None
+    try:
+        return [float(c) for c in conf]
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _accept(ids: list, probs: np.ndarray, labels: np.ndarray) -> Dataset | None:
+    """The dataset of n >= 1 rows that all passed the row test, or None if
+    one of them breaks a rule.
+
+    ``probs`` is their (n, k) float matrix and ``labels`` their int64
+    labels. Every entry must be finite and in [0, 1 + INGEST_SIMPLEX_ATOL],
+    every exact sum (``_sum_gaps``) within ``INGEST_SIMPLEX_ATOL`` of 1, no
+    row kept as it is may hold an entry above 1, every label must lie below
+    k and the ids must be unique. Only then are the rows off by more than
+    ``SIMPLEX_ATOL`` divided in place by their exact sum.
+    """
+    n, k = probs.shape
+    # A NaN fails both comparisons.
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0 + INGEST_SIMPLEX_ATOL):
+        return None
+    gap, total = _sum_gaps(probs, np.ones(n, dtype=bool))
+    if gap.max() > INGEST_SIMPLEX_ATOL or labels.max() >= k or len(set(ids)) != n:
+        return None
+    if (gap[_row_max(probs) > 1.0] <= SIMPLEX_ATOL).any():
+        return None
+    renorm = gap > SIMPLEX_ATOL
+    # Entries are >= 0, so none exceeds the exact sum: no quotient exceeds 1.
+    probs[renorm] /= total[renorm, None]
+    return Dataset._from_columns(probs, labels)
+
+
 # Stands in for an integer entry too large for a float: any finite value
 # outside [0, 1] gets the same verdict.
 _HUGE_ENTRY = 2.0
 
 
-class _ConfidenceColumns:
-    """The confidence checks of ``validate_dataset`` over whole columns.
+def _violations(rows: Iterable) -> list[Violation]:
+    """The per-row walk: every violation of ``rows``, in file order.
 
-    ``confs`` is a list of raw per-row values or one (n, L) float matrix.
-    Rows are grouped by length and each group becomes one (m, L) float
-    matrix. ``code`` holds each row's outcome, ``lengths`` its entry count,
-    ``probs[L]`` the (renormalized) matrix of the length-L rows and ``k`` the
-    length of the first row that passes.
+    It carries the running k, fixed by the first row whose confidences
+    pass, and the ids of the rows accepted so far. Each row's violations
+    come in this order: not an object; its id (missing or empty, else a
+    duplicate of an accepted row); its confidences; its label (type, else
+    range against the row's own length); its split. No rows at all is one
+    violation. The walk only explains: it builds no dataset.
     """
+    violations: list[Violation] = []
+    add = violations.append
+    k: int | None = None
+    accepted: set = set()
+    i = -1
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            add(Violation(i, "SchemaError", "record is not an object"))
+            continue
+        before = len(violations)
+        rid = row.get("id")
+        if not (isinstance(rid, str) and rid):
+            add(Violation(i, "SchemaError", "missing or empty 'id'"))
+        elif rid in accepted:
+            add(Violation(i, "DuplicateId", f"id {rid!r} already used"))
+        conf = row.get("confidences")
+        problem = _confidence_problem(conf)
+        if problem is not None:
+            add(Violation(i, *problem))
+        elif k is None:
+            k = len(conf)
+        elif len(conf) != k:
+            add(Violation(i, "SchemaError", f"k={len(conf)} differs from {k}"))
+        label = row.get("label")
+        if not isinstance(label, int) or isinstance(label, bool):
+            add(Violation(i, "SchemaError", "'label' must be an integer"))
+        elif problem is None and not 0 <= label < len(conf):
+            add(Violation(i, "LabelOutOfRange", f"label {label} outside [0, {len(conf)})"))
+        split = row.get("split")
+        if split not in VALID_SPLITS:
+            add(Violation(i, "SchemaError", f"unknown split {split!r}"))
+        if len(violations) == before:
+            accepted.add(rid)
+    if i < 0:
+        add(Violation(0, "SchemaError", "no records supplied"))
+    return violations
 
-    def __init__(self, confs):
-        n = len(confs)
-        if isinstance(confs, np.ndarray):
-            self.lengths = np.full(n, confs.shape[1], dtype=np.int64)
-        else:
-            self.lengths = np.fromiter(
-                (len(c) if isinstance(c, (list, tuple)) else 0 for c in confs),
-                dtype=np.int64,
-                count=n,
-            )
-        self.code = np.full(n, _CONF_SHAPE, dtype=np.int8)
-        self.totals: dict[int, float] = {}
-        self.probs: dict[int, np.ndarray] = {}
-        self.k: int | None = None
-        first_pass = n
-        sizes = np.bincount(self.lengths, minlength=2)
-        for L in (np.flatnonzero(sizes[2:]) + 2).tolist():
-            rows = np.flatnonzero(self.lengths == L)
-            group = confs if sizes[L] == n else [confs[i] for i in rows.tolist()]
-            probs, code, totals = _check_confidences(group, L)
-            self.code[rows] = code
-            self.totals.update(zip(rows[list(totals)].tolist(), totals.values()))
-            self.probs[L] = probs
-            passed = rows[code == _CONF_OK]
-            if passed.size and passed[0] < first_pass:
-                first_pass, self.k = int(passed[0]), L
-        if first_pass < n:
-            self.code[(self.code == _CONF_OK) & (self.lengths != self.k)] = _CONF_K
 
-    def violation(self, i: int) -> tuple[str, str]:
-        code = self.code[i]
-        if code == _CONF_SUM:
-            return "SimplexViolation", f"confidences sum to {self.totals[i]!r}, beyond tolerance"
-        if code == _CONF_K:
-            return "SchemaError", f"k={self.lengths[i]} differs from {self.k}"
-        return _CONF_MESSAGES[code]
+_OUTSIDE = ("SimplexViolation", "confidence entry outside [0, 1]")
 
 
-def _check_confidences(group, L: int):
-    """Check m confidence lists of length L, or an (m, L) float matrix, which
-    is renormalized in place.
-
-    Returns the (m, L) matrix with renormalized rows divided by their exact
-    sum, each row's outcome code and the exact sum of each row rejected for
-    it; ``_sum_gaps`` gives both sums. A row kept as it is may still hold an
-    entry in (1, 1 + SIMPLEX_ATOL]; that is an entry outside [0, 1].
-    """
-    m = len(group)
-    code = np.zeros(m, dtype=np.int8)
+def _confidence_problem(conf) -> tuple[str, str] | None:
+    """The kind and message of the first confidence rule that ``conf``
+    breaks, whatever k is, or None."""
+    if not isinstance(conf, (list, tuple)) or len(conf) < 2:
+        return "SchemaError", "'confidences' must be a list of >= 2 numbers"
     try:
-        probs = np.asarray(group)
-        numeric = probs.dtype.kind in "fiub" and probs.shape == (m, L)
+        vals = list(map(float, conf))
     except (TypeError, ValueError, OverflowError):
-        numeric = False
-    if numeric:
-        probs = probs.astype(float, copy=False)
-    else:
-        probs = np.empty((m, L))
-        for j, conf in enumerate(group):
-            vals = _float_entries(conf)
-            if vals is None:
-                probs[j] = np.nan
-                code[j] = _CONF_NON_NUMERIC
-            else:
-                probs[j] = vals
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(probs).all(axis=1)
-        outside = ((probs < 0.0) | (probs > 1.0 + INGEST_SIMPLEX_ATOL)).any(axis=1)
-    code[(code == _CONF_OK) & ~finite] = _CONF_NON_FINITE
-    code[(code == _CONF_OK) & outside] = _CONF_RANGE
-    checked = code == _CONF_OK
-    gap, total = _sum_gaps(probs, checked)
-    rejected = np.flatnonzero(checked & (gap > INGEST_SIMPLEX_ATOL))
-    code[rejected] = _CONF_SUM
-    renorm = checked & (gap > SIMPLEX_ATOL) & (gap <= INGEST_SIMPLEX_ATOL)
-    # Entries are >= 0, so none exceeds the exact sum: no quotient exceeds 1.
-    probs[renorm] /= total[renorm, None]
-    kept = (code == _CONF_OK) & ~renorm
-    code[kept & (probs > 1.0).any(axis=1)] = _CONF_RANGE
-    return probs, code, dict(zip(rejected.tolist(), total[rejected].tolist()))
-
-
-def _float_entries(conf) -> list[float] | None:
-    """``float()`` of each entry, or None if one is not numeric."""
-    vals = []
-    for c in conf:
-        try:
-            vals.append(float(c))
-        except OverflowError:
-            vals.append(_HUGE_ENTRY)
-        except (TypeError, ValueError):
-            return None
-    return vals
+        vals = []
+        for c in conf:
+            try:
+                vals.append(float(c))
+            except OverflowError:
+                vals.append(_HUGE_ENTRY)
+            except (TypeError, ValueError):
+                return "SchemaError", "non-numeric confidence entry"
+    if not all(map(math.isfinite, vals)):
+        return "SimplexViolation", "non-finite confidence"
+    top = max(vals)
+    if min(vals) < 0.0 or top > 1.0 + INGEST_SIMPLEX_ATOL:
+        return _OUTSIDE
+    total = math.fsum(vals)
+    if abs(total - 1.0) > INGEST_SIMPLEX_ATOL:
+        return "SimplexViolation", f"confidences sum to {total!r}, beyond tolerance"
+    # A row kept as it is may not hold an entry above 1.
+    if abs(total - 1.0) <= SIMPLEX_ATOL and top > 1.0:
+        return _OUTSIDE
+    return None
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _label_column(labels) -> tuple[np.ndarray, np.ndarray]:
+def _label_column(labels: list) -> tuple[np.ndarray, np.ndarray]:
     """int64 labels and a mask of the entries that are integers (not bools).
     An integer beyond int64 is clamped to -1 or the int64 maximum, which is
-    out of range either way. An int64 array is taken as it is."""
+    out of range either way."""
     n = len(labels)
-    if isinstance(labels, np.ndarray):
-        return labels, np.ones(n, dtype=bool)
-    if set(map(type, labels)) <= {int}:
-        try:
-            return np.array(labels, dtype=np.int64), np.ones(n, dtype=bool)
-        except OverflowError:
-            pass
     is_int = np.fromiter(
         (isinstance(v, int) and not isinstance(v, bool) for v in labels), dtype=bool, count=n
     )
@@ -550,4 +491,3 @@ def _label_column(labels) -> tuple[np.ndarray, np.ndarray]:
         count=n,
     )
     return col, is_int
-

@@ -201,17 +201,6 @@ def population_accuracy(model: FiniteGenerativeModel, predictor: Predictor) -> f
     return float(model.weights @ model.label_probs[np.arange(model.n_support), top])
 
 
-def labeled_accuracy(
-    model: FiniteGenerativeModel, predictor: Predictor, labels: np.ndarray
-) -> float:
-    """Weighted accuracy against one realized label per support point."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (model.n_support,):
-        raise BadParams("labels must align with the support")
-    pred = predictor.matrix_for(model.support)
-    return float(model.weights @ (np.argmax(pred, axis=1) == labels))
-
-
 def labels_matching_accuracy(
     model: FiniteGenerativeModel, target_acc: float
 ) -> np.ndarray:

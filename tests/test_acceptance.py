@@ -18,7 +18,6 @@ from calibkit.genmodel import (
     NoDisagreement,
     Predictor,
     construct_bound_predictor,
-    labeled_accuracy,
     make_model,
     population_accuracy,
     lower_bound_constant,
@@ -38,7 +37,7 @@ from calibkit.toylab import (
     train,
     _one_hot,
 )
-from test_genmodel import realize_labels
+from test_genmodel import labeled_accuracy, realize_labels
 from test_toylab import combined_loss
 
 

@@ -421,11 +421,11 @@ def _assert_eval_like_reference(path, *flags):
 
 
 def _reader_route(text: str) -> tuple[int, bool]:
-    """The reader's ``json.loads`` calls on ``text``, and whether its
-    confidences stayed one float matrix (no row failed the row test)."""
+    """The reader's ``json.loads`` calls on ``text``, and whether every row
+    went into its columns (no row failed the row test)."""
     with mock.patch.object(cli, "_json_value", wraps=cli._json_value) as loads:
         cols = cli._PredictionColumns(io.StringIO(text))
-    return loads.call_count, isinstance(cols.confs, np.ndarray)
+    return loads.call_count, not cols.failed
 
 
 def _canonical_lines(n, k=4, seed=0, start=0):
@@ -446,7 +446,7 @@ def _canonical_lines(n, k=4, seed=0, start=0):
 # One line each, placed between k = 2 canonical rows, and whether the
 # reader keeps its float columns after such a row: a strict line, a
 # json.loads row that passes the row test, or a line that is not JSON.
-# A row that fails the test sends the file down the list route.
+# A row that fails the test is kept whole for the per-row walk.
 _EDGE_LINES = {
     "exponent-lower": ('{"id": "e1", "confidences": [1e-05, 0.99999], "label": 1}', True),
     "exponent-upper-signed": ('{"id": "e2", "confidences": [5E-7, 0.9999995], "label": 0}', True),
@@ -486,6 +486,9 @@ _EDGE_LINES = {
     "one-entry": ('{"id": "k1", "confidences": [1.0], "label": 0}', False),
     "no-entries": ('{"id": "k0", "confidences": [], "label": 0}', False),
     "not-an-object": ("[0.5, 0.5]", False),
+    # Fails the row test, yet its confidences fix the rule's k = 3.
+    "k-fixed-by-a-rejected-row": (
+        '{"id": "k4", "confidences": [0.25, 0.25, 0.5], "label": -1}', False),
     "renormalized": ('{"id": "r1", "confidences": [0.5000003, 0.5], "label": 0}', True),
     "label-out-of-range": ('{"id": "r2", "confidences": [0.5, 0.5], "label": 7}', True),
     "sum-beyond-tolerance": ('{"id": "r3", "confidences": [0.5, 0.6], "label": 0}', True),
@@ -1061,9 +1064,13 @@ def test_winrate_non_finite_pair_names_its_line(tmp_path, capsys):
          "error: line 3: id 'p1' already used"),
         (['{"id": "p1", "logp_chosen": "x", "logp_reject": -2.0}'],
          "error: line 1: could not convert string to float: 'x'"),
-        (['[1, 2]'], "error: line 1: list indices must be integers or slices, not str"),
+        (['[1, 2]'], "error: line 1: record is not an object"),
+        (['{"id": "p1", "logp_reject": -2.0}'], "error: line 1: missing 'logp_chosen'"),
+        (['{"id": "p1", "logp_chosen": [-1.0], "logp_reject": -2.0}'],
+         "error: line 1: 'logp_chosen' is not a number"),
     ],
-    ids=["integer-id", "missing-id", "empty-id", "duplicate-id", "text-logp", "not-an-object"],
+    ids=["integer-id", "missing-id", "empty-id", "duplicate-id", "text-logp", "not-an-object",
+         "missing-logp", "list-logp"],
 )
 def test_winrate_stops_at_the_first_bad_line(lines, error, tmp_path, capsys):
     """winrate applies eval's id rule: a nonempty str, used once."""

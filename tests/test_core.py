@@ -474,6 +474,10 @@ def _row(i, conf=(0.25, 0.75), label=0, **extra):
 
 _ABOVE_INGEST = math.nextafter(1.0 + INGEST_SIMPLEX_ATOL, 2.0)
 
+
+class _IntLabel(int):
+    """A valid label that is not exactly an ``int``."""
+
 _INGEST_CASES = {
     "non-dict-rows": [_row(0), 5, None, "row", [0.5, 0.5], _row(1)],
     "missing-and-empty-ids": [
@@ -577,6 +581,11 @@ _INGEST_CASES = {
         _row(3, (-0.0, 0.25, 0.25, 0.5 + 2e-9)),
     ],
     "empty": [],
+    "tuple-confidences-and-int-subclass-label": [
+        {"id": "a", "confidences": (0.25, 0.75), "label": 0},
+        {"id": "b", "confidences": [0.5, 0.5], "label": _IntLabel(1)},
+        {"id": "c", "confidences": (0.4000003, 0.6), "label": _IntLabel(0)},
+    ],
 }
 
 

@@ -10,7 +10,6 @@ from calibkit.genmodel import (
     UnreachableAccuracy,
     classify_regime,
     construct_bound_predictor,
-    labeled_accuracy,
     labels_matching_accuracy,
     lower_bound_constant,
     make_model,
@@ -30,6 +29,17 @@ def realize_labels(model: FiniteGenerativeModel, seed: int = 0) -> np.ndarray:
     seeded labeling for the theorem checks."""
     rng = np.random.default_rng(seed)
     return _draw_labels(model.label_probs, rng.random(model.n_support))
+
+
+def labeled_accuracy(
+    model: FiniteGenerativeModel, predictor: Predictor, labels: np.ndarray
+) -> float:
+    """Weighted accuracy against one realized label per support point."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (model.n_support,):
+        raise BadParams("labels must align with the support")
+    pred = predictor.matrix_for(model.support)
+    return float(model.weights @ (np.argmax(pred, axis=1) == labels))
 
 
 def _one_point():

@@ -31,7 +31,6 @@ from calibkit.genmodel import (
     UnreachableAccuracy,
     classify_regime,
     construct_bound_predictor,
-    labeled_accuracy,
     lower_bound_constant,
     population_cw_ece,
     tce,
@@ -51,7 +50,7 @@ from calibkit.targetmap import build_target_matrix
 from calibkit.toylab import _tempered_top, apply_temperature, softmax, temperature_transform
 from test_cli import _EDGE_LINES, _assert_eval_like_reference, _per_record_jsonl
 from test_core import _assert_same_bits, _ingest, _reference_validate_dataset
-from test_genmodel import _row_verdicts
+from test_genmodel import _row_verdicts, labeled_accuracy
 
 
 def _rows(draw, s, k):
