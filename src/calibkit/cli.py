@@ -27,6 +27,17 @@ import tempfile
 from array import array
 from itertools import islice
 
+# OpenBLAS starts a pool of nproc threads when numpy loads, and no calibkit
+# product needs it. The BLAS calls the CLI makes are LinearPolicy's blocked
+# products (at most 2**18 multiply-adds each, which OpenBLAS keeps on one
+# thread), genmodel's blocked dot products (at most 10000 entries each, the
+# same) and train-toy's one ``X @ W`` of the teacher. So when this module is
+# what loads numpy, OpenBLAS defaults to one thread; a value the caller sets
+# wins. Once numpy is loaded the variable changes nothing, so a host
+# program's environment, which its children inherit, is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .core import (
@@ -305,6 +316,12 @@ def _prediction_lines(ds):
         yield line * len(probs) % tuple(args.ravel().tolist())
 
 
+def _print_errors(messages) -> None:
+    """Write one ``error:`` line per message to stderr in one write: stderr
+    is line-buffered, so a ``print`` per line would be a write per line."""
+    sys.stderr.write("".join(f"error: {m}\n" for m in messages))
+
+
 def cmd_eval(args) -> int:
     from .diagram import reliability_svg
     from .metrics import build_report
@@ -317,19 +334,19 @@ def cmd_eval(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    # Printed only once the whole file has decoded, so a file that is not
+    # Reported only once the whole file has decoded, so a file that is not
     # UTF-8 reports that alone.
-    for error in cols.bad_json:
-        print(f"error: {error}", file=sys.stderr)
     if cols.bad_json:
+        _print_errors(cols.bad_json)
         return EXIT_INPUT
     try:
         ds = cols.validate()
     except DatasetValidationError as exc:
-        for v in exc.violations:
-            # An input with no records has no line to name.
-            where = f"line {cols.lines[v.index]}: " if cols.lines else ""
-            print(f"error: {where}{v.kind}: {v.message}", file=sys.stderr)
+        # An input with no records has no line to name.
+        _print_errors(
+            (f"line {cols.lines[v.index]}: " if cols.lines else "") + f"{v.kind}: {v.message}"
+            for v in exc.violations
+        )
         return EXIT_INPUT
 
     if M is None:  # 'heuristic': the cube-root rule

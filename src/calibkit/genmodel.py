@@ -27,6 +27,12 @@ from .core import (
 
 MODEL_KINDS = ("pure-random", "deterministic", "dirichlet")
 
+# OpenBLAS splits a dot product of more than this many entries across its
+# threads and adds their partial sums, so the bits of a longer one would
+# depend on the BLAS thread count. ``_weighted_sum`` adds one block's dot
+# product at a time instead.
+_DOT_BLOCK = 10000
+
 
 class UnreachableAccuracy(CalibrationError):
     pass
@@ -194,11 +200,21 @@ def sample_dataset(
     return Dataset.from_arrays(pred[idx], labels)
 
 
+def _weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
+    """``w @ x`` for (s,) vectors, as the dot products of blocks of
+    ``_DOT_BLOCK`` entries added in order: one call for s <= ``_DOT_BLOCK``,
+    and bits that do not depend on the BLAS thread count for any s."""
+    total = w[:_DOT_BLOCK] @ x[:_DOT_BLOCK]
+    for i in range(_DOT_BLOCK, len(w), _DOT_BLOCK):
+        total += w[i:i + _DOT_BLOCK] @ x[i:i + _DOT_BLOCK]
+    return float(total)
+
+
 def population_accuracy(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Probability that the predictor's top choice matches a label drawn from p*."""
     pred = predictor.matrix_for(model.support)
     top = np.argmax(pred, axis=1)
-    return float(model.weights @ model.label_probs[np.arange(model.n_support), top])
+    return _weighted_sum(model.weights, model.label_probs[np.arange(model.n_support), top])
 
 
 def labels_matching_accuracy(
@@ -238,7 +254,7 @@ def tce(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Expected per-class L1 gap (scaled by 1/k) between p* and the predictor."""
     pred = predictor.matrix_for(model.support)
     per_point = np.abs(model.label_probs - pred).sum(axis=1) / model.k
-    return float(model.weights @ per_point)
+    return _weighted_sum(model.weights, per_point)
 
 
 @dataclass(frozen=True)
@@ -275,7 +291,7 @@ def construct_bound_predictor(
     base = model.label_probs
     top = np.argmax(base, axis=1)
     correct = top == labels
-    a_star = float(model.weights @ correct)
+    a_star = _weighted_sum(model.weights, correct)
 
     raise_acc = target_acc >= a_star
     pool = np.flatnonzero(~correct) if raise_acc else np.flatnonzero(correct)
@@ -351,7 +367,7 @@ def population_cw_ece(model: FiniteGenerativeModel, predictor: Predictor) -> flo
     total = 0.0
     for j in range(model.k):
         vals, mass, freq = _group_means(pred[:, j], model.weights, model.label_probs[:, j])
-        total += float(mass @ np.abs(freq - vals))
+        total += _weighted_sum(mass, np.abs(freq - vals))
     return total / model.k
 
 

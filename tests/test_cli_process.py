@@ -39,10 +39,14 @@ def files(tmp_path_factory):
     pairs = [{"id": f"p{i}", "logp_chosen": -1.0 * i, "logp_reject": -2.0} for i in range(4)]
     (root / "pairs.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in pairs), encoding="utf-8")
+    # More points than the longest dot product OpenBLAS keeps on one thread.
+    big = make_model("dirichlet", 4, 10001, alpha=1.0, seed=3)
+    (root / "big.json").write_text(json.dumps(big.to_json_dict()), encoding="utf-8")
     (root / "probe").mkdir()
     (root / "probe" / "sitecustomize.py").write_text(_SITECUSTOMIZE, encoding="utf-8")
     return {"MODEL": root / "model.json", "PRED": root / "preds.jsonl",
             "PAIRS": root / "pairs.jsonl", "MISSING": root / "missing.jsonl",
+            "BIG_MODEL": root / "big.json",
             "PROBE": root / "probe", "MODULES": root / "modules.txt"}
 
 
@@ -111,23 +115,49 @@ def test_a_failed_run_exits_with_its_code_and_one_error_line(args, code, files):
     assert not any(line.startswith("Traceback") for line in err)
 
 
-@pytest.mark.parametrize("mode", ["cft", "sft-only", "ts"])
-def test_train_toy_bytes_do_not_depend_on_the_blas_thread_count(mode, files, tmp_path):
-    """At n = 10000, past one 2048-row block of the linear policy's
-    products, stdout and every output file are the same bytes under one and
-    two OpenBLAS threads, set in the child's environment only."""
-    prefix = tmp_path / "run"
-    args = ["train-toy", "--mode", mode, "--n", "10000", "--seed", "1", "--out", str(prefix)]
+def _runs_by_blas_thread_count(args, files, tmp_path):
+    """Stdout and the output files ``run*`` of ``args``, whose ``{out}`` is
+    the prefix ``run`` in ``tmp_path``, under ``OPENBLAS_NUM_THREADS`` unset,
+    1 and 2, set in the child's environment only."""
+    args = [a.format(out=tmp_path / "run") for a in args]
     runs = []
-    for threads in ("1", "2"):
+    for threads in (None, "1", "2"):
         code, out, _, err = _spawn(args, files, OPENBLAS_NUM_THREADS=threads)
         assert (code, err) == (0, [])
-        outputs = sorted(tmp_path.glob("run.*"))
-        assert len(outputs) == 4
+        outputs = sorted(tmp_path.glob("run*"))
         runs.append((out, [(p.name, p.read_bytes()) for p in outputs]))
         for p in outputs:
             p.unlink()
-    assert runs[0] == runs[1]
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["cft", "sft-only", "ts"])
+def test_train_toy_bytes_do_not_depend_on_the_blas_thread_count(mode, files, tmp_path):
+    """At n = 10000, past one 2048-row block of the linear policy's
+    products, stdout and every output file are the same bytes."""
+    args = ["train-toy", "--mode", mode, "--n", "10000", "--seed", "1", "--out", "{out}"]
+    runs = _runs_by_blas_thread_count(args, files, tmp_path)
+    assert len(runs[0][1]) == 4
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize(
+    "args, outputs",
+    [
+        (["eval", "PRED", "--report", "{out}.json", "--plot", "{out}.svg"], 2),
+        (["simulate", "--n", "300", "--support", "5", "--out", "{out}"], 2),
+        (["winrate", "--pairs", "PAIRS"], 0),
+        (["bounds", "--model", "BIG_MODEL", "--out", "{out}.csv"], 1),
+    ],
+    ids=["eval", "simulate", "winrate", "bounds-10001-points"],
+)
+def test_subcommand_bytes_do_not_depend_on_the_blas_thread_count(
+        args, outputs, files, tmp_path):
+    """``bounds`` runs on 10001 support points, so each of its weighted sums
+    is longer than one dot product that OpenBLAS keeps on one thread."""
+    runs = _runs_by_blas_thread_count(args, files, tmp_path)
+    assert len(runs[0][1]) == outputs
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize(
@@ -159,6 +189,43 @@ def test_a_stdout_that_cannot_be_written_is_an_io_failure(args, unbuffered, file
         code, _, _, err = _spawn(args, files, stdout=full, PYTHONUNBUFFERED=unbuffered)
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "[Errno 28]" in err[0]
+
+
+_BLAS_PROBE = ("import os, calibkit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+               "len(os.listdir('/proc/self/task')))")
+
+
+def _blas_probe(prelude: str, threads: str | None) -> list[str]:
+    """The ``OPENBLAS_NUM_THREADS`` and the OS thread count that a fresh
+    interpreter sees after ``prelude`` and ``import calibkit.cli``, with the
+    variable set to ``threads`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", prelude + _BLAS_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60, check=True).stdout.split()
+
+
+needs_proc_task = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="no /proc/self/task")
+
+
+@needs_proc_task
+def test_the_cli_starts_one_blas_thread_by_default():
+    assert _blas_probe("", None) == ["1", "1"]
+
+
+@needs_proc_task
+def test_a_blas_thread_count_the_caller_sets_wins():
+    # OpenBLAS starts no more threads than the process may run on.
+    threads = min(2, len(os.sched_getaffinity(0)))
+    assert _blas_probe("", "2") == ["2", str(threads)]
+
+
+@needs_proc_task
+def test_the_cli_leaves_the_environment_alone_once_numpy_is_loaded():
+    assert _blas_probe("import numpy; ", None)[0] == "None"
 
 
 def test_import_calibkit_loads_no_submodule_and_no_numpy():
