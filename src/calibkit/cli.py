@@ -273,8 +273,7 @@ class _PredictionColumns:
 
     def validate(self):
         """The dataset, or ``DatasetValidationError`` naming every violation.
-        A ``json.loads`` row that fails the row test breaks a rule of the
-        walk: json makes no tuple, str subclass or int subclass."""
+        A row that fails the row test breaks a rule of the walk."""
         if self.lines and not self.failed:
             ds = _accept(self.ids, self.confs, self.labels)
             if ds is not None:
@@ -485,16 +484,11 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _toy_report(task, policy, M: int):
-    from . import toylab
-    from .metrics import build_report
-    ds = toylab.task_dataset(task, policy)
-    return ds, build_report(ds, M)
-
-
 def cmd_train_toy(args) -> int:
     from . import toylab
     from .diagram import reliability_svg
+    from .emcal import EmConfig
+    from .metrics import build_report
     _check_bins(args.bins)
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
@@ -505,7 +499,24 @@ def cmd_train_toy(args) -> int:
     task = toylab.gen_toy_task(
         d=args.dim, k=args.k, n=args.n, teacher_temperature=args.tau, seed=args.seed
     )
-    before_report, policy, history, after_report = _run_toy_mode(args, task)
+    em = None
+    if args.mode in ("cft", "rcft", "ece-only"):
+        # Checked before the baseline runs, so a bad EM setting fails fast.
+        em = EmConfig(
+            epochs=args.em_epochs, bins=args.bins,
+            lam=args.lam if args.mode == "cft" else 1.0,
+            sft_weight=0.0 if args.mode == "ece-only" else 1.0,
+            divergence=args.divergence, learning_rate=args.lr,
+        )
+    before_ds, after_ds, history = toylab._run_mode(
+        task, args.mode, args.epochs, args.lr, args.epsilon, em, args.bins
+    )
+    if args.mode == "ts":
+        warning = toylab._grid_edge_warning(history[0]["temperature"])
+        if warning is not None:
+            print(f"warning: {warning}", file=sys.stderr)
+    before_report = build_report(before_ds, args.bins)
+    after_report = build_report(after_ds, args.bins)
 
     print(f"mode={args.mode}")
     print(f"before: acc={before_report.accuracy!r} conf_ece={before_report.conf_ece!r}")
@@ -522,67 +533,6 @@ def cmd_train_toy(args) -> int:
             reliability_svg(after_report.conf_bins, after_report.n, task.k),
         )
     return EXIT_OK
-
-
-def _sft_baseline(args, task):
-    """The policy of ``toylab.train(..., mode="sft-only")``, fitted by
-    draining the EM loop: no history row is built."""
-    from . import toylab
-    from .emcal import _epochs
-    policy = toylab.LinearPolicy(task.d, task.k)
-    cfg = toylab._plain_descent(args.epochs, args.lr)
-    for _ in _epochs(policy, task.labels, cfg, features=task.features):
-        pass
-    return policy
-
-
-def _run_toy_mode(args, task):
-    """Run one training mode; cft/rcft/ts continue from a fresh sft baseline."""
-    from . import toylab
-    from .emcal import EmConfig, run_em
-    from .metrics import build_report
-    if args.mode in ("sft-only", "label-smooth"):
-        policy = toylab.LinearPolicy(task.d, task.k)
-        before_ds, before_report = _toy_report(task, policy, args.bins)
-        policy, history = toylab.train(
-            policy, task, mode=args.mode, epochs=args.epochs, lr=args.lr,
-            epsilon=args.epsilon, bins=args.bins,
-        )
-    elif args.mode == "ece-only":
-        policy = toylab.TabularPolicy.zeros(task.n, task.k)
-        before_ds, before_report = _toy_report(task, policy, args.bins)
-        cfg = EmConfig(
-            epochs=args.em_epochs, bins=args.bins, lam=1.0, sft_weight=0.0,
-            divergence=args.divergence, learning_rate=args.lr,
-        )
-        policy, history = run_em(policy, task.labels, cfg, features=None)
-    elif args.mode == "ts":
-        base = _sft_baseline(args, task)
-        before_ds, before_report = _toy_report(task, base, args.bins)
-        t_star, ece_b, ece_a = toylab.fit_temperature(before_ds, args.bins)
-        warning = toylab._grid_edge_warning(t_star)
-        if warning is not None:
-            print(f"warning: {warning}", file=sys.stderr)
-        transformed = toylab.apply_temperature(before_ds, t_star)
-        after_report = build_report(transformed, args.bins)
-        history = [{"temperature": t_star, "ece_before": ece_b, "ece_after": ece_a}]
-        return before_report, base, history, after_report
-    elif args.mode in ("cft", "rcft"):
-        # Checked before the baseline runs, so a bad EM setting fails fast.
-        cfg = EmConfig(
-            epochs=args.em_epochs, bins=args.bins,
-            lam=args.lam if args.mode == "cft" else 1.0,
-            divergence=args.divergence, learning_rate=args.lr,
-        )
-        base = _sft_baseline(args, task)
-        before_ds, before_report = _toy_report(task, base, args.bins)
-        mode = "cft" if args.mode == "cft" else "rcft-analog"
-        policy, history = toylab.train(base, task, mode=mode, em=cfg)
-    else:
-        raise BadParams(f"unknown mode {args.mode!r}")
-
-    _, after_report = _toy_report(task, policy, args.bins)
-    return before_report, policy, history, after_report
 
 
 def _pair_error(ln: int, obj, ids: set, chosen: array, reject: array) -> str | None:
@@ -630,9 +580,6 @@ def cmd_winrate(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.pairs}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not chosen:
-        print("error: EmptyInput: no preference pairs found", file=sys.stderr)
-        return EXIT_INPUT
     rate = win_rate(chosen, reject)
     # rate is wins / n rounded once, so rate * n rounds back to the count
     # (exactly, for any n below 2**51).

@@ -328,30 +328,21 @@ def validate_dataset(raw_records: Iterable[dict]) -> Dataset:
         ds = _accept(ids, np.array(confs), np.array(labels, dtype=np.int64))
         if ds is not None:
             return ds
-    violations = _violations(rows)
-    if violations:
-        raise DatasetValidationError(violations)
-    # Valid rows that only the strict row test turns away: tuple
-    # confidences, a str subclass id, an int subclass label.
-    ds = _accept(
-        [row["id"] for row in rows],
-        np.array([[float(c) for c in row["confidences"]] for row in rows]),
-        np.array([row["label"] for row in rows], dtype=np.int64),
-    )
-    assert ds is not None, "the row walk and the accept check disagree"
-    return ds
+    raise DatasetValidationError(_violations(rows))
 
 
 def _row_entries(row, k: int | None) -> list[float] | None:
     """The row test of ingestion: ``float()`` of each confidence entry of a
     row that passes it, else None. A row passes when it is a dict with a
-    nonempty str id, a list of exactly k entries that ``float()`` takes (at
-    least 2 while k is unknown), an int label in [0, 2**63), and an absent,
-    null or known split."""
+    nonempty str id, a list or tuple of exactly k entries that ``float()``
+    takes (at least 2 while k is unknown), an int label (not a bool) in
+    [0, 2**63), and an absent, null or known split: the types of the
+    per-row walk."""
     if not isinstance(row, dict):
         return None
     rid, conf, label = row.get("id"), row.get("confidences"), row.get("label")
-    if not (type(rid) is str and rid and type(conf) is list and type(label) is int
+    if not (isinstance(rid, str) and rid and isinstance(conf, (list, tuple))
+            and isinstance(label, int) and not isinstance(label, bool)
             and 0 <= label < 2**63 and row.get("split") in VALID_SPLITS):
         return None
     if len(conf) != k if k else len(conf) < 2:

@@ -33,9 +33,9 @@ A policy supplies (see toylab):
 The loop is one generator, ``_epochs``, which yields each epoch's state
 (the epoch, its confidence matrix and its mean target divergence) before
 that epoch's gradient steps. ``run_em`` builds one history row from each
-yield (``metric_row`` and ``mean_sft``, about 1 ms at n = 1e4); the CLI's
+yield (``metric_row`` and ``mean_sft``, about 1 ms at n = 1e4); toylab's
 SFT baseline for cft, rcft and ts drains the same generator and builds no
-rows, and rcft-analog's EM stage builds none for its epoch 0. Per epoch of
+rows, and rcft's EM stage builds none for its epoch 0. Per epoch of
 ``inner_steps`` gradient steps the loop takes ``inner_steps`` softmaxes (the
 yielded one, which the first step reuses, and one per later step) and the
 row argmax of one confidence matrix twice at lam > 0 (``m_step`` and the

@@ -233,5 +233,5 @@ def win_rate(logp_chosen, logp_reject) -> float:
     if chosen.ndim != 1 or chosen.shape != reject.shape:
         raise SchemaError("logp_chosen and logp_reject must be aligned 1-d arrays")
     if not chosen.size:
-        raise EmptyInput("win_rate needs at least one pair")
+        raise EmptyInput("no preference pairs found")
     return int(np.count_nonzero(chosen > reject)) / chosen.size

@@ -31,7 +31,6 @@ from .emcal import (
     NonFiniteGradient,
     _epochs,
     _history,
-    _one_hot,  # noqa: F401  re-exported: the acceptance suite imports it from here
     run_em,
 )
 from .genmodel import _draw_labels
@@ -257,9 +256,6 @@ class LinearPolicy:
     def descend(self, grad: np.ndarray, lr: float, work=None) -> None:
         self.W -= lr * grad
 
-    def clone(self) -> "LinearPolicy":
-        return LinearPolicy(self.W.shape[0], self.W.shape[1], self.W.copy())
-
 
 class TabularPolicy:
     """One free logit row per record; ignores features."""
@@ -315,9 +311,6 @@ class TabularPolicy:
                 grad, lr * self.logits.shape[0], out=None if work is None else work[0]
             )
             self.logits -= step
-
-    def clone(self) -> "TabularPolicy":
-        return TabularPolicy(self.logits.copy())
 
 
 def label_smooth_targets(labels: np.ndarray, k: int, epsilon: float) -> np.ndarray:
@@ -477,7 +470,7 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 24) -> tuple[float, f
     return t, fn(t)
 
 
-# rcft-analog's overfit stage: plain-descent epochs and their rate.
+# rcft's overfit stage: plain-descent epochs and their rate.
 OVERFIT_EPOCHS = 400
 OVERFIT_LR = 0.5
 
@@ -503,15 +496,14 @@ def train(
     Every mode runs the EM loop. sft-only and label-smooth run it at lam = 0,
     one gradient step per epoch, which is plain full-batch descent on the
     (optionally smoothed) label cross-entropy. cft hands the policy to the EM
-    loop with ``em``. rcft-analog first switches to a tabular policy seeded
-    from the current confidences and overfits it with ``OVERFIT_EPOCHS``
-    epochs of plain descent at rate ``OVERFIT_LR``, then runs the EM loop
-    with ``em``; the capacity jump stands in for a heavier fit objective and
-    pushes accuracy past the task's critical threshold. cft and rcft-analog
-    need ``em``.
+    loop with ``em``. rcft first switches to a tabular policy seeded from the
+    current confidences and overfits it with ``OVERFIT_EPOCHS`` epochs of
+    plain descent at rate ``OVERFIT_LR``, then runs the EM loop with ``em``;
+    the capacity jump stands in for a heavier fit objective and pushes
+    accuracy past the task's critical threshold. cft and rcft need ``em``.
 
     sft-only and label-smooth rows bin their metrics into ``bins`` bins; cft
-    and rcft-analog rows, the overfit rows included, use the EM config's bins.
+    and rcft rows, the overfit rows included, use the EM config's bins.
     Every plain-descent row carries ``mean_ece: None``.
     """
     if mode in ("sft-only", "label-smooth"):
@@ -520,11 +512,11 @@ def train(
             policy, task.labels, _plain_descent(epochs, lr, bins), features=task.features,
             fit_targets=fit,
         )
-    if mode in ("cft", "rcft-analog") and em is None:
+    if mode in ("cft", "rcft") and em is None:
         raise BadParams(f"mode {mode!r} needs an EmConfig")
     if mode == "cft":
         return run_em(policy, task.labels, em, features=task.features)
-    if mode == "rcft-analog":
+    if mode == "rcft":
         tab = TabularPolicy.from_probs(policy.probs(task.features))
         tab, hist1 = run_em(
             tab, task.labels, _plain_descent(OVERFIT_EPOCHS, OVERFIT_LR, em.bins)
@@ -543,11 +535,54 @@ def task_dataset(task: ToyTask, policy) -> Dataset:
     return Dataset.from_arrays(policy.probs(task.features), task.labels)
 
 
+def _sft_baseline(task: ToyTask, epochs: int, lr: float) -> LinearPolicy:
+    """The policy of ``train(LinearPolicy(task.d, task.k), task, "sft-only",
+    epochs, lr)``, fitted by draining the EM loop: no history row is built."""
+    policy = LinearPolicy(task.d, task.k)
+    for _ in _epochs(policy, task.labels, _plain_descent(epochs, lr), features=task.features):
+        pass
+    return policy
+
+
+def _run_mode(task: ToyTask, mode: str, epochs: int, lr: float, epsilon: float,
+              em: EmConfig | None, bins: int) -> tuple[Dataset, Dataset, list[dict]]:
+    """Run one ``train-toy`` mode on the task: the datasets of the start
+    policy and of the result, and the history.
+
+    sft-only and label-smooth train a zero ``LinearPolicy`` and ece-only a
+    zero ``TabularPolicy``; cft, rcft and ts start from ``_sft_baseline(task,
+    epochs, lr)``. ts fits a temperature to the start at ``bins`` bins
+    (``fit_temperature``); the result is the tempered start and the history
+    is the fit's one row. The other modes run ``train`` with the arguments;
+    ece-only runs its cft loop, which the caller's ``em`` with
+    ``sft_weight=0`` makes target-only.
+    """
+    if mode in ("sft-only", "label-smooth"):
+        policy = LinearPolicy(task.d, task.k)
+    elif mode == "ece-only":
+        policy = TabularPolicy.zeros(task.n, task.k)
+    elif mode in ("cft", "rcft", "ts"):
+        policy = _sft_baseline(task, epochs, lr)
+    else:
+        raise BadParams(f"unknown training mode {mode!r}")
+    before = task_dataset(task, policy)
+    if mode == "ts":
+        t_star, ece_before, ece_after = fit_temperature(before, bins)
+        history = [{"temperature": t_star, "ece_before": ece_before, "ece_after": ece_after}]
+        return before, apply_temperature(before, t_star), history
+    policy, history = train(
+        policy, task, mode="cft" if mode == "ece-only" else mode, epochs=epochs, lr=lr,
+        epsilon=epsilon, em=em, bins=bins,
+    )
+    return before, task_dataset(task, policy), history
+
+
 # Pinned study configuration: one task and budget per stage, reused by the
-# acceptance suite so published numbers are reproducible. The CLI defaults
-# differ: `train-toy --mode rcft` uses its --lr (0.5) as the EM rate where the
-# study uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8) where the
-# study runs ece_only_epochs. Both overfit with OVERFIT_EPOCHS at OVERFIT_LR.
+# acceptance suite so published numbers are reproducible. The study and
+# `train-toy` run each stage through the same `_run_mode`, but the CLI
+# defaults differ: `train-toy --mode rcft` uses its --lr (0.5) as the EM rate
+# where the study uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8)
+# where the study runs ece_only_epochs.
 STUDY = {
     "d": 32,
     "k": 4,
@@ -569,49 +604,31 @@ def tradeoff_study(seed: int = 42) -> dict:
     Stages: plain-descent baseline (fits the labels, leaves a calibration
     gap), EM calibration at lam = 1 from that endpoint, the stronger-fit
     analog (tabular capacity, then EM at lam = 1), and target-only training
-    from scratch (no fit term). Returns per-stage endpoint metrics plus the
-    task's critical accuracy.
+    from scratch (no fit term). Returns the task's critical accuracy,
+    ``bayes_accuracy``, and each stage's endpoint ``metric_row`` under
+    ``sft``, ``cft``, ``rcft`` and ``ece_only``.
     """
     task = gen_toy_task(
         d=STUDY["d"], k=STUDY["k"], n=STUDY["n"],
         teacher_temperature=STUDY["teacher_temperature"], seed=seed,
     )
-    out = {"bayes_accuracy": task.bayes_accuracy, "task": task}
+    bins = STUDY["bins"]
 
-    def endpoint(policy) -> dict:
-        return metric_row(policy.probs(task.features), task.labels, STUDY["bins"])
+    def em(epochs: int, lr: float, sft_weight: float = 1.0) -> EmConfig:
+        return EmConfig(
+            epochs=epochs, bins=bins, lam=1.0, sft_weight=sft_weight, learning_rate=lr
+        )
 
-    sft = LinearPolicy(task.d, task.k)
-    sft, sft_hist = train(
-        sft, task, mode="sft-only", epochs=STUDY["sft_epochs"], lr=STUDY["sft_lr"]
-    )
-    out["sft"] = endpoint(sft)
-    out["sft_policy"] = sft
-    out["sft_history"] = sft_hist
-
-    cft_cfg = EmConfig(
-        epochs=STUDY["em_epochs"], bins=STUDY["bins"], lam=1.0,
-        learning_rate=STUDY["em_lr"],
-    )
-    cft_pol, cft_hist = train(sft.clone(), task, mode="cft", em=cft_cfg)
-    out["cft"] = endpoint(cft_pol)
-    out["cft_history"] = cft_hist
-
-    rcft_cfg = EmConfig(
-        epochs=STUDY["em_epochs"], bins=STUDY["bins"], lam=1.0,
-        learning_rate=STUDY["rcft_em_lr"],
-    )
-    rcft_pol, rcft_hist = train(sft.clone(), task, mode="rcft-analog", em=rcft_cfg)
-    out["rcft"] = endpoint(rcft_pol)
-    out["rcft_history"] = rcft_hist
-
-    eo_cfg = EmConfig(
-        epochs=STUDY["ece_only_epochs"], bins=STUDY["bins"], lam=1.0,
-        sft_weight=0.0, learning_rate=STUDY["em_lr"],
-    )
-    eo_pol, eo_hist = run_em(
-        TabularPolicy.zeros(task.n, task.k), task.labels, eo_cfg, features=None
-    )
-    out["ece_only"] = endpoint(eo_pol)
-    out["ece_only_history"] = eo_hist
+    stages = {
+        "sft": ("sft-only", None),
+        "cft": ("cft", em(STUDY["em_epochs"], STUDY["em_lr"])),
+        "rcft": ("rcft", em(STUDY["em_epochs"], STUDY["rcft_em_lr"])),
+        "ece_only": ("ece-only", em(STUDY["ece_only_epochs"], STUDY["em_lr"], sft_weight=0.0)),
+    }
+    out = {"bayes_accuracy": task.bayes_accuracy}
+    for key, (mode, cfg) in stages.items():
+        _, after, _ = _run_mode(
+            task, mode, STUDY["sft_epochs"], STUDY["sft_lr"], epsilon=0.0, em=cfg, bins=bins
+        )
+        out[key] = metric_row(after.probs_matrix, after.labels_array, bins)
     return out

@@ -13,7 +13,7 @@ import pytest
 
 from calibkit.core import Dataset
 from calibkit.cli import main
-from calibkit.emcal import EmConfig, ece_loss, run_em, sft_loss
+from calibkit.emcal import EmConfig, _one_hot, ece_loss, run_em, sft_loss
 from calibkit.genmodel import (
     NoDisagreement,
     Predictor,
@@ -35,7 +35,6 @@ from calibkit.toylab import (
     gen_toy_task,
     tradeoff_study,
     train,
-    _one_hot,
 )
 from test_genmodel import labeled_accuracy, realize_labels
 from test_toylab import combined_loss

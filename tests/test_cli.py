@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -1267,19 +1266,3 @@ def test_train_toy_builds_only_the_history_rows_it_writes(mode, tmp_path, monkey
     history = json.loads((tmp_path / f"{mode}.history.json").read_text())
     expected = {"cft": len(history), "rcft": len(history), "ts": 0}[mode]
     assert len(built) == expected
-
-
-@pytest.mark.parametrize("k", [2, 4])
-@pytest.mark.parametrize("seed", [1, 7])
-def test_sft_baseline_matches_train_sft_only_bitwise(k, seed):
-    """The row-free baseline of cft, rcft and ts takes the same steps as
-    ``toylab.train``'s sft-only mode. Both run here, on one machine: the
-    policy's matrix products go through BLAS."""
-    task = toylab.gen_toy_task(d=8, k=k, n=300, seed=seed)
-    args = argparse.Namespace(epochs=40, lr=0.5)
-    drained = cli._sft_baseline(args, task)
-    trained, history = toylab.train(
-        toylab.LinearPolicy(task.d, task.k), task, mode="sft-only", epochs=40, lr=0.5
-    )
-    assert len(history) == 41
-    assert drained.W.tobytes() == trained.W.tobytes()

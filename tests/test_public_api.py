@@ -190,3 +190,40 @@ def _unused_imports(source: str) -> list[str]:
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_name``s (not dunders) that a module of
+    ``sources``, module name to source, defines by ``def``, ``class`` or
+    assignment and that no module of ``sources`` reads, as a name or as an
+    attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_module_name_is_read_by_some_module():
+    package = Path(calibkit.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert _unread_private_names(sources) == []
+    assert _unread_private_names({"m": "def _helper():\n    pass\n_X = 1\nprint(_X)\n"}) == [
+        "m._helper"
+    ]

@@ -11,8 +11,10 @@ from calibkit.emcal import (
     NonFiniteGradient,
     NonFiniteLoss,
     _history_row,
+    _one_hot,
     mean_ece_loss,
     mean_sft,
+    run_em,
 )
 from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
 from calibkit.toylab import (
@@ -30,7 +32,6 @@ from calibkit.toylab import (
     task_dataset,
     temperature_transform,
     train,
-    _one_hot,
 )
 from calibkit import toylab
 from calibkit.targetmap import build_target_matrix
@@ -133,7 +134,7 @@ def test_a_step_in_the_loop_workspace_has_the_bits_of_a_fresh_step(kind, k):
         written = policy.probs(features, out=work[0])
         assert np.shares_memory(written, work[0])
         assert written.tobytes() == policy.probs(features).tobytes()
-    stepped = policy.clone()
+    stepped = _copy(policy)
     stepped.descend(fresh, 0.5)
     policy.descend(fresh, 0.5, work=work)
     assert _params(policy) == _params(stepped)
@@ -380,6 +381,13 @@ def _params(policy):
     return (policy.W if isinstance(policy, LinearPolicy) else policy.logits).tobytes()
 
 
+def _copy(policy):
+    """A policy of the same kind built from a copy of ``policy``'s weights."""
+    if isinstance(policy, LinearPolicy):
+        return LinearPolicy(*policy.W.shape, policy.W)
+    return TabularPolicy(policy.logits)
+
+
 @pytest.mark.parametrize("k", [2, 4, 9])
 @pytest.mark.parametrize("epochs", [0, 7])
 @pytest.mark.parametrize("mode", ["sft-only", "label-smooth"])
@@ -396,9 +404,9 @@ def test_plain_descent_matches_reference_loop_bitwise(k, epochs, mode, kind):
     else:
         soft = _one_hot(task.labels, k)
     ref, ref_hist = _reference_gd_train(
-        start.clone(), features, task.labels, soft, epochs, 0.5, 7
+        _copy(start), features, task.labels, soft, epochs, 0.5, 7
     )
-    got, hist = train(start.clone(), task, mode=mode, epochs=epochs, lr=0.5, bins=7)
+    got, hist = train(_copy(start), task, mode=mode, epochs=epochs, lr=0.5, bins=7)
     assert _params(got) == _params(ref)
     assert hist == ref_hist
 
@@ -418,18 +426,27 @@ def test_rcft_analog_overfit_stage_matches_reference_loop_bitwise(
     )
     # With zero EM epochs the EM stage adds no row and leaves the logits alone.
     got, hist = train(
-        policy, task, mode="rcft-analog",
+        policy, task, mode="rcft",
         em=EmConfig(epochs=0, bins=7, lam=1.0, learning_rate=0.1),
     )
     assert _params(got) == _params(ref)
     assert hist == ref_hist
 
 
-@pytest.mark.parametrize("mode", ["cft", "rcft-analog"])
+@pytest.mark.parametrize("mode", ["cft", "rcft"])
 def test_train_em_modes_need_an_em_config(mode):
     task = gen_toy_task(d=4, k=3, n=30, seed=16)
     with pytest.raises(BadParams):
         train(LinearPolicy(task.d, task.k), task, mode=mode)
+
+
+def test_train_rejects_the_old_rcft_analog_name():
+    task = gen_toy_task(d=4, k=3, n=30, seed=16)
+    em = EmConfig(epochs=1, lam=1.0, learning_rate=0.1)
+    with pytest.raises(BadParams):
+        train(LinearPolicy(task.d, task.k), task, mode="rcft-analog", em=em)
+    with pytest.raises(BadParams):
+        toylab._run_mode(task, "rcft-analog", 5, 0.5, 0.1, em, 10)
 
 
 def test_plain_descent_non_finite_gradient_names_its_epoch():
@@ -480,7 +497,7 @@ def test_train_rcft_analog_shapes(monkeypatch):
     policy = LinearPolicy(task.d, task.k)
     policy, _ = train(policy, task, mode="sft-only", epochs=60, lr=0.5)
     out, history = train(
-        policy, task, mode="rcft-analog",
+        policy, task, mode="rcft",
         em=EmConfig(epochs=3, lam=1.0, learning_rate=0.1),
     )
     assert isinstance(out, TabularPolicy)
@@ -496,12 +513,71 @@ def test_train_rcft_analog_overfit_rows_use_the_em_bins(monkeypatch):
     policy, _ = train(policy, task, mode="sft-only", epochs=30, lr=0.5)
     start = TabularPolicy.from_probs(policy.probs(task.features)).probs(None)
     _, history = train(
-        policy, task, mode="rcft-analog",
+        policy, task, mode="rcft",
         em=EmConfig(epochs=1, bins=7, lam=1.0, learning_rate=0.1),
     )
     correct = start.argmax(axis=1) == task.labels
     assert history[0]["conf_ece"] == binned_ece(start.max(axis=1), correct, 7)
     assert history[0]["conf_ece"] != binned_ece(start.max(axis=1), correct, 10)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_sft_baseline_matches_train_sft_only_bitwise(k, seed):
+    """The row-free baseline of cft, rcft and ts takes the same steps as
+    ``train``'s sft-only mode. Both run here, on one machine: the policy's
+    matrix products go through BLAS."""
+    task = gen_toy_task(d=8, k=k, n=300, seed=seed)
+    drained = toylab._sft_baseline(task, 40, 0.5)
+    trained, history = train(
+        LinearPolicy(task.d, task.k), task, mode="sft-only", epochs=40, lr=0.5
+    )
+    assert len(history) == 41
+    assert drained.W.tobytes() == trained.W.tobytes()
+
+
+def reference_run_mode(task, mode, epochs, lr, epsilon, em, bins):
+    """The before and after datasets and the history of one ``train-toy``
+    mode, built from public pieces: the start policy (zero, or trained by
+    ``train``'s sft-only mode), then ``train``, ``run_em`` on a zero tabular
+    policy for ece-only, or ``fit_temperature`` and ``apply_temperature``
+    for ts. Kept as the reference for ``toylab._run_mode``."""
+    if mode == "ece-only":
+        policy = TabularPolicy.zeros(task.n, task.k)
+        before = task_dataset(task, policy)
+        policy, history = run_em(policy, task.labels, em, features=None)
+        return before, task_dataset(task, policy), history
+    policy = LinearPolicy(task.d, task.k)
+    if mode in ("cft", "rcft", "ts"):
+        policy, _ = train(policy, task, mode="sft-only", epochs=epochs, lr=lr)
+    before = task_dataset(task, policy)
+    if mode == "ts":
+        t, ece_before, ece_after = fit_temperature(before, bins)
+        history = [{"temperature": t, "ece_before": ece_before, "ece_after": ece_after}]
+        return before, apply_temperature(before, t), history
+    policy, history = train(
+        policy, task, mode=mode, epochs=epochs, lr=lr, epsilon=epsilon, em=em, bins=bins
+    )
+    return before, task_dataset(task, policy), history
+
+
+@pytest.mark.parametrize("mode", ["sft-only", "label-smooth", "ece-only", "cft", "rcft", "ts"])
+def test_run_mode_matches_the_reference_recipe_bitwise(mode, monkeypatch):
+    monkeypatch.setattr(toylab, "OVERFIT_EPOCHS", 20)
+    task = gen_toy_task(d=6, k=3, n=200, seed=40)
+    em = None
+    if mode in ("cft", "rcft", "ece-only"):
+        em = EmConfig(
+            epochs=2, bins=7, lam=0.5 if mode == "cft" else 1.0,
+            sft_weight=0.0 if mode == "ece-only" else 1.0, divergence="cross-entropy",
+            learning_rate=0.3, inner_steps=5,
+        )
+    args = (task, mode, 30, 0.5, 0.2, em, 7)
+    got, ref = toylab._run_mode(*args), reference_run_mode(*args)
+    for ds, ref_ds in zip(got[:2], ref[:2]):
+        assert ds.probs_matrix.tobytes() == ref_ds.probs_matrix.tobytes()
+        assert ds.labels_array.tobytes() == ref_ds.labels_array.tobytes()
+    assert got[2] == ref[2]
 
 
 def test_softmax_rows_on_simplex():
