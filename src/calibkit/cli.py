@@ -359,7 +359,7 @@ def cmd_eval(args) -> int:
     if args.report:
         _atomic_write(args.report, _dump_json(report.to_json_dict()))
     if args.plot:
-        svg = reliability_svg(report.conf_bins, report.n, report.k)
+        svg = reliability_svg(report.conf_bins, report.k)
         _atomic_write(args.plot, svg)
     return EXIT_OK
 
@@ -524,14 +524,8 @@ def cmd_train_toy(args) -> int:
     if args.out:
         _atomic_write(args.out + ".history.json", _dump_json(history))
         _atomic_write(args.out + ".report.json", _dump_json(after_report.to_json_dict()))
-        _atomic_write(
-            args.out + ".before.svg",
-            reliability_svg(before_report.conf_bins, before_report.n, task.k),
-        )
-        _atomic_write(
-            args.out + ".after.svg",
-            reliability_svg(after_report.conf_bins, after_report.n, task.k),
-        )
+        _atomic_write(args.out + ".before.svg", reliability_svg(before_report.conf_bins, task.k))
+        _atomic_write(args.out + ".after.svg", reliability_svg(after_report.conf_bins, task.k))
     return EXIT_OK
 
 

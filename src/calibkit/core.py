@@ -155,8 +155,10 @@ _EPS = float(np.finfo(float).eps)
 
 # numpy 2.4 reduces slowly over a short innermost axis: on a (1e4, 4)
 # matrix, max(axis=1) costs over 20 times a running np.maximum over the 4
-# columns. Below this many classes the row max and row sum take a column
-# pass; from k = 8 on that pass would no longer give numpy's bits.
+# columns. Below this many classes ``_row_max``, ``_row_argmax`` and
+# ``_row_sum`` take a column pass. From k = 8 on numpy's own reduction runs:
+# the max and sum passes would no longer give numpy's bits, and the argmax
+# pass falls behind numpy's argmax, further as k grows.
 _COLUMN_PASS_K = 8
 
 
@@ -187,11 +189,10 @@ def _row_argmax(a: np.ndarray) -> np.ndarray:
     column j only where column j is strictly greater: the first index wins a
     tie, a -0.0/0.0 tie included, as in numpy. A NaN would stop the
     comparisons, so the rows that hold one (their running maximum is NaN)
-    take numpy's argmax, which returns the first NaN. Every step is
-    elementwise, so the pass runs at every k; an empty last axis raises as
-    numpy does.
+    take numpy's argmax, which returns the first NaN. From k = 8 on, and for
+    an empty last axis (which raises), numpy's own argmax runs.
     """
-    if a.shape[-1] == 0:
+    if not 0 < a.shape[-1] < _COLUMN_PASS_K:
         return np.argmax(a, axis=-1)
     best = a[..., 0].copy()
     arg = np.zeros(best.shape, dtype=np.intp)

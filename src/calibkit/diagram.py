@@ -24,9 +24,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def reliability_svg(bins: Table, n: int, k: int) -> str:
+def reliability_svg(bins: Table, k: int) -> str:
     """Render one top-confidence reliability table, the (M,) arrays
-    ``(counts, mean_conf, freq)``, as an SVG string.
+    ``(counts, mean_conf, freq)``, as an SVG string labelled with its row
+    count, the sum of ``counts``.
 
     Bins lying entirely below 1/k are omitted from the drawing (the top
     class can never score below 1/k), though they remain in the report data.
@@ -96,7 +97,7 @@ def reliability_svg(bins: Table, n: int, k: int) -> str:
     )
     parts.append(
         f'<text x="{_fmt(_W - _MR)}" y="{_H - 8}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="9" fill="#777">n={n}</text>'
+        f'font-family="sans-serif" font-size="9" fill="#777">n={sum(counts)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

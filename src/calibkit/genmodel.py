@@ -22,6 +22,9 @@ from .core import (
     SIMPLEX_ATOL,
     SimplexViolation,
     _check_simplex_rows,
+    _row_argmax,
+    _row_max,
+    _row_sum,
     _sum_gaps,
 )
 
@@ -104,19 +107,14 @@ class FiniteGenerativeModel:
 
 
 class Predictor:
-    """Assignment of a confidence vector to every support point it knows."""
+    """A confidence vector for each support point: row i belongs to point i
+    of the model's support."""
 
-    def __init__(self, ids: Sequence[str], probs):
-        ids = [str(s) for s in ids]
+    def __init__(self, probs):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 2 or probs.shape[1] < 2:
             raise SimplexViolation("predictor confidences must be an (s, k>=2) matrix")
-        if probs.shape[0] != len(ids):
-            raise BadParams("probs must align with ids")
         _check_simplex_rows(probs, "predictor confidences")
-        if len(ids) != len(set(ids)):
-            raise BadParams("predictor ids must be unique")
-        self.ids = ids
         self.probs = probs
 
     @property
@@ -124,20 +122,19 @@ class Predictor:
         return self.probs.shape[1]
 
     def matrix_for(self, support: Sequence[str]) -> np.ndarray:
-        """This predictor's confidence rows for ``support``, which must be the
-        id list it was built on, in the same order; any other raises
-        ``BadParams``.
+        """This predictor's confidence rows for ``support``, which must have
+        one point per row; a support of another length raises ``BadParams``.
 
         The result is ``self.probs`` itself, not a copy: callers only read it.
         """
-        if list(support) != self.ids:
-            raise BadParams("predictor ids must equal the support, in order")
+        if len(support) != self.probs.shape[0]:
+            raise BadParams("predictor rows must align with the support")
         return self.probs
 
     @classmethod
     def from_model(cls, model: FiniteGenerativeModel) -> "Predictor":
         """The model's own label distribution used as a predictor."""
-        return cls(list(model.support), model.label_probs.copy())
+        return cls(model.label_probs.copy())
 
 
 def make_model(
@@ -172,7 +169,7 @@ def make_model(
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.full(k, float(alpha)), size=n_support)
         # Sampler rows can sit a few ulp off unit sum; pin them down.
-        rows = rows / rows.sum(axis=1, keepdims=True)
+        rows = rows / _row_sum(rows)[:, None]
     return FiniteGenerativeModel(k, ids, weights, rows)
 
 
@@ -213,7 +210,7 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
 def population_accuracy(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Probability that the predictor's top choice matches a label drawn from p*."""
     pred = predictor.matrix_for(model.support)
-    top = np.argmax(pred, axis=1)
+    top = _row_argmax(pred)
     return _weighted_sum(model.weights, model.label_probs[np.arange(model.n_support), top])
 
 
@@ -228,7 +225,7 @@ def labels_matching_accuracy(
     """
     if not (0.0 <= target_acc <= 1.0):
         raise BadParams("target accuracy must lie in [0, 1]")
-    modal = np.argmax(model.label_probs, axis=1)
+    modal = _row_argmax(model.label_probs)
     labels = np.where(modal == 0, 1, 0)
     count, _ = _greedy_prefix(model.weights, target_acc)
     labels[:count] = modal[:count]
@@ -253,7 +250,7 @@ def _greedy_prefix(weights: np.ndarray, target: float) -> tuple[int, float]:
 def tce(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Expected per-class L1 gap (scaled by 1/k) between p* and the predictor."""
     pred = predictor.matrix_for(model.support)
-    per_point = np.abs(model.label_probs - pred).sum(axis=1) / model.k
+    per_point = _row_sum(np.abs(model.label_probs - pred)) / model.k
     return _weighted_sum(model.weights, per_point)
 
 
@@ -289,7 +286,7 @@ def construct_bound_predictor(
     if labels.min() < 0 or labels.max() >= model.k:
         raise BadParams("labels outside [0, k)")
     base = model.label_probs
-    top = np.argmax(base, axis=1)
+    top = _row_argmax(base)
     correct = top == labels
     a_star = _weighted_sum(model.weights, correct)
 
@@ -312,7 +309,7 @@ def construct_bound_predictor(
     # a_star and moved are sums of the same masses in different orders, so
     # an exact 0 or 1 can round an ulp past [0, 1].
     achieved = min(a_star + moved, 1.0) if raise_acc else max(a_star - moved, 0.0)
-    return BoundConstruction(Predictor(list(model.support), out), achieved, a_star)
+    return BoundConstruction(Predictor(out), achieved, a_star)
 
 
 def lower_bound_constant(
@@ -324,10 +321,10 @@ def lower_bound_constant(
     """
     ref = pi_star.matrix_for(model.support)
     other = pi.matrix_for(model.support)
-    disagree = np.argmax(ref, axis=1) != np.argmax(other, axis=1)
+    disagree = _row_argmax(ref) != _row_argmax(other)
     if not disagree.any():
         raise NoDisagreement("the predictors pick the same top class everywhere")
-    gaps = np.abs(model.label_probs[disagree] - other[disagree]).max(axis=1)
+    gaps = _row_max(np.abs(model.label_probs[disagree] - other[disagree]))
     c = float(gaps.min()) / model.k
     acc_gap = abs(population_accuracy(model, pi_star) - population_accuracy(model, pi))
     holds = tce(model, pi) >= c * acc_gap - 1e-12

@@ -96,7 +96,7 @@ class ToyTask:
     def bayes_accuracy(self) -> float:
         """Highest accuracy any predictor can reach in expectation: the mean
         top probability of the label-generating teacher."""
-        return float(self.teacher_probs.max(axis=1).mean())
+        return float(_row_max(self.teacher_probs).mean())
 
 
 def gen_toy_task(

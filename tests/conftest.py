@@ -23,7 +23,7 @@ def _tie_heavy_case(rng, k, s):
     if w.sum() == 0.0:
         w[rng.integers(0, s)] = 1.0
     ids = [f"x{i}" for i in range(s)]
-    return FiniteGenerativeModel(k, ids, w / w.sum(), label_probs), Predictor(ids, pred)
+    return FiniteGenerativeModel(k, ids, w / w.sum(), label_probs), Predictor(pred)
 
 
 def _zero_mass_group_case():
@@ -33,9 +33,7 @@ def _zero_mass_group_case():
         3, ["a", "b", "c"], [0.5, 0.5, 0.0],
         [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
     )
-    pred = Predictor(
-        ["a", "b", "c"], [[0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [0.6, 0.3, 0.1]]
-    )
+    pred = Predictor([[0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [0.6, 0.3, 0.1]])
     return model, pred
 
 
@@ -43,7 +41,7 @@ def _all_distinct_case(rng, k, s):
     model = make_model("dirichlet", k, s, alpha=1.0, seed=int(rng.integers(1 << 30)))
     pred = rng.dirichlet(np.ones(k), size=s)
     pred /= pred.sum(axis=1, keepdims=True)
-    return model, Predictor(model.support, pred)
+    return model, Predictor(pred)
 
 
 @pytest.fixture(scope="session")

@@ -106,7 +106,7 @@ def test_criterion_03_lower_bound_constant():
     while checked < 1000:
         n_support = int(rng.integers(2, 60))
         model = make_model("dirichlet", 4, n_support, alpha=1.0, seed=int(rng.integers(1 << 31)))
-        pi = Predictor(list(model.support), rng.dirichlet(np.ones(4), n_support))
+        pi = Predictor(rng.dirichlet(np.ones(4), n_support))
         ref = Predictor.from_model(model)
         try:
             c, holds = lower_bound_constant(model, ref, pi)
@@ -129,7 +129,7 @@ def test_criterion_04_cw_ece_bounded_by_tce():
     for i in range(1000):
         n_support = int(rng.integers(1, 101))
         model = make_model("dirichlet", 4, n_support, alpha=1.0, seed=10_000 + i)
-        pi = Predictor(list(model.support), rng.dirichlet(np.ones(4) * 0.8, n_support))
+        pi = Predictor(rng.dirichlet(np.ones(4) * 0.8, n_support))
         cw, t, holds = verify_ece_le_tce(model, pi)
         assert holds, f"instance {i}: cw={cw} > tce={t}"
     elapsed = time.perf_counter() - start

@@ -20,6 +20,7 @@ from calibkit.core import (
     Violation,
     _bad_simplex_rows,
     _check_bins,
+    _row_argmax,
     _row_max,
     _row_sum,
     _simplex_reason,
@@ -693,12 +694,13 @@ def _kernel_cases(k: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 17])
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 16, 17, 1000])
 def test_row_kernels_equal_numpy_reductions(k):
     for name, a in _kernel_cases(k).items():
         with np.errstate(invalid="ignore"):
             _assert_same_bits(_row_max(a), a.max(axis=-1))
             _assert_same_bits(_row_sum(a), a.sum(axis=-1))
+            _assert_same_bits(_row_argmax(a), np.argmax(a, axis=-1))
 
 
 def test_row_kernels_keep_the_input():

@@ -14,7 +14,7 @@ def _report():
 
 def test_confidence_mode_omits_bins_below_chance():
     report = _report()
-    svg = reliability_svg(report.conf_bins, report.n, report.k)
+    svg = reliability_svg(report.conf_bins, report.k)
     # Bins 1 and 2 end at or below 1/4 and cannot hold a top confidence; they
     # stay in the report data but are not drawn.
     counts = report.conf_bins[0]
@@ -26,7 +26,7 @@ def test_confidence_mode_omits_bins_below_chance():
 
 def test_svg_deterministic():
     report = _report()
-    a = reliability_svg(report.conf_bins, report.n, report.k)
-    b = reliability_svg(report.conf_bins, report.n, report.k)
+    a = reliability_svg(report.conf_bins, report.k)
+    b = reliability_svg(report.conf_bins, report.k)
     assert a == b
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")

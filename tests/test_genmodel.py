@@ -95,14 +95,14 @@ def test_label_distributions_reject_bad_rows(case):
 def test_predictor_rejects_bad_rows(case):
     row, reason = _BAD_ROWS[case]
     with pytest.raises(SimplexViolation) as exc:
-        Predictor(["a", "b"], [[0.5, 0.5], row])
+        Predictor([[0.5, 0.5], row])
     assert str(exc.value) == f"predictor confidences: row 1: {reason}"
 
 
 def test_predictor_rejects_a_non_matrix():
     for probs in (0.5, [0.5, 0.5], [[1.0], [1.0]]):
         with pytest.raises(SimplexViolation, match="must be an"):
-            Predictor(["a", "b"], probs)
+            Predictor(probs)
 
 
 def _row_verdicts(row: np.ndarray) -> list[bool]:
@@ -110,7 +110,7 @@ def _row_verdicts(row: np.ndarray) -> list[bool]:
     FiniteGenerativeModel each accept one probability row."""
     builders = [
         lambda: Dataset.from_arrays(row[None, :], np.array([0])),
-        lambda: Predictor(["x"], row[None, :]),
+        lambda: Predictor(row[None, :]),
         lambda: FiniteGenerativeModel(row.size, ["x"], [1.0], row[None, :]),
     ]
     verdicts = [_reference_row_reason(row) is None]
@@ -183,45 +183,33 @@ def test_sample_dataset_deterministic_given_seed():
 
 
 def test_predictor_unknown_point():
-    m = _one_point()
-    p = Predictor(["z"], [[0.25, 0.25, 0.25, 0.25]])
-    with pytest.raises(BadParams):
-        p.matrix_for(m.support)
-    m2 = make_model("dirichlet", 4, 5, alpha=1.0, seed=6)
-    subset = Predictor(m2.support[:4], m2.label_probs[:4])
-    with pytest.raises(BadParams):
-        subset.matrix_for(m2.support)
+    """A predictor with a row for only some of the support's points is
+    refused."""
+    m = make_model("dirichlet", 4, 5, alpha=1.0, seed=6)
+    subset = Predictor(m.label_probs[:4])
+    with pytest.raises(BadParams, match="must align with the support"):
+        subset.matrix_for(m.support)
 
 
 def test_matrix_for_aligned_support_is_the_probs_themselves(finite_cases):
-    """On the support it was built on a predictor returns its own matrix;
-    a permuted and a superset predictor of the same rows are refused."""
-    rng = np.random.default_rng(5)
+    """On a support of one point per row a predictor returns its own
+    matrix; a support one point shorter or longer is refused."""
     for model, predictor in finite_cases:
-        aligned = predictor.matrix_for(model.support)
-        assert aligned is predictor.probs
-        perm = rng.permutation(model.n_support)
-        permuted = Predictor([model.support[i] for i in perm], predictor.probs[perm])
-        if permuted.ids != model.support:
-            with pytest.raises(BadParams, match="must equal the support"):
-                permuted.matrix_for(model.support)
-        extra = np.full((1, model.k), 1.0 / model.k)
-        superset = Predictor(
-            ["extra"] + model.support, np.vstack([extra, predictor.probs])
-        )
-        with pytest.raises(BadParams, match="must equal the support"):
-            superset.matrix_for(model.support)
+        assert predictor.matrix_for(model.support) is predictor.probs
+        for support in (model.support[:-1], model.support + ["extra"]):
+            with pytest.raises(BadParams, match="must align with the support"):
+                predictor.matrix_for(support)
 
 
 def test_tce_examples():
     m = _one_point()
     assert tce(m, Predictor.from_model(m)) == 0.0
-    assert tce(m, Predictor(["a"], [[0, 1, 0, 0]])) == pytest.approx(0.5, abs=1e-15)
+    assert tce(m, Predictor([[0, 1, 0, 0]])) == pytest.approx(0.5, abs=1e-15)
     m2 = FiniteGenerativeModel(
         4, ["a", "b"], [0.5, 0.5], [[1, 0, 0, 0], [0.25, 0.25, 0.25, 0.25]]
     )
     # Per-point scaled L1 gaps of 0.5 and 0 average to 0.25.
-    pred = Predictor(["a", "b"], [[0, 1, 0, 0], [0.25, 0.25, 0.25, 0.25]])
+    pred = Predictor([[0, 1, 0, 0], [0.25, 0.25, 0.25, 0.25]])
     assert tce(m2, pred) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -234,10 +222,10 @@ def test_tce_symmetric_triangle_and_bounded():
         b = rng.dirichlet(np.ones(4), s)
         c = rng.dirichlet(np.ones(4), s)
         ma = FiniteGenerativeModel(4, [f"x{i}" for i in range(s)], w, a)
-        pb = Predictor([f"x{i}" for i in range(s)], b)
-        pc = Predictor([f"x{i}" for i in range(s)], c)
+        pb = Predictor(b)
+        pc = Predictor(c)
         mb = FiniteGenerativeModel(4, [f"x{i}" for i in range(s)], w, b)
-        pa = Predictor([f"x{i}" for i in range(s)], a)
+        pa = Predictor(a)
         assert tce(ma, pb) == pytest.approx(tce(mb, pa), abs=1e-12)
         assert tce(ma, pb) <= 2.0
         assert tce(ma, pc) <= tce(ma, pb) + tce(mb, pc) + 1e-12
@@ -284,7 +272,7 @@ def test_lower_bound_no_disagreement():
 
 def test_lower_bound_one_point():
     m = _one_point()
-    c, holds = lower_bound_constant(m, Predictor.from_model(m), Predictor(["a"], [[0, 1, 0, 0]]))
+    c, holds = lower_bound_constant(m, Predictor.from_model(m), Predictor([[0, 1, 0, 0]]))
     assert c == pytest.approx(0.25, abs=1e-15)
     assert holds
 
@@ -294,7 +282,7 @@ def test_lower_bound_random_sweep():
     checked = 0
     for seed in range(300):
         m = make_model("dirichlet", 4, 50, alpha=1.0, seed=seed)
-        pi = Predictor(list(m.support), rng.dirichlet(np.ones(4), 50))
+        pi = Predictor(rng.dirichlet(np.ones(4), 50))
         try:
             c, holds = lower_bound_constant(m, Predictor.from_model(m), pi)
         except NoDisagreement:
@@ -308,7 +296,7 @@ def test_verify_ece_le_tce_examples():
     m = _one_point()
     cw, t, holds = verify_ece_le_tce(m, Predictor.from_model(m))
     assert (cw, t, holds) == (0.0, 0.0, True)
-    cw, t, holds = verify_ece_le_tce(m, Predictor(["a"], [[0, 1, 0, 0]]))
+    cw, t, holds = verify_ece_le_tce(m, Predictor([[0, 1, 0, 0]]))
     assert cw == pytest.approx(0.5, abs=1e-12)
     assert t == pytest.approx(0.5, abs=1e-12)
     assert holds
@@ -316,7 +304,7 @@ def test_verify_ece_le_tce_examples():
 
 def test_population_cw_ece_groups_by_exact_value():
     model = FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[1, 0], [0, 1]])
-    half = Predictor(model.support, np.tile([0.5, 0.5], (2, 1)))
+    half = Predictor(np.tile([0.5, 0.5], (2, 1)))
     assert population_cw_ece(model, half) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -442,3 +430,44 @@ def test_greedy_prefix_matches_the_per_point_loops(finite_cases):
                 built = construct_bound_predictor(model, labels, target)
                 assert built.predictor.probs.tobytes() == expected[0].tobytes()
                 assert (built.achieved_acc, built.reference_acc) == expected[1:]
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_class_axis_reductions_equal_numpy_formulas(k):
+    """Every genmodel result that reduces over the class axis equals its
+    formula written with numpy's own argmax, max and sum, bit for bit: on
+    seeded Dirichlet models, a model whose rows are all ties, and predictors
+    with distinct and with tied entries."""
+    rng = np.random.default_rng(k)
+    s = 40
+    models = []
+    for seed in (0, 1):
+        model = make_model("dirichlet", k, s, alpha=0.7, seed=seed)
+        rows = np.random.default_rng(seed).dirichlet(np.full(k, 0.7), size=s)
+        assert model.label_probs.tobytes() == (rows / rows.sum(axis=1, keepdims=True)).tobytes()
+        models.append(model)
+    models.append(make_model("pure-random", k, s))
+    for model in models:
+        w, lp = model.weights, model.label_probs
+        ref = Predictor.from_model(model)
+        counts = rng.integers(0, 3, (s, k))
+        counts[:, -1] += 1
+        for pi in (Predictor(rng.dirichlet(np.ones(k), s)),
+                   Predictor(counts / counts.sum(axis=1, keepdims=True))):
+            pred = pi.probs
+            assert tce(model, pi) == float(w @ (np.abs(lp - pred).sum(axis=1) / k))
+            top = np.argmax(pred, axis=1)
+            assert population_accuracy(model, pi) == float(w @ lp[np.arange(s), top])
+            disagree = np.argmax(lp, axis=1) != top
+            gaps = np.abs(lp[disagree] - pred[disagree]).max(axis=1)
+            assert lower_bound_constant(model, ref, pi)[0] == float(gaps.min()) / k
+        for target in (0.0, 0.3, 0.5, 1.0):
+            got = labels_matching_accuracy(model, target)
+            assert got.tolist() == _reference_labels_matching_accuracy(model, target).tolist()
+        labels = rng.integers(0, k, s)
+        a_star = float(w @ (np.argmax(lp, axis=1) == labels))
+        for target in (a_star / 2, a_star, (a_star + 1) / 2):
+            built = construct_bound_predictor(model, labels, target)
+            out, achieved, reference = _reference_construct_bound_predictor(model, labels, target)
+            assert built.predictor.probs.tobytes() == out.tobytes()
+            assert (built.achieved_acc, built.reference_acc) == (achieved, reference)

@@ -153,7 +153,7 @@ def test_population_gaps_group_signed_zeros_together():
     # Predictor accepts both rows; as floats their class-0 confidences are
     # one group, whose class-0 frequency 0 matches it exactly.
     model = FiniteGenerativeModel(3, ["a", "b"], [0.5, 0.5], [[0, 1, 0], [0, 0, 1]])
-    pred = Predictor(["a", "b"], [[-0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    pred = Predictor([[-0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
     assert population_cw_ece(model, pred) == 0.0
 
 

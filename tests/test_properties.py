@@ -71,7 +71,7 @@ def test_population_cw_ece_bounded_by_tce(data):
     )
     ids = [f"x{i}" for i in range(s)]
     model = FiniteGenerativeModel(k, ids, w / w.sum(), _rows(data.draw, s, k))
-    predictor = Predictor(ids, _rows(data.draw, s, k))
+    predictor = Predictor(_rows(data.draw, s, k))
     assert population_cw_ece(model, predictor) <= tce(model, predictor) + 1e-12
 
 
@@ -504,7 +504,7 @@ def test_bound_theorems_hold_on_random_finite_models(data):
     labels = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=s, max_size=s)))
     target = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     reference = Predictor.from_model(model)
-    predictors = [Predictor(model.support, _rows(data.draw, s, k))]
+    predictors = [Predictor(_rows(data.draw, s, k))]
     try:
         built = construct_bound_predictor(model, labels, target)
     except UnreachableAccuracy:

@@ -63,7 +63,7 @@ KNOBS = {
     ),
     "FiniteGenerativeModel": ("k", "support", "weights", "label_probs"),
     "LinearPolicy": ("d", "k", "W"),
-    "Predictor": ("ids", "probs"),
+    "Predictor": ("probs",),
     "TabularPolicy": ("logits",),
     "ToyTask": ("features", "labels", "k", "teacher_weights", "teacher_temperature"),
     "accuracy": ("ds",),
@@ -227,3 +227,44 @@ def test_every_private_module_name_is_read_by_some_module():
     assert _unread_private_names({"m": "def _helper():\n    pass\n_X = 1\nprint(_X)\n"}) == [
         "m._helper"
     ]
+
+
+def _module_value(tree: ast.Module, name: str) -> ast.expr:
+    """The expression a module-level ``name = ...`` assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"no module-level assignment to {name}")
+
+
+def _traced_names() -> set[str]:
+    """Every ``layer.attr[.attr]`` name the benchmark harness reads, parsed
+    from its sources without importing them: the span names in ``run.py``'s
+    ``SPAN_METRICS``, the ``COUNTERS`` and ``MEM_PROBES`` keys of
+    ``tracer.py``, and its ``originals["..."]`` lookups."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    run = ast.parse((bench / "run.py").read_text(encoding="utf-8"))
+    tracer = ast.parse((bench / "tracer.py").read_text(encoding="utf-8"))
+    names = {ast.literal_eval(row.elts[2]) for row in _module_value(run, "SPAN_METRICS").elts}
+    names |= {ast.literal_eval(key) for key in _module_value(tracer, "COUNTERS").keys}
+    names |= set(ast.literal_eval(_module_value(tracer, "MEM_PROBES")))
+    names |= {
+        node.slice.value for node in ast.walk(tracer)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "originals" and isinstance(node.slice, ast.Constant)
+    }
+    return names
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    names = _traced_names()
+    assert "genmodel.Predictor.matrix_for" in names and len(names) >= 25
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"calibkit.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        assert callable(obj), name
