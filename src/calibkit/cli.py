@@ -8,8 +8,8 @@ file that is not UTF-8, and, through ``run``, a stdout that cannot be
 written. File writes are atomic (temp file + rename), and every subcommand
 is deterministic given its inputs, flags, and seed.
 
-A process loads only the layer modules its subcommand runs (``_LAYERS``);
-``--help`` loads none beyond this module and ``core``.
+Each ``cmd_*`` function imports the layer modules it runs, so a process
+loads only those; ``--help`` loads none beyond this module and ``core``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import importlib
 import json
 import math
 import os
@@ -79,8 +78,17 @@ def _atomic_write(path: str, data) -> None:
         raise
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_JSON_BATCH = 16384
+
+
+def _dump_json(obj):
+    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, ``_JSON_BATCH`` encoder chunks per string: a write per chunk is
+    slower, and one string holds the whole file in memory."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        yield "".join(batch)
+    yield "\n"
 
 
 def _parse_bins(text: str) -> int | None:
@@ -367,8 +375,7 @@ def cmd_eval(args) -> int:
 def _check_memory(flags: str, nbytes: int) -> None:
     """Raise ``MemoryError``, which ``main`` reports, when ``nbytes``, a lower
     bound on what the sizes ``flags`` ask for, exceed physical memory. numpy
-    cannot even size some such arrays, and ``make_model`` grows its id list
-    before any array, so nothing of that size is attempted."""
+    cannot even size some such arrays, so nothing of that size is attempted."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -403,12 +410,7 @@ def cmd_simulate(args) -> int:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     k, support = max(args.k, 0), max(args.support, 0)
-    # The float64 label rows and confidences, and make_model's support ids:
-    # a list slot and an "x{i}" str of at least sys.getsizeof("x0") bytes each.
-    _check_memory(
-        "--k, --support and --n",
-        8 * k * (support + args.n) + (8 + sys.getsizeof("x0")) * support,
-    )
+    _check_memory("--k, --support and --n", 8 * k * (support + args.n))  # label rows, confidences
     _check_bin_memory(k, args.bins, False)
     model = make_model(args.model, args.k, args.support, alpha=args.alpha, seed=args.seed)
     predictor = Predictor.from_model(model)
@@ -654,16 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each cmd_* function's layer modules. main imports them before it builds the
-# parser; compiled after it, they left ~0.1 MB more heap resident at peak.
-_LAYERS = {"eval": ("metrics", "diagram"), "simulate": ("genmodel", "metrics"),
-           "bounds": ("genmodel",), "train-toy": ("toylab", "diagram"), "winrate": ("metrics",)}
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    for layer in _LAYERS.get(argv[0] if argv else "", ()):
-        importlib.import_module(f"{__package__}.{layer}")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

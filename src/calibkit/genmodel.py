@@ -48,53 +48,50 @@ class NoDisagreement(CalibrationError):
 class FiniteGenerativeModel:
     """Finite-support distribution over points, each with a label distribution."""
 
-    def __init__(self, k: int, support: Sequence[str], weights, label_probs):
-        support = [str(s) for s in support]
+    def __init__(self, k: int, weights, label_probs):
         weights = np.asarray(weights, dtype=float)
         label_probs = np.asarray(label_probs, dtype=float)
         if k < 2:
             raise BadParams("class count k must be >= 2")
-        if len(support) != len(set(support)):
-            raise BadParams("support ids must be unique")
-        if weights.shape != (len(support),):
+        if weights.ndim != 1 or weights.shape != label_probs.shape[:1]:
             raise BadParams("weights must align with the support")
-        if not support:
+        if not weights.size:
             raise BadParams("support must be nonempty")
         if not np.isfinite(weights).all() or weights.min() < 0.0:
             raise BadParams("weights must be finite and nonnegative")
         gap, total = _sum_gaps(weights[None, :], np.ones(1, dtype=bool))
         if gap[0] > SIMPLEX_ATOL:
             raise BadParams(f"weights sum to {float(total[0])!r}, not 1")
-        if label_probs.shape != (len(support), k):
+        if label_probs.shape != (weights.size, k):
             raise BadParams("label_probs must be (n_support, k)")
         _check_simplex_rows(label_probs, "label distributions")
         self.k = k
-        self.support = support
         self.weights = weights
         self.label_probs = label_probs
 
     @property
     def n_support(self) -> int:
-        return len(self.support)
+        return self.weights.size
+
+    @property
+    def support(self) -> range:
+        """Point i is row i of ``weights`` and ``label_probs``."""
+        return range(self.n_support)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "support": [
-                {
-                    "id": self.support[i],
-                    "weight": float(self.weights[i]),
-                    "label_dist": [float(p) for p in self.label_probs[i]],
-                }
-                for i in range(self.n_support)
-            ],
-        }
+        """The model file: point i has the id ``x{i}``."""
+        rows = zip(self.weights.tolist(), self.label_probs.tolist())
+        return {"k": self.k, "support": [
+            {"id": f"x{i}", "weight": weight, "label_dist": row}
+            for i, (weight, row) in enumerate(rows)
+        ]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteGenerativeModel":
-        """Parse ``to_json_dict`` output. ``k`` must be an integer; a missing
-        key, a non-numeric weight or entry, or ragged label rows raise
-        ``BadParams``."""
+        """Parse a model file, as ``to_json_dict`` writes it. ``k`` must be an
+        integer, and once k >= 2 each point's ``id`` must be unique as a str;
+        a missing key, a non-numeric weight or entry, or ragged label rows
+        raise ``BadParams``. The ids are not kept."""
         try:
             k = operator.index(obj["k"])
             points = obj["support"]
@@ -103,7 +100,9 @@ class FiniteGenerativeModel:
             rows = np.asarray([p["label_dist"] for p in points], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadParams(f"malformed model object: {exc}") from exc
-        return cls(k, ids, weights, rows)
+        if k >= 2 and len(set(map(str, ids))) != len(ids):
+            raise BadParams("support ids must be unique")
+        return cls(k, weights, rows)
 
 
 class Predictor:
@@ -121,12 +120,10 @@ class Predictor:
     def k(self) -> int:
         return self.probs.shape[1]
 
-    def matrix_for(self, support: Sequence[str]) -> np.ndarray:
+    def matrix_for(self, support: Sequence) -> np.ndarray:
         """This predictor's confidence rows for ``support``, which must have
-        one point per row; a support of another length raises ``BadParams``.
-
-        The result is ``self.probs`` itself, not a copy: callers only read it.
-        """
+        one point per row (a support of another length raises ``BadParams``):
+        ``self.probs`` itself, not a copy, as callers only read it."""
         if len(support) != self.probs.shape[0]:
             raise BadParams("predictor rows must align with the support")
         return self.probs
@@ -135,6 +132,16 @@ class Predictor:
     def from_model(cls, model: FiniteGenerativeModel) -> "Predictor":
         """The model's own label distribution used as a predictor."""
         return cls(model.label_probs.copy())
+
+
+def _confidences(model: FiniteGenerativeModel, predictor: Predictor) -> np.ndarray:
+    """The predictor's confidence rows for the model's support points, where
+    every public function that takes both meets them: ``BadParams`` unless
+    there is one row per point and one entry per class."""
+    pred = predictor.matrix_for(model.support)
+    if pred.shape != model.label_probs.shape:
+        raise BadParams("predictor rows must align with the support")
+    return pred
 
 
 def make_model(
@@ -156,7 +163,6 @@ def make_model(
         raise BadParams("n_support must be >= 1")
     if k < 2:
         raise BadParams("k must be >= 2")
-    ids = [f"x{i}" for i in range(n_support)]
     weights = np.full(n_support, 1.0 / n_support)
     if kind == "pure-random":
         rows = np.full((n_support, k), 1.0 / k)
@@ -170,7 +176,7 @@ def make_model(
         rows = rng.dirichlet(np.full(k, float(alpha)), size=n_support)
         # Sampler rows can sit a few ulp off unit sum; pin them down.
         rows = rows / _row_sum(rows)[:, None]
-    return FiniteGenerativeModel(k, ids, weights, rows)
+    return FiniteGenerativeModel(k, weights, rows)
 
 
 def _draw_labels(label_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -190,7 +196,7 @@ def sample_dataset(
     """Draw n i.i.d. (point, label) pairs and attach the predictor's confidences."""
     if n < 1:
         raise BadParams("n must be >= 1")
-    pred = predictor.matrix_for(model.support)
+    pred = _confidences(model, predictor)
     rng = np.random.default_rng(seed)
     idx = rng.choice(model.n_support, size=n, p=model.weights)
     labels = _draw_labels(model.label_probs[idx], rng.random(n))
@@ -209,7 +215,7 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
 
 def population_accuracy(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Probability that the predictor's top choice matches a label drawn from p*."""
-    pred = predictor.matrix_for(model.support)
+    pred = _confidences(model, predictor)
     top = _row_argmax(pred)
     return _weighted_sum(model.weights, model.label_probs[np.arange(model.n_support), top])
 
@@ -249,7 +255,7 @@ def _greedy_prefix(weights: np.ndarray, target: float) -> tuple[int, float]:
 
 def tce(model: FiniteGenerativeModel, predictor: Predictor) -> float:
     """Expected per-class L1 gap (scaled by 1/k) between p* and the predictor."""
-    pred = predictor.matrix_for(model.support)
+    pred = _confidences(model, predictor)
     per_point = _row_sum(np.abs(model.label_probs - pred)) / model.k
     return _weighted_sum(model.weights, per_point)
 
@@ -319,8 +325,8 @@ def lower_bound_constant(
     pick different top classes, and whether it lower-bounds TCE against the
     accuracy difference (it must).
     """
-    ref = pi_star.matrix_for(model.support)
-    other = pi.matrix_for(model.support)
+    ref = _confidences(model, pi_star)
+    other = _confidences(model, pi)
     disagree = _row_argmax(ref) != _row_argmax(other)
     if not disagree.any():
         raise NoDisagreement("the predictors pick the same top class everywhere")
@@ -360,7 +366,7 @@ def population_cw_ece(model: FiniteGenerativeModel, predictor: Predictor) -> flo
     the sum over groups and classes is divided by k. One sort per class:
     O(k * s log s) for s support points.
     """
-    pred = predictor.matrix_for(model.support)
+    pred = _confidences(model, predictor)
     total = 0.0
     for j in range(model.k):
         vals, mass, freq = _group_means(pred[:, j], model.weights, model.label_probs[:, j])

@@ -545,13 +545,15 @@ def _sft_baseline(task: ToyTask, epochs: int, lr: float) -> LinearPolicy:
 
 
 def _run_mode(task: ToyTask, mode: str, epochs: int, lr: float, epsilon: float,
-              em: EmConfig | None, bins: int) -> tuple[Dataset, Dataset, list[dict]]:
+              em: EmConfig | None, bins: int,
+              start: LinearPolicy | None = None) -> tuple[Dataset, Dataset, list[dict]]:
     """Run one ``train-toy`` mode on the task: the datasets of the start
     policy and of the result, and the history.
 
     sft-only and label-smooth train a zero ``LinearPolicy`` and ece-only a
-    zero ``TabularPolicy``; cft, rcft and ts start from ``_sft_baseline(task,
-    epochs, lr)``. ts fits a temperature to the start at ``bins`` bins
+    zero ``TabularPolicy``; cft, rcft and ts start from ``start``, or, when it
+    is None, from ``_sft_baseline(task, epochs, lr)``. cft trains its start
+    in place. ts fits a temperature to the start at ``bins`` bins
     (``fit_temperature``); the result is the tempered start and the history
     is the fit's one row. The other modes run ``train`` with the arguments;
     ece-only runs its cft loop, which the caller's ``em`` with
@@ -562,7 +564,7 @@ def _run_mode(task: ToyTask, mode: str, epochs: int, lr: float, epsilon: float,
     elif mode == "ece-only":
         policy = TabularPolicy.zeros(task.n, task.k)
     elif mode in ("cft", "rcft", "ts"):
-        policy = _sft_baseline(task, epochs, lr)
+        policy = _sft_baseline(task, epochs, lr) if start is None else start
     else:
         raise BadParams(f"unknown training mode {mode!r}")
     before = task_dataset(task, policy)
@@ -578,11 +580,12 @@ def _run_mode(task: ToyTask, mode: str, epochs: int, lr: float, epsilon: float,
 
 
 # Pinned study configuration: one task and budget per stage, reused by the
-# acceptance suite so published numbers are reproducible. The study and
-# `train-toy` run each stage through the same `_run_mode`, but the CLI
-# defaults differ: `train-toy --mode rcft` uses its --lr (0.5) as the EM rate
-# where the study uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8)
-# where the study runs ece_only_epochs.
+# acceptance suite so published numbers are reproducible. The study's sft
+# stage is `_sft_baseline`, where `train-toy`'s cft and rcft start, and both
+# run the other stages through the same `_run_mode`. The CLI defaults differ:
+# `train-toy --mode rcft` uses its --lr (0.5) as the EM rate where the study
+# uses rcft_em_lr, and `--mode ece-only` runs --em-epochs (8) where the study
+# runs ece_only_epochs.
 STUDY = {
     "d": 32,
     "k": 4,
@@ -604,31 +607,29 @@ def tradeoff_study(seed: int = 42) -> dict:
     Stages: plain-descent baseline (fits the labels, leaves a calibration
     gap), EM calibration at lam = 1 from that endpoint, the stronger-fit
     analog (tabular capacity, then EM at lam = 1), and target-only training
-    from scratch (no fit term). Returns the task's critical accuracy,
-    ``bayes_accuracy``, and each stage's endpoint ``metric_row`` under
-    ``sft``, ``cft``, ``rcft`` and ``ece_only``.
+    from scratch (no fit term). The baseline is fitted once: cft trains a
+    copy of it, and rcft only reads its confidences. Returns the task's
+    critical accuracy, ``bayes_accuracy``, and each stage's endpoint
+    ``metric_row`` under ``sft``, ``cft``, ``rcft`` and ``ece_only``.
     """
-    task = gen_toy_task(
-        d=STUDY["d"], k=STUDY["k"], n=STUDY["n"],
-        teacher_temperature=STUDY["teacher_temperature"], seed=seed,
-    )
+    task = gen_toy_task(STUDY["d"], STUDY["k"], STUDY["n"], STUDY["teacher_temperature"], seed)
     bins = STUDY["bins"]
 
     def em(epochs: int, lr: float, sft_weight: float = 1.0) -> EmConfig:
-        return EmConfig(
-            epochs=epochs, bins=bins, lam=1.0, sft_weight=sft_weight, learning_rate=lr
-        )
+        return EmConfig(epochs=epochs, bins=bins, lam=1.0, sft_weight=sft_weight, learning_rate=lr)
 
+    def row(ds: Dataset) -> dict:
+        return metric_row(ds.probs_matrix, ds.labels_array, bins)
+
+    baseline = _sft_baseline(task, STUDY["sft_epochs"], STUDY["sft_lr"])
+    copy = LinearPolicy(task.d, task.k, baseline.W)
     stages = {
-        "sft": ("sft-only", None),
-        "cft": ("cft", em(STUDY["em_epochs"], STUDY["em_lr"])),
-        "rcft": ("rcft", em(STUDY["em_epochs"], STUDY["rcft_em_lr"])),
-        "ece_only": ("ece-only", em(STUDY["ece_only_epochs"], STUDY["em_lr"], sft_weight=0.0)),
+        "cft": ("cft", em(STUDY["em_epochs"], STUDY["em_lr"]), copy),
+        "rcft": ("rcft", em(STUDY["em_epochs"], STUDY["rcft_em_lr"]), baseline),
+        "ece_only": ("ece-only", em(STUDY["ece_only_epochs"], STUDY["em_lr"], 0.0), None),
     }
-    out = {"bayes_accuracy": task.bayes_accuracy}
-    for key, (mode, cfg) in stages.items():
-        _, after, _ = _run_mode(
-            task, mode, STUDY["sft_epochs"], STUDY["sft_lr"], epsilon=0.0, em=cfg, bins=bins
-        )
-        out[key] = metric_row(after.probs_matrix, after.labels_array, bins)
+    out = {"bayes_accuracy": task.bayes_accuracy, "sft": row(task_dataset(task, baseline))}
+    for key, (mode, cfg, start) in stages.items():
+        out[key] = row(_run_mode(task, mode, STUDY["sft_epochs"], STUDY["sft_lr"], 0.0, cfg,
+                                 bins, start)[1])
     return out

@@ -22,15 +22,14 @@ def _tie_heavy_case(rng, k, s):
     w = rng.integers(0, 4, size=s).astype(float)
     if w.sum() == 0.0:
         w[rng.integers(0, s)] = 1.0
-    ids = [f"x{i}" for i in range(s)]
-    return FiniteGenerativeModel(k, ids, w / w.sum(), label_probs), Predictor(pred)
+    return FiniteGenerativeModel(k, w / w.sum(), label_probs), Predictor(pred)
 
 
 def _zero_mass_group_case():
     """Point c has zero weight and a predicted vector, and per-class values,
     that no other point shares, so every grouping has a zero-mass group."""
     model = FiniteGenerativeModel(
-        3, ["a", "b", "c"], [0.5, 0.5, 0.0],
+        3, [0.5, 0.5, 0.0],
         [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
     )
     pred = Predictor([[0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [0.6, 0.3, 0.1]])

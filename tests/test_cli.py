@@ -175,12 +175,12 @@ class _Reached(Exception):
     pass
 
 
-def test_simulate_charges_each_support_id_against_physical_memory(monkeypatch, capsys):
-    """``make_model`` builds one ``x{i}`` str per support point. On a machine
-    of 8 GiB, ``--support 10**8 --k 4`` needs 3.2 GB of float64 rows but
-    5.9 GB more for those ids (a list slot and at least 51 bytes of str
-    each), so it stops before building anything; ``--support 10**7`` gets
-    as far as ``make_model``."""
+def test_simulate_charges_its_float_arrays_against_physical_memory(monkeypatch, capsys):
+    """``simulate`` charges 8 bytes per label-row and confidence entry. On a
+    machine of 8 GiB, ``--support 3 * 10**8 --k 4`` needs 9.6 GB of float64
+    rows, so it stops before building anything; ``--support 10**8`` needs
+    3.2 GB and gets as far as ``make_model``, which builds no str per
+    point."""
     phys = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(cli.os, "sysconf", phys.__getitem__)
 
@@ -188,15 +188,15 @@ def test_simulate_charges_each_support_id_against_physical_memory(monkeypatch, c
         raise _Reached
 
     monkeypatch.setattr(genmodel, "make_model", reached)
-    assert main(["simulate", "--support", str(10**8), "--k", "4", "--n", "5"]) == 1
-    need = 8 * 4 * (10**8 + 5) + (8 + 51) * 10**8
+    assert main(["simulate", "--support", str(3 * 10**8), "--k", "4", "--n", "5"]) == 1
+    need = 8 * 4 * (3 * 10**8 + 5)
     assert capsys.readouterr() == (
         "",
         f"error: out of memory: --k, --support and --n need at least {need} bytes, "
         f"more than the {2**33} bytes of physical memory\n",
     )
     with pytest.raises(_Reached):
-        main(["simulate", "--support", str(10**7), "--k", "4", "--n", "5"])
+        main(["simulate", "--support", str(10**8), "--k", "4", "--n", "5"])
 
 
 # Physical memory of 8 GiB, as os.sysconf reports it.
@@ -350,6 +350,61 @@ def test_bounds_empty_support_names_the_problem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: bad model file: support must be nonempty\n"
+
+
+def _point(pid="a", weight=0.5, row=(0.5, 0.5)):
+    return {"id": pid, "weight": weight, "label_dist": list(row)}
+
+
+def _numpy_message(values) -> str:
+    """The ``ValueError`` text numpy gives for ``values`` as a float array."""
+    with pytest.raises(ValueError) as exc:
+        np.asarray(values, dtype=float)
+    return str(exc.value)
+
+
+# Model files ``bounds`` refuses, each with its one stderr line after
+# "error: ". A point's id is checked once the file parses and k is at least
+# 2, before the weights and rows.
+_BAD_MODELS = {
+    "duplicate-ids": ({"k": 2, "support": [_point(), _point()]},
+                      "bad model file: support ids must be unique"),
+    "ids-1-and-str-1": ({"k": 2, "support": [_point(1), _point("1")]},
+                        "bad model file: support ids must be unique"),
+    "point-without-id": ({"k": 2, "support": [_point(), {"weight": 0.5, "label_dist": [0.5, 0.5]}]},
+                         "bad model file: malformed model object: 'id'"),
+    "k-1-duplicate-ids": ({"k": 1, "support": [_point(row=[1.0]), _point(row=[1.0])]},
+                          "bad model file: class count k must be >= 2"),
+    "empty-support": ({"k": 2, "support": []}, "bad model file: support must be nonempty"),
+    "k-2.0": ({"k": 2.0, "support": [_point("a"), _point("b")]},
+              "bad model file: malformed model object: "
+              "'float' object cannot be interpreted as an integer"),
+    "ragged-rows": ({"k": 2, "support": [_point("a"), _point("b", row=(0.2, 0.3, 0.5))]},
+                    "bad model file: malformed model object: "
+                    + _numpy_message([[0.5, 0.5], [0.2, 0.3, 0.5]])),
+    "weights-sum-1.1": ({"k": 2, "support": [_point("a", 0.6), _point("b")]},
+                        "bad model file: weights sum to 1.1, not 1"),
+    "row-off-simplex": ({"k": 2, "support": [_point("a"), _point("b", row=(0.6, 0.5))]},
+                        "SimplexViolation: label distributions: row 1: entries sum to 1.1, not 1"),
+    "list-weight": ({"k": 2, "support": [_point("a", [0.5]), _point("b", [0.5])]},
+                    "bad model file: weights must align with the support"),
+    "one-list-weight": ({"k": 2, "support": [_point("a", [0.5]), _point("b")]},
+                        "bad model file: malformed model object: "
+                        + _numpy_message([[0.5], 0.5])),
+    "k-disagrees-with-rows": ({"k": 3, "support": [_point("a"), _point("b")]},
+                              "bad model file: label_probs must be (n_support, k)"),
+    "duplicate-ids-bad-weights": ({"k": 2, "support": [_point(weight=0.9), _point(weight=0.9)]},
+                                  "bad model file: support ids must be unique"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MODELS))
+def test_bounds_refuses_a_bad_model_file_with_one_error_line(case, tmp_path, capsys):
+    obj, message = _BAD_MODELS[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["bounds", "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_eval_validation_error_reports_kind(tmp_path, capsys):
@@ -819,6 +874,36 @@ def _check_simulate_out(model, k, alpha, tmp_path):
     written = (tmp_path / "sim.jsonl").read_bytes()
     assert written == _per_record_jsonl(ds).encode("utf-8")
     return written
+
+
+def _json_objects() -> dict:
+    """An ``eval`` report, a model, a plain-descent history (whose rows hold
+    ``mean_ece: None``), a -0.0, and a list of more encoder chunks than one
+    batch."""
+    ds = validate_dataset([
+        {"id": "a", "confidences": [0.7, 0.2, 0.1], "label": 0},
+        {"id": "b", "confidences": [0.1, 0.3, 0.6], "label": 1},
+    ])
+    task = toylab.gen_toy_task(d=3, k=2, n=20, seed=1)
+    _, history = toylab.train(toylab.LinearPolicy(3, 2), task, "sft-only", epochs=2)
+    assert history[0]["mean_ece"] is None
+    return {
+        "report": metrics.build_report(ds, 5).to_json_dict(),
+        "model": make_model("dirichlet", 3, 4, seed=2).to_json_dict(),
+        "history": history,
+        "negative-zero": -0.0,
+        "batches": [i / 7 for i in range(cli._JSON_BATCH)] + [-0.0, {"b": None, "a": 1}],
+    }
+
+
+@pytest.mark.parametrize("name", list(_json_objects()))
+def test_json_files_are_the_bytes_json_dumps_writes(name, tmp_path):
+    obj = _json_objects()[name]
+    path = tmp_path / "out.json"
+    cli._atomic_write(str(path), cli._dump_json(obj))
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    if name == "batches":
+        assert len(list(cli._dump_json(obj))) > 2  # two batches or more, then "\n"
 
 
 @pytest.mark.parametrize("model", ["pure-random", "deterministic", "dirichlet"])

@@ -43,7 +43,7 @@ def labeled_accuracy(
 
 
 def _one_point():
-    return FiniteGenerativeModel(4, ["a"], [1.0], [[1, 0, 0, 0]])
+    return FiniteGenerativeModel(4, [1.0], [[1, 0, 0, 0]])
 
 
 def test_make_model_pure_random():
@@ -87,7 +87,7 @@ _BAD_ROWS = {
 def test_label_distributions_reject_bad_rows(case):
     row, reason = _BAD_ROWS[case]
     with pytest.raises(SimplexViolation) as exc:
-        FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[0.5, 0.5], row])
+        FiniteGenerativeModel(2, [0.5, 0.5], [[0.5, 0.5], row])
     assert str(exc.value) == f"label distributions: row 1: {reason}"
 
 
@@ -111,7 +111,7 @@ def _row_verdicts(row: np.ndarray) -> list[bool]:
     builders = [
         lambda: Dataset.from_arrays(row[None, :], np.array([0])),
         lambda: Predictor(row[None, :]),
-        lambda: FiniteGenerativeModel(row.size, ["x"], [1.0], row[None, :]),
+        lambda: FiniteGenerativeModel(row.size, [1.0], row[None, :]),
     ]
     verdicts = [_reference_row_reason(row) is None]
     for build in builders:
@@ -130,28 +130,29 @@ def test_rows_at_the_tolerance_edge_get_one_verdict():
 
 def test_support_weights_must_sum_to_one():
     with pytest.raises(BadParams, match="weights sum to 1.1, not 1"):
-        FiniteGenerativeModel(2, ["a", "b"], [0.6, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+        FiniteGenerativeModel(2, [0.6, 0.5], [[0.5, 0.5], [0.5, 0.5]])
     # The exact sum decides, as for a probability row.
     for weights, accepted in ((_ROW_A, False), (_ROW_B, True)):
-        ids = [f"x{i}" for i in range(len(weights))]
         labels = [[0.5, 0.5]] * len(weights)
         if accepted:
-            FiniteGenerativeModel(2, ids, weights, labels)
+            FiniteGenerativeModel(2, weights, labels)
         else:
             with pytest.raises(BadParams, match="weights sum to 0.9999999989999999"):
-                FiniteGenerativeModel(2, ids, weights, labels)
+                FiniteGenerativeModel(2, weights, labels)
 
 
 def test_sample_dataset_on_an_edge_row_model():
-    model = FiniteGenerativeModel(3, ["x"], [1.0], [_ROW_B])
+    model = FiniteGenerativeModel(3, [1.0], [_ROW_B])
     ds = sample_dataset(model, Predictor.from_model(model), 50, seed=3)
     assert ds.n == 50 and ds.probs_matrix.tolist() == [_ROW_B] * 50
 
 
 def test_model_json_round_trip():
     m = make_model("dirichlet", 4, 7, alpha=0.5, seed=5)
-    back = FiniteGenerativeModel.from_json_dict(m.to_json_dict())
-    assert back.support == m.support
+    obj = m.to_json_dict()
+    assert [point["id"] for point in obj["support"]] == [f"x{i}" for i in range(7)]
+    back = FiniteGenerativeModel.from_json_dict(obj)
+    assert back.support == m.support == range(7)
     assert np.array_equal(back.weights, m.weights)
     assert np.array_equal(back.label_probs, m.label_probs)
 
@@ -196,9 +197,35 @@ def test_matrix_for_aligned_support_is_the_probs_themselves(finite_cases):
     matrix; a support one point shorter or longer is refused."""
     for model, predictor in finite_cases:
         assert predictor.matrix_for(model.support) is predictor.probs
-        for support in (model.support[:-1], model.support + ["extra"]):
+        for support in (model.support[:-1], range(model.n_support + 1)):
             with pytest.raises(BadParams, match="must align with the support"):
                 predictor.matrix_for(support)
+
+
+# Each public function that takes a model and a predictor, called with them.
+_MODEL_AND_PREDICTOR = {
+    "sample_dataset": lambda m, p: sample_dataset(m, p, 10, seed=0),
+    "population_accuracy": population_accuracy,
+    "tce": tce,
+    "lower_bound_constant-pi_star":
+        lambda m, p: lower_bound_constant(m, p, Predictor.from_model(m)),
+    "lower_bound_constant-pi":
+        lambda m, p: lower_bound_constant(m, Predictor.from_model(m), p),
+    "population_cw_ece": population_cw_ece,
+    "verify_ece_le_tce": verify_ece_le_tce,
+}
+
+
+@pytest.mark.parametrize("call", list(_MODEL_AND_PREDICTOR))
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (2, 4)], ids=["3-class", "5-class", "2-rows"])
+def test_a_predictor_of_another_shape_is_refused_where_it_meets_the_model(call, shape):
+    """A predictor needs one row per support point and one entry per class:
+    a 3- or 5-class predictor on a 4-class model, or one with too few rows,
+    raises the same ``BadParams``."""
+    model = make_model("dirichlet", 4, 3, seed=1)
+    predictor = Predictor(np.full(shape, 1.0 / shape[1]))
+    with pytest.raises(BadParams, match="^predictor rows must align with the support$"):
+        _MODEL_AND_PREDICTOR[call](model, predictor)
 
 
 def test_tce_examples():
@@ -206,7 +233,7 @@ def test_tce_examples():
     assert tce(m, Predictor.from_model(m)) == 0.0
     assert tce(m, Predictor([[0, 1, 0, 0]])) == pytest.approx(0.5, abs=1e-15)
     m2 = FiniteGenerativeModel(
-        4, ["a", "b"], [0.5, 0.5], [[1, 0, 0, 0], [0.25, 0.25, 0.25, 0.25]]
+        4, [0.5, 0.5], [[1, 0, 0, 0], [0.25, 0.25, 0.25, 0.25]]
     )
     # Per-point scaled L1 gaps of 0.5 and 0 average to 0.25.
     pred = Predictor([[0, 1, 0, 0], [0.25, 0.25, 0.25, 0.25]])
@@ -221,10 +248,10 @@ def test_tce_symmetric_triangle_and_bounded():
         a = rng.dirichlet(np.ones(4), s)
         b = rng.dirichlet(np.ones(4), s)
         c = rng.dirichlet(np.ones(4), s)
-        ma = FiniteGenerativeModel(4, [f"x{i}" for i in range(s)], w, a)
+        ma = FiniteGenerativeModel(4, w, a)
         pb = Predictor(b)
         pc = Predictor(c)
-        mb = FiniteGenerativeModel(4, [f"x{i}" for i in range(s)], w, b)
+        mb = FiniteGenerativeModel(4, w, b)
         pa = Predictor(a)
         assert tce(ma, pb) == pytest.approx(tce(mb, pa), abs=1e-12)
         assert tce(ma, pb) <= 2.0
@@ -303,7 +330,7 @@ def test_verify_ece_le_tce_examples():
 
 
 def test_population_cw_ece_groups_by_exact_value():
-    model = FiniteGenerativeModel(2, ["a", "b"], [0.5, 0.5], [[1, 0], [0, 1]])
+    model = FiniteGenerativeModel(2, [0.5, 0.5], [[1, 0], [0, 1]])
     half = Predictor(np.tile([0.5, 0.5], (2, 1)))
     assert population_cw_ece(model, half) == pytest.approx(0.0, abs=1e-15)
 

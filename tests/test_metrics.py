@@ -152,7 +152,7 @@ def test_ece_bounds_on_random_data():
 def test_population_gaps_group_signed_zeros_together():
     # Predictor accepts both rows; as floats their class-0 confidences are
     # one group, whose class-0 frequency 0 matches it exactly.
-    model = FiniteGenerativeModel(3, ["a", "b"], [0.5, 0.5], [[0, 1, 0], [0, 0, 1]])
+    model = FiniteGenerativeModel(3, [0.5, 0.5], [[0, 1, 0], [0, 0, 1]])
     pred = Predictor([[-0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
     assert population_cw_ece(model, pred) == 0.0
 

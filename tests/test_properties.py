@@ -69,8 +69,7 @@ def test_population_cw_ece_bounded_by_tce(data):
         data.draw(st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(any)),
         dtype=float,
     )
-    ids = [f"x{i}" for i in range(s)]
-    model = FiniteGenerativeModel(k, ids, w / w.sum(), _rows(data.draw, s, k))
+    model = FiniteGenerativeModel(k, w / w.sum(), _rows(data.draw, s, k))
     predictor = Predictor(_rows(data.draw, s, k))
     assert population_cw_ece(model, predictor) <= tce(model, predictor) + 1e-12
 
@@ -491,7 +490,7 @@ def _sweep_model(draw):
     )
     pool = _rows(draw, draw(st.integers(1, 4)), k)
     rows = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=s, max_size=s))]
-    return FiniteGenerativeModel(k, [f"x{i}" for i in range(s)], w / w.sum(), rows)
+    return FiniteGenerativeModel(k, w / w.sum(), rows)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)

@@ -61,7 +61,7 @@ KNOBS = {
     "EmConfig": (
         "epochs", "bins", "lam", "divergence", "learning_rate", "inner_steps", "sft_weight"
     ),
-    "FiniteGenerativeModel": ("k", "support", "weights", "label_probs"),
+    "FiniteGenerativeModel": ("k", "weights", "label_probs"),
     "LinearPolicy": ("d", "k", "W"),
     "Predictor": ("probs",),
     "TabularPolicy": ("logits",),

@@ -16,7 +16,7 @@ from calibkit.emcal import (
     mean_sft,
     run_em,
 )
-from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece
+from calibkit.metrics import _binned_gaps, accuracy, binned_ece, conf_ece, metric_row
 from calibkit.toylab import (
     BadEpsilon,
     BadParams,
@@ -578,6 +578,51 @@ def test_run_mode_matches_the_reference_recipe_bitwise(mode, monkeypatch):
         assert ds.probs_matrix.tobytes() == ref_ds.probs_matrix.tobytes()
         assert ds.labels_array.tobytes() == ref_ds.labels_array.tobytes()
     assert got[2] == ref[2]
+
+
+def test_tradeoff_study_fits_one_baseline_and_matches_the_reference_stages(monkeypatch):
+    """One study call fits its SFT baseline once and trains no sft-only
+    policy; each stage's row equals the row of the same stage run alone by
+    ``reference_run_mode``, which fits its own baseline."""
+    study = toylab.STUDY
+    fits, modes = [], []
+    sft_baseline, train_mode = toylab._sft_baseline, toylab.train
+
+    def counted_baseline(task, epochs, lr):
+        fits.append((epochs, lr))
+        return sft_baseline(task, epochs, lr)
+
+    def counted_train(policy, task, mode="sft-only", *args, **kwargs):
+        modes.append(mode)
+        return train_mode(policy, task, mode, *args, **kwargs)
+
+    monkeypatch.setattr(toylab, "_sft_baseline", counted_baseline)
+    monkeypatch.setattr(toylab, "train", counted_train)
+    got = toylab.tradeoff_study(5)
+    assert fits == [(study["sft_epochs"], study["sft_lr"])]
+    assert modes == ["cft", "rcft", "cft"]
+
+    task = gen_toy_task(d=study["d"], k=study["k"], n=study["n"],
+                        teacher_temperature=study["teacher_temperature"], seed=5)
+    bins = study["bins"]
+
+    def em(epochs, lr, sft_weight=1.0):
+        return EmConfig(epochs=epochs, bins=bins, lam=1.0, sft_weight=sft_weight,
+                        learning_rate=lr)
+
+    stages = {
+        "sft": ("sft-only", None),
+        "cft": ("cft", em(study["em_epochs"], study["em_lr"])),
+        "rcft": ("rcft", em(study["em_epochs"], study["rcft_em_lr"])),
+        "ece_only": ("ece-only", em(study["ece_only_epochs"], study["em_lr"], 0.0)),
+    }
+    want = {"bayes_accuracy": task.bayes_accuracy}
+    for key, (mode, cfg) in stages.items():
+        _, after, _ = reference_run_mode(
+            task, mode, study["sft_epochs"], study["sft_lr"], 0.0, cfg, bins
+        )
+        want[key] = metric_row(after.probs_matrix, after.labels_array, bins)
+    assert repr(got) == repr(want)
 
 
 def test_softmax_rows_on_simplex():
